@@ -14,6 +14,14 @@ node is allocated only for components of two or more nodes.  A DAG edge is
 stored explicitly only when at least one endpoint is a multi-node SCC;
 between two singleton components the input edge itself serves as the DAG
 edge.  The accessors below unify both views.
+
+Every node lives in a slot of one dense internal id space.  Callers name
+input nodes by external ids, which the graph maps to slots in exactly one
+place: ``build`` gives input ``u`` slot ``u``, and every later input and
+every SCC node takes the next fresh slot, so slots are never reused.  Only
+``input_slot``, ``is_input_node``, ``add_input_node``, ``external_id``,
+``input_node_ids`` and ``input_edges`` speak external ids; every other
+method takes and returns slots.
 """
 from __future__ import annotations
 
@@ -32,15 +40,13 @@ _NONE = -1
 
 
 class SccGraph:
-    """Mutable layered graph over a dense integer id space.
+    """Mutable layered graph over a dense integer slot space.
 
-    Input nodes and SCC nodes share one internal id space; SCC ids are
-    allocated from a monotone counter above every id seen so far and are
-    never reused.  Callers address input nodes by their external ids;
-    these normally equal the internal slot, except when a caller inserts
-    a node whose id an internal SCC node already occupies — such inputs
-    are transparently remapped to a fresh slot.  Component handles
-    returned by lookups are internal ids and should be treated as opaque.
+    Input nodes and SCC nodes share one slot space, allocated from a
+    monotone counter and never reused.  A dict maps the external id of
+    every live input node to its slot; ``_ext`` is its inverse.  Slots
+    and the component handles returned by lookups are internal and should
+    be treated as opaque.
 
     Not thread-safe: lookups compress containment paths.
     """
@@ -51,10 +57,10 @@ class SccGraph:
         self._kind: list[int] = [INPUT] * num_nodes
         self._parent: list[int] = [_NONE] * num_nodes
         self._size: list[int] = [1] * num_nodes
-        # External id per input slot (-1 for SCC slots).
+        # External id -> slot for every live input, and its inverse
+        # (-1 for SCC and dead slots).
+        self._slot: dict[int, int] = {u: u for u in range(num_nodes)}
         self._ext: list[int] = list(range(num_nodes))
-        # External -> internal, only for inputs remapped on id collision.
-        self._input_map: dict[int, int] = {}
         # Input-layer adjacency; dicts double as insertion-ordered sets.
         self._out_i: list[dict[int, None] | None] = [{} for _ in range(num_nodes)]
         self._in_i: list[dict[int, None] | None] = [{} for _ in range(num_nodes)]
@@ -189,26 +195,15 @@ class SccGraph:
         self._in_d[s] = {}
         return s
 
-    def add_input_node(self, u: int) -> None:
-        """Register a fresh input node (singleton component).
-
-        If an internal SCC node already occupies slot ``u``, the input is
-        remapped to a fresh slot; the external id stays ``u``.
-        """
+    def add_input_node(self, u: int) -> int:
+        """Register a fresh input node with external id ``u`` as a
+        singleton component in the next fresh slot; returns the slot."""
         if u < 0:
             raise InputError(f"negative node id {u}")
-        if u in self._input_map or (
-            u < len(self._kind) and self._kind[u] == INPUT and self._ext[u] == u
-        ):
+        if u in self._slot:
             raise InputError(f"node id {u} already in use")
-        if u < len(self._kind) and self._kind[u] != DEAD:
-            slot = self._next_id  # id collision with an internal node
-            self._next_id += 1
-            self._input_map[u] = slot
-        else:
-            slot = u
-            if u >= self._next_id:
-                self._next_id = u + 1
+        slot = self._next_id
+        self._next_id = slot + 1
         self._grow(slot)
         self._kind[slot] = INPUT
         self._parent[slot] = _NONE
@@ -216,19 +211,24 @@ class SccGraph:
         self._ext[slot] = u
         self._out_i[slot] = {}
         self._in_i[slot] = {}
+        self._slot[u] = slot
         self._num_input += 1
+        return slot
 
-    def remove_input_node(self, u: int) -> None:
-        """Drop an isolated input node.  Internal ids are never reused."""
-        slot = self.input_slot(u)
-        if self._out_i[slot] or self._in_i[slot]:
-            raise LogicError(f"node {u} still has incident edges")
-        if self._parent[slot] != _NONE:
-            raise LogicError(f"node {u} still inside a component")
-        self._kind[slot] = DEAD
-        self._out_i[slot] = self._in_i[slot] = None
-        self._out_d[slot] = self._in_d[slot] = None
-        self._input_map.pop(u, None)
+    def remove_input_node(self, x: int) -> None:
+        """Drop the isolated input node in slot ``x``.  Slots are never
+        reused."""
+        if not (0 <= x < len(self._kind)) or self._kind[x] != INPUT:
+            raise InputError(f"slot {x} holds no input node")
+        if self._out_i[x] or self._in_i[x]:
+            raise LogicError(f"slot {x} still has incident edges")
+        if self._parent[x] != _NONE:
+            raise LogicError(f"slot {x} is still inside a component")
+        self._kind[x] = DEAD
+        self._out_i[x] = self._in_i[x] = None
+        self._out_d[x] = self._in_d[x] = None
+        del self._slot[self._ext[x]]
+        self._ext[x] = -1
         self._num_input -= 1
 
     # ------------------------------------------------------------------
@@ -254,26 +254,18 @@ class SccGraph:
 
     def is_input_node(self, u: int) -> bool:
         """True when the external id ``u`` names a live input node."""
-        slot = self._input_map.get(u, u)
-        return (
-            0 <= slot < len(self._kind)
-            and self._kind[slot] == INPUT
-            and self._ext[slot] == u
-        )
+        return u in self._slot
 
     def input_slot(self, u: int) -> int:
-        """Internal slot of the live input node with external id ``u``."""
-        slot = self._input_map.get(u, u)
-        if not (
-            0 <= slot < len(self._kind)
-            and self._kind[slot] == INPUT
-            and self._ext[slot] == u
-        ):
-            raise InputError(f"unknown input node {u}")
-        return slot
+        """Slot of the live input node with external id ``u``."""
+        try:
+            return self._slot[u]
+        except KeyError:
+            raise InputError(f"unknown input node {u}") from None
 
-    def external_id(self, slot: int) -> int:
-        return self._ext[slot]
+    def external_id(self, x: int) -> int:
+        """External id of the input node in slot ``x``."""
+        return self._ext[x]
 
     def is_current(self, x: int) -> bool:
         """True for current DAG nodes: SCC nodes and parent-free inputs."""
@@ -288,13 +280,11 @@ class SccGraph:
         return self._size[s]
 
     def input_node_ids(self) -> list[int]:
-        """External ids of all live input nodes."""
-        kind, ext = self._kind, self._ext
-        return [ext[x] for x in range(len(kind)) if kind[x] == INPUT]
+        """External ids of all live input nodes, in slot order."""
+        return list(self._slot)
 
     def input_slots(self) -> list[int]:
-        kind = self._kind
-        return [x for x in range(len(kind)) if kind[x] == INPUT]
+        return list(self._slot.values())
 
     def current_dag_nodes(self) -> list[int]:
         kind, parent = self._kind, self._parent
@@ -313,16 +303,11 @@ class SccGraph:
                 for v in targets:
                     yield (eu, ext[v])
 
-    def has_input_edge(self, u: int, v: int) -> bool:
-        return self._input_map.get(v, v) in self._out_i[self.input_slot(u)]
+    def has_input_edge(self, x: int, y: int) -> bool:
+        return y in self._out_i[x]
 
-    def input_successors(self, u: int) -> list[int]:
-        ext = self._ext
-        return [ext[v] for v in self._out_i[self.input_slot(u)]]
-
-    def input_predecessors(self, u: int) -> list[int]:
-        ext = self._ext
-        return [ext[w] for w in self._in_i[self.input_slot(u)]]
+    def input_successors(self, x: int) -> list[int]:
+        return list(self._out_i[x])
 
     def _check_known(self, x: int) -> None:
         if not (0 <= x < len(self._kind)) or self._kind[x] == DEAD:
@@ -361,26 +346,22 @@ class SccGraph:
     # ------------------------------------------------------------------
     # input-layer edits (set semantics)
 
-    def add_input_edge(self, u: int, v: int) -> bool:
-        """Record (u, v) in the input layer; False if already present."""
-        su = self.input_slot(u)
-        sv = self.input_slot(v)
-        ou = self._out_i[su]
-        if sv in ou:
+    def add_input_edge(self, x: int, y: int) -> bool:
+        """Record edge (x, y) between input slots; False if already present."""
+        ox = self._out_i[x]
+        if y in ox:
             return False
-        ou[sv] = None
-        self._in_i[sv][su] = None
+        ox[y] = None
+        self._in_i[y][x] = None
         self._num_edges += 1
         return True
 
-    def remove_input_edge(self, u: int, v: int) -> None:
-        su = self.input_slot(u)
-        sv = self.input_slot(v)
-        ou = self._out_i[su]
-        if sv not in ou:
-            raise InputError(f"edge ({u}, {v}) does not exist")
-        del ou[sv]
-        del self._in_i[sv][su]
+    def remove_input_edge(self, x: int, y: int) -> None:
+        ox = self._out_i[x]
+        if y not in ox:
+            raise InputError(f"edge between slots ({x}, {y}) does not exist")
+        del ox[y]
+        del self._in_i[y][x]
         self._num_edges -= 1
 
     # ------------------------------------------------------------------
@@ -450,10 +431,6 @@ class SccGraph:
         else:
             del od[t]
             del self._in_d[t][s]
-
-    def drop_dag_edge_for(self, u: int, v: int, s: int, t: int) -> None:
-        """Account for the removal of input edge (u, v) between components."""
-        self._dec_dag_edge(s, t)
 
     # ------------------------------------------------------------------
     # merge
@@ -561,11 +538,12 @@ class SccGraph:
     def apply_split(self, s: int, v: int, comps: Sequence[Sequence[int]]) -> list[int]:
         """Detach extracted components from SCC ``s`` after an edge deletion.
 
-        ``comps`` lists the members of each new component in discovery
-        order; the remnant holding ``v`` keeps the node ``s`` unless it
-        shrinks to ``v`` alone, in which case ``s`` is orphaned.  Only the
-        extracted members' incident edges are touched.  Returns the new
-        component ids followed by the remnant id.
+        ``comps`` lists the member slots of each new component in
+        discovery order; the remnant holding the deletion target's slot
+        ``v`` keeps the node ``s`` unless it shrinks to ``v`` alone, in
+        which case ``s`` is orphaned.  Only the extracted members'
+        incident edges are touched.  Returns the new component ids
+        followed by the remnant id.
         """
         if not self.is_current(s) or self._kind[s] != SCC_CURRENT:
             raise LogicError(f"node {s} is not a current multi-node component")

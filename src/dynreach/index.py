@@ -2,10 +2,15 @@
 
 The index composes the layered graph with the interval labeler and keeps
 both consistent through the four update operations (edge/node insertion
-and deletion) plus batch application.  Queries run a depth-first search
-over the condensation that descends only into children whose labels could
-still subsume the target, so a positive answer is always certified by an
+and deletion); a batch of edge updates runs through the same edge
+insertion and deletion.  Queries run a depth-first search over the
+condensation that descends only into children whose labels could still
+subsume the target, so a positive answer is always certified by an
 actual path and a failed label test never hides one.
+
+Public methods take external node ids and translate them to graph slots
+once, on entry; everything below that boundary (extraction, splits,
+merges, labels) works on slots and component handles only.
 
 All operations, queries included, mutate internal state (path compression
 and visit stamps); an instance therefore needs exclusive access.
@@ -67,6 +72,8 @@ class ReachabilityIndex:
     # capacity plumbing
 
     def _ensure_capacity(self) -> None:
+        """Grow the scratch arrays and labels to the graph's capacity; the
+        capacity grows only on node insertion, merge and split."""
         cap = self.graph.capacity
         if len(self._vis) < cap:
             grow = cap - len(self._vis)
@@ -106,7 +113,6 @@ class ReachabilityIndex:
         sv = g.input_slot(v)
         if su == sv:
             return True
-        self._ensure_capacity()
         vis = self._vis
         self._stamp += 1
         stamp = self._stamp
@@ -136,7 +142,6 @@ class ReachabilityIndex:
         pruned); children are skipped when their label cannot subsume the
         target's (k >= 1 and use_labels)."""
         g = self.graph
-        self._ensure_capacity()
         lab = self.labeler
         k = lab.k if use_labels else 0
         if k and not lab.covers(s, t):
@@ -215,9 +220,8 @@ class ReachabilityIndex:
         g = self.graph
         su = g.input_slot(u)
         sv = g.input_slot(v)
-        if sv in g._out_i[su]:
+        if not g.add_input_edge(su, sv):
             return
-        g.add_input_edge(u, v)
         if su == sv:
             return  # self-loops never alter the condensation
         s = g.find_scc(su)
@@ -229,32 +233,30 @@ class ReachabilityIndex:
             g.increment_dag_edge(s, t)
             return
         if self._search_dag(t, s, use_labels=True)[0]:
-            self._merge(s, t, defer_labels=False)
+            self._merge(s, t)
         else:
             g._add_dag_edge(s, t, 1)
             if self.k:
                 self.labeler.enlarge_to_cover(g, s, t)
 
-    def _merge(self, s: int, t: int, defer_labels: bool, use_labels: bool = True) -> int:
+    def _merge(self, s: int, t: int) -> None:
         """Collapse every component on a t-to-s path; the representative
         adopts t's label, which already subsumes all of them."""
-        mlist = self.collect_merge_list(t, s, use_labels=use_labels)
+        mlist = self.collect_merge_list(t, s)
         snapshot = self.labeler.label_of(t) if self.k else ()
         rep = self.graph.merge_components(mlist)
         self._ensure_capacity()
         if self.k:
             self.labeler.set_label(rep, snapshot)
-            if not defer_labels:
-                self.labeler.propagate(self.graph, (rep,))
-        return rep
+            self.labeler.propagate(self.graph, (rep,))
 
-    def collect_merge_list(self, t: int, s: int, use_labels: bool = True) -> list[int]:
+    def collect_merge_list(self, t: int, s: int) -> list[int]:
         """Every component on some t-to-s path, ordered with ``s`` first
         and ``t`` last.  The search skips children whose labels cannot
         subsume ``s``'s, since those provably do not reach it."""
         g = self.graph
         lab = self.labeler
-        prune = use_labels and lab.k > 0
+        prune = lab.k > 0
         reach: dict[int, bool] = {s: True}
         order: list[int] = []
         frames: list[list] = [[t, g.dag_children(t), 0, False]]
@@ -293,38 +295,44 @@ class ReachabilityIndex:
         g = self.graph
         su = g.input_slot(u)
         sv = g.input_slot(v)
-        g.remove_input_edge(u, v)
+        if not g.has_input_edge(su, sv):
+            raise InputError(f"edge ({u}, {v}) does not exist")
+        self._delete_edge(su, sv)
+
+    def _delete_edge(self, su: int, sv: int) -> None:
+        """Delete the existing edge between input slots ``su`` and ``sv``."""
+        g = self.graph
+        g.remove_input_edge(su, sv)
         if su == sv:
             return
         s = g.find_scc(su)
         t = g.find_scc(sv)
         if s != t:
-            g.drop_dag_edge_for(su, sv, s, t)
+            g._dec_dag_edge(s, t)
             return
-        comps = self.extract_components(u, v, s)
+        comps = self.extract_components(su, sv, s)
         if not comps:
-            return  # u still reaches v: component intact
+            return  # su still reaches sv: component intact
         old_label = self.labeler.label_of(s) if self.k else ()
-        clist = g.apply_split(s, v, comps)
+        clist = g.apply_split(s, sv, comps)
         self._ensure_capacity()
         if self.k:
             self.labeler.relabel_split(g, clist, old_label)
 
-    def extract_components(self, u: int, v: int, s: int) -> list[list[int]]:
-        """Find the components that break off ``s`` once (u, v) is gone.
+    def extract_components(self, su: int, sv: int, s: int) -> list[list[int]]:
+        """Find the components that break off ``s`` once the edge between
+        slots ``su`` and ``sv`` is gone.
 
-        Bottom-up restricted Tarjan: start at ``u``; whenever a run
-        touches ``v`` (or a node already known to reach it) the whole
-        exploration spine still reaches ``v`` and is marked to stay, and
+        Bottom-up restricted Tarjan: start at ``su``; whenever a run
+        touches ``sv`` (or a node already known to reach it) the whole
+        exploration spine still reaches ``sv`` and is marked to stay, and
         the run stops.  Confirmed components enqueue their in-component
         parents as future start points.  Members of the remnant around
-        ``v`` are never visited.  Empty result means no split.
+        ``sv`` are never visited.  Empty result means no split.
         """
         g = self.graph
-        su = g.input_slot(u)
-        sv = g.input_slot(v)
         if g.find_scc(su) != s or g.find_scc(sv) != s:
-            raise LogicError(f"nodes {u}, {v} are not members of component {s}")
+            raise LogicError(f"slots {su}, {sv} are not members of component {s}")
         reaches_v: set[int] = set()
         assigned: set[int] = set()
         comps: list[list[int]] = []
@@ -351,7 +359,6 @@ class ReachabilityIndex:
         """One restricted Tarjan pass from ``start``; True if it aborted
         because ``start`` still reaches ``v``."""
         g = self.graph
-        self._ensure_capacity()
         out_i, in_i, parent = g._out_i, g._in_i, g._parent
         find = g.find_scc
         self._ex_stamp += 1
@@ -432,23 +439,18 @@ class ReachabilityIndex:
         edge-insertion path one at a time and may trigger merges.
         """
         g = self.graph
-        for w in out_edges:
+        for w in (*out_edges, *in_edges):
             if w != u:
-                g.input_slot(w)
-        for w in in_edges:
-            if w != u:
-                g.input_slot(w)
-        g.add_input_node(u)
-        slot = g.input_slot(u)
+                g.input_slot(w)  # reject unknown endpoints before any change
+        slot = g.add_input_node(u)
         self._ensure_capacity()
         comps: list[int] = []
         seen: set[int] = set()
         for w in out_edges:
-            if not g.add_input_edge(u, w):
-                continue
-            if w == u:
-                continue  # self-loop: kept in the input layer only
-            f = g.find_scc(g.input_slot(w))
+            sw = g.input_slot(w)
+            if not g.add_input_edge(slot, sw) or sw == slot:
+                continue  # duplicate, or a self-loop kept in the input layer only
+            f = g.find_scc(sw)
             g._add_dag_edge(slot, f, 1)
             if f not in seen:
                 seen.add(f)
@@ -456,10 +458,7 @@ class ReachabilityIndex:
         if self.k:
             self.labeler.label_new_source(g, slot, comps)
         for w in in_edges:
-            if w == u:
-                self.insert_edge(u, u)
-            else:
-                self.insert_edge(w, u)
+            self.insert_edge(w, u)
 
     def delete_node(self, u: int) -> None:
         """Remove a node with all incident edges.
@@ -472,126 +471,45 @@ class ReachabilityIndex:
         g = self.graph
         slot = g.input_slot(u)
         for ws in list(g._out_i[slot]):
-            self.delete_edge(u, g.external_id(ws))
+            self._delete_edge(slot, ws)
         for ws in list(g._in_i[slot]):
-            g.remove_input_edge(g.external_id(ws), u)
-            g.drop_dag_edge_for(ws, slot, g.find_scc(ws), slot)
-        g.remove_input_node(u)
+            g.remove_input_edge(ws, slot)
+            g._dec_dag_edge(g.find_scc(ws), slot)
+        g.remove_input_node(slot)
 
     # ------------------------------------------------------------------
     # batch updates
 
     def apply_batch(self, ops: Sequence[UpdateOp]) -> int:
-        """Apply a batch of edge updates with pruning and reordering.
+        """Apply a batch of edge updates as one net change.
 
-        Complementary insert/delete pairs of the same edge cancel first.
-        The survivors are then classified against the current index and
-        applied in four passes: intra-component insertions (input layer
-        only), inter-component deletions (no label changes), inter
-        insertions with one shared ancestor-propagation pass, and finally
-        intra deletions one by one.  Classification happens lazily at
-        each pass, so earlier passes may reclassify later ops.  Returns
-        the number of operations applied after pruning.
+        Every op is first checked in order against the edge set as the
+        ops before it leave it; a batch holding an unknown node, an op
+        other than an edge update, or the deletion of an edge absent at
+        that point raises ``InputError`` and changes nothing.  Then each
+        edge whose presence after the batch differs from its presence
+        before goes once through ``insert_edge`` or ``delete_edge``, in
+        the order of first mention.  Returns the number of edges changed.
         """
+        g = self.graph
+        before: dict[tuple[int, int], bool] = {}
+        after: dict[tuple[int, int], bool] = {}
         for op in ops:
             if not isinstance(op, (InsertEdge, DeleteEdge)):
                 raise InputError(f"batch mode accepts edge updates only, got {op!r}")
-        pruned = self._prune_batch(ops)
-        g = self.graph
-        pending: list[UpdateOp] = []
-
-        # Pass 1: insertions that land inside a component (or duplicates).
-        for op in pruned:
-            if isinstance(op, InsertEdge):
-                u, v = op.u, op.v
-                su = g.input_slot(u)
-                sv = g.input_slot(v)
-                if sv in g._out_i[su]:
-                    continue
-                if su == sv or g.find_scc(su) == g.find_scc(sv):
-                    g.add_input_edge(u, v)
-                    continue
-            pending.append(op)
-
-        # Pass 2: deletions that cross components (graph bookkeeping only).
-        rest: list[UpdateOp] = []
-        for op in pending:
-            if isinstance(op, DeleteEdge):
-                u, v = op.u, op.v
-                su = g.input_slot(u)
-                sv = g.input_slot(v)
-                if sv not in g._out_i[su]:
-                    raise InputError(f"edge ({u}, {v}) does not exist")
-                if su == sv:
-                    g.remove_input_edge(u, v)
-                    continue
-                s, t = g.find_scc(su), g.find_scc(sv)
-                if s != t:
-                    g.remove_input_edge(u, v)
-                    g.drop_dag_edge_for(su, sv, s, t)
-                    continue
-            rest.append(op)
-
-        # Pass 3: inter-component insertions share one propagation pass.
-        # Internal reachability checks run unpruned because labels are
-        # only reconciled after the pass.
-        changed: list[int] = []
-        deletions: list[DeleteEdge] = []
-        for op in rest:
-            if isinstance(op, DeleteEdge):
-                deletions.append(op)
-                continue
-            u, v = op.u, op.v
-            su = g.input_slot(u)
-            sv = g.input_slot(v)
-            if sv in g._out_i[su]:
-                continue
-            g.add_input_edge(u, v)
-            s, t = g.find_scc(su), g.find_scc(sv)
-            if s == t:
-                continue
-            od = g._out_d[s]
-            if od is not None and t in od:
-                g.increment_dag_edge(s, t)
-                continue
-            if self._search_dag(t, s, use_labels=False)[0]:
-                rep = self._merge(s, t, defer_labels=True, use_labels=False)
-                changed.append(rep)
+            key = (op.u, op.v)
+            if key not in before:
+                before[key] = after[key] = g.has_input_edge(g.input_slot(op.u), g.input_slot(op.v))
+            if isinstance(op, DeleteEdge) and not after[key]:
+                raise InputError(f"edge ({op.u}, {op.v}) does not exist")
+            after[key] = isinstance(op, InsertEdge)
+        changed = [key for key, present in after.items() if present != before[key]]
+        for u, v in changed:
+            if after[u, v]:
+                self.insert_edge(u, v)
             else:
-                g._add_dag_edge(s, t, 1)
-                if self.k and not self.labeler.covers(s, t):
-                    lab = self.labeler
-                    for d in range(lab.k):
-                        b_col, e_col = lab._b[d], lab._e[d]
-                        if b_col[t] < b_col[s]:
-                            b_col[s] = b_col[t]
-                        if e_col[t] + 1 > e_col[s]:
-                            e_col[s] = e_col[t] + 1
-                    changed.append(s)
-        if self.k and changed:
-            # A later merge in this pass may have absorbed an earlier
-            # changed node; propagate from current representatives.
-            live = {x if g.is_current(x) else g.find_scc(x) for x in changed}
-            self.labeler.propagate_batch(g, live)
-
-        # Pass 4: intra-component deletions cannot share work.
-        for op in deletions:
-            self.delete_edge(op.u, op.v)
-        return len(pruned)
-
-    @staticmethod
-    def _prune_batch(ops: Sequence[UpdateOp]) -> list[UpdateOp]:
-        keep = [True] * len(ops)
-        open_ops: dict[tuple[int, int], list[tuple[int, bool]]] = defaultdict(list)
-        for i, op in enumerate(ops):
-            is_insert = isinstance(op, InsertEdge)
-            lst = open_ops[(op.u, op.v)]
-            if lst and lst[-1][1] != is_insert:
-                j, _ = lst.pop()
-                keep[j] = keep[i] = False
-            else:
-                lst.append((i, is_insert))
-        return [op for i, op in enumerate(ops) if keep[i]]
+                self.delete_edge(u, v)
+        return len(changed)
 
     # ------------------------------------------------------------------
     # views

@@ -64,7 +64,6 @@ class IntervalLabeler:
         self._max_end = [0] * cfg.k
         # Instrumentation: (node, dimension) end-recomputation events.
         self.pq_recomputes = 0
-        self.batch_recomputes = 0
 
     # ------------------------------------------------------------------
     # access
@@ -273,64 +272,6 @@ class IntervalLabeler:
                             heappush(heap, (e_col[q], q, up))
             self.pq_recomputes += applied
             self._max_end[d] = hi
-
-    def propagate_batch(self, graph: SccGraph, seeds: Iterable[int]) -> int:
-        """One shared containment pass over all ancestors of ``seeds``.
-
-        Used by batch updates: recomputes every (ancestor, dimension) pair
-        exactly once, children before parents, instead of one priority
-        queue walk per changed edge.  Returns the recomputation count.
-        """
-        if self.k == 0:
-            return 0
-        region: set[int] = set(seeds)
-        stack = list(region)
-        while stack:
-            w = stack.pop()
-            for p in graph.dag_parents(w):
-                if p not in region:
-                    region.add(p)
-                    stack.append(p)
-        # Children-first order over the region (post-order DFS).
-        order: list[int] = []
-        state: dict[int, int] = {}
-        for start in region:
-            if start in state:
-                continue
-            state[start] = 1
-            frames = [(start, [c for c in graph.dag_children(start) if c in region], [0])]
-            while frames:
-                node, kids, pos = frames[-1]
-                if pos[0] < len(kids):
-                    c = kids[pos[0]]
-                    pos[0] += 1
-                    if c not in state:
-                        state[c] = 1
-                        frames.append((c, [x for x in graph.dag_children(c) if x in region], [0]))
-                    continue
-                frames.pop()
-                order.append(node)
-        touched = 0
-        for w in order:
-            kids = graph.dag_children(w)
-            for d in range(self.k):
-                b_col, e_col = self._b[d], self._e[d]
-                bw, ew = b_col[w], e_col[w]
-                for c in kids:
-                    cb = b_col[c]
-                    if cb < bw:
-                        bw = cb
-                    ce = e_col[c] + 1
-                    if ce > ew:
-                        ew = ce
-                b_col[w] = bw
-                if ew != e_col[w]:
-                    e_col[w] = ew
-                    if ew > self._max_end[d]:
-                        self._max_end[d] = ew
-                touched += 1
-        self.batch_recomputes += touched
-        return touched
 
     # ------------------------------------------------------------------
     # split relabeling

@@ -5,7 +5,7 @@ from dynreach import BenchConfig, LabelerConfig, ReachabilityIndex, gen_er, gen_
 from dynreach.bench import DfsBaseline, parse_variant
 from dynreach.ops import DeleteEdge, InsertEdge, Query
 
-from conftest import NODE, SAMPLE_EDGES
+from samples import NODE, SAMPLE_EDGES
 
 
 THREE_OP_SCRIPT = [

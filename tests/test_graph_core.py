@@ -8,8 +8,8 @@ import pytest
 from dynreach import InputError, LogicError, SccGraph
 from dynreach.graph import SCC_CURRENT
 
-from conftest import NODE, SAMPLE_EDGES, random_digraph, sample_comps, sample_graph
 from oracles import kosaraju_partition
+from samples import NODE, SAMPLE_EDGES, random_digraph, sample_comps, sample_graph
 
 
 def test_sample_build_census():
@@ -209,14 +209,17 @@ def test_size_conservation_after_merges():
 
 def test_node_lifecycle():
     g = SccGraph.build([(0, 1)], num_nodes=2)
-    g.add_input_node(5)
+    x = g.add_input_node(5)
+    assert x == 2  # the next fresh slot, not the external id
     assert g.num_input_nodes == 3
-    assert g.find_scc(5) == 5
+    assert g.input_slot(5) == x and g.external_id(x) == 5
+    assert g.find_scc(x) == x
     with pytest.raises(InputError):
         g.add_input_node(5)
-    g.remove_input_node(5)
+    g.remove_input_node(x)
+    assert not g.is_input_node(5)
     with pytest.raises(InputError):
-        g.find_scc(5)
-    # ids are never reused: the next SCC node allocates above id 5
+        g.find_scc(x)
+    # slots are never reused: the next SCC node allocates above slot x
     rep = g.merge_components([0, 1])
-    assert rep > 5
+    assert rep > x

@@ -20,7 +20,7 @@ from dynreach.io import (
 )
 from dynreach.ops import DeleteNode, InsertEdge, InsertNode, Query
 
-from conftest import SAMPLE_EDGES
+from samples import SAMPLE_EDGES
 
 
 def test_parse_graph_basic():

@@ -14,8 +14,8 @@ from dynreach import (
     subsumes,
 )
 
-from conftest import NODE, random_dag, sample_comps, sample_graph, sample_index
 from oracles import check_label_invariants
+from samples import NODE, random_dag, sample_comps, sample_graph, sample_index
 
 # Frozen two-dimensional labeling of the sample condensation: first
 # dimension visits children left to right, second right to left.

@@ -16,7 +16,8 @@ from dynreach import (
     ReachabilityIndex,
 )
 
-from conftest import (
+from oracles import Mirror, check_label_invariants, kosaraju_partition, reachable_pairs
+from samples import (
     NODE,
     SAMPLE_EDGES,
     random_dag,
@@ -25,7 +26,6 @@ from conftest import (
     sample_comps,
     sample_index,
 )
-from oracles import Mirror, check_label_invariants, kosaraju_partition, reachable_pairs
 
 
 def snapshot(idx):
@@ -244,14 +244,14 @@ def test_insert_node_label_from_out_neighbors():
     assert idx.label_of(NODE["M"])[0] == (5, 6)
     x = 50
     idx.insert_node(x, out_edges=[NODE["M"]])
-    assert idx.label_of(x)[0] == (5, 7)
+    assert idx.label_of(idx.find(x))[0] == (5, 7)
     check_label_invariants(idx)
 
 
 def test_insert_isolated_node_into_empty_index():
     idx = ReachabilityIndex.build([], 0, LabelerConfig(k=1, seed=0))
     idx.insert_node(0)
-    assert idx.label_of(0) == ((0, 1),)
+    assert idx.label_of(idx.find(0)) == ((0, 1),)
     assert idx.reachable(0, 0)
 
 
@@ -279,8 +279,9 @@ def test_insert_node_duplicate_or_unknown_endpoint():
 def test_insert_node_self_loop_in_edge_ignored_structurally():
     idx = ReachabilityIndex.build([], 2, LabelerConfig(k=1, seed=0))
     idx.insert_node(5, out_edges=[0], in_edges=[5])
-    assert idx.find(5) == 5
-    assert idx.graph.has_input_edge(5, 5)
+    x = idx.graph.input_slot(5)
+    assert idx.find(5) == x
+    assert idx.graph.has_input_edge(x, x)
 
 
 def test_delete_source_node():
@@ -347,35 +348,10 @@ def test_batch_rejects_non_edge_ops():
 def test_batch_intra_insert_classification_is_structural_noop():
     idx = sample_index(k=1)
     before = snapshot(idx)
-    assert idx.apply_batch([InsertEdge(NODE["A"], NODE["B"])]) == 1
+    assert idx.apply_batch([InsertEdge(NODE["A"], NODE["B"])]) == 0  # already present
     after = snapshot(idx)
     assert after[0] == before[0] and after[1] == before[1]
     assert idx.graph.has_input_edge(NODE["A"], NODE["B"])
-
-
-def test_batch_shared_propagation_touches_each_ancestor_once():
-    # Chain 0 -> 1 -> 2 -> 3 with three fresh sinks; all three insertions
-    # share the chain as ancestors.
-    edges = [(0, 1), (1, 2), (2, 3)]
-    base = list(range(4, 7))
-
-    def build():
-        idx = ReachabilityIndex.build(edges, 7, LabelerConfig(k=1, seed=6))
-        return idx
-
-    batch_idx = build()
-    batch_idx.labeler.batch_recomputes = 0
-    batch_idx.apply_batch([InsertEdge(3, w) for w in base])
-    assert batch_idx.labeler.batch_recomputes == 4  # nodes 3, 2, 1, 0 once each
-    check_label_invariants(batch_idx)
-
-    seq_idx = build()
-    seq_idx.labeler.pq_recomputes = 0
-    for w in base:
-        seq_idx.insert_edge(3, w)
-    assert seq_idx.labeler.pq_recomputes > batch_idx.labeler.batch_recomputes
-    assert {s: seq_idx.label_of(s) for s in range(4)} is not None
-    check_label_invariants(seq_idx)
 
 
 def test_batch_final_answers_match_sequential():
@@ -398,13 +374,53 @@ def test_batch_final_answers_match_sequential():
         batch_idx = ReachabilityIndex.build(edges, n, LabelerConfig(k=1, seed=seed))
         batch_idx.apply_batch(ops)
         seq_idx = ReachabilityIndex.build(edges, n, LabelerConfig(k=1, seed=seed))
-        for op in batch_idx._prune_batch(ops):
+        for op in ops:
             if isinstance(op, InsertEdge):
                 seq_idx.insert_edge(op.u, op.v)
             else:
                 seq_idx.delete_edge(op.u, op.v)
+        assert set(batch_idx.graph.input_edges()) == set(mirror.edge_list()), seed
         assert batch_idx.scc_partition() == seq_idx.scc_partition(), seed
         for u in range(n):
             for v in range(n):
                 assert batch_idx.reachable(u, v) == seq_idx.reachable(u, v), (seed, u, v)
         check_label_invariants(batch_idx)
+
+
+# ----------------------------------------------------------------------
+# regressions
+
+
+def test_split_after_inserted_ids_collide_with_scc_slots():
+    # {0, 1} takes slot 2, so the inserted ids 2 and 3 name other slots;
+    # the split must detach by slot, not by external id.
+    idx = ReachabilityIndex.build([(0, 1), (1, 0)], 2, LabelerConfig(k=1, seed=0))
+    idx.insert_node(2)
+    idx.insert_node(3, (2,), (2,))
+    idx.delete_edge(2, 3)
+    assert idx.scc_partition() == {frozenset({0, 1}), frozenset({2}), frozenset({3})}
+    assert idx.reachable(3, 2) and not idx.reachable(2, 3)
+    check_label_invariants(idx)
+
+
+def test_batch_insert_of_present_edge_does_not_cancel_its_delete():
+    idx = ReachabilityIndex.build([(4, 30), (30, 4)], 31, LabelerConfig(k=1, seed=0))
+    assert idx.apply_batch([InsertEdge(4, 30), DeleteEdge(30, 4), DeleteEdge(4, 30)]) == 2
+    assert set(idx.graph.input_edges()) == set()
+    assert not idx.reachable(4, 30)
+
+
+def test_batch_insert_between_equal_labels_keeps_containment():
+    idx = ReachabilityIndex.build([], 2, LabelerConfig(k=2, seed=0))
+    idx.labeler.set_label(1, idx.label_of(0))
+    idx.apply_batch([InsertEdge(0, 1)])
+    check_label_invariants(idx)
+
+
+def test_insert_node_with_large_id_takes_one_slot():
+    # The id is large enough that a slot per id would cost tens of MB.
+    idx = ReachabilityIndex.build([(0, 1)], 2, LabelerConfig(k=1, seed=0))
+    cap = idx.graph.capacity
+    idx.insert_node(10**6, out_edges=(0,))
+    assert idx.graph.capacity == cap + 1
+    assert idx.reachable(10**6, 1)

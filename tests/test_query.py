@@ -8,8 +8,8 @@ import pytest
 from dynreach import InputError, LabelerConfig, LogicError, ReachabilityIndex, gen_er, gen_updates, OpRatios
 from dynreach.ops import DeleteEdge, DeleteNode, InsertEdge, InsertNode
 
-from conftest import NODE, random_digraph, sample_comps, sample_index
 from oracles import Mirror
+from samples import NODE, random_digraph, sample_comps, sample_index
 
 
 def test_reachable_examples_on_sample():
