@@ -16,9 +16,8 @@ from dataclasses import dataclass, field
 from collections.abc import Sequence
 
 from .errors import InputError
-from .graph import SccGraph
 from .index import ReachabilityIndex
-from .labeling import IntervalLabeler, LabelerConfig
+from .labeling import LabelerConfig
 from .ops import DeleteEdge, DeleteNode, InsertEdge, InsertNode, Query, UpdateOp
 
 import random
@@ -231,10 +230,7 @@ def build_engine(
     k = parse_variant(variant)
     if k is None:
         return DfsBaseline(edges, num_nodes)
-    graph = SccGraph.build(edges, num_nodes)
-    labeler = IntervalLabeler(LabelerConfig(k=k, seed=seed))
-    labeler.initial_labels(graph)
-    return ReachabilityIndex(graph, labeler)
+    return ReachabilityIndex.build(edges, num_nodes, LabelerConfig(k=k, seed=seed))
 
 
 class _AliveNodes:

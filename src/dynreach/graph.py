@@ -10,10 +10,10 @@ One structure holds three coupled layers:
   are exactly the current DAG nodes.
 
 A single-node SCC is represented by the input node itself; a condensation
-node is allocated only for components of two or more nodes.  A DAG edge is
-stored explicitly only when at least one endpoint is a multi-node SCC;
-between two singleton components the input edge itself serves as the DAG
-edge.  The accessors below unify both views.
+node is allocated only for components of two or more nodes.  Every DAG
+edge, between singletons too, is stored in one adjacency (``_out_d`` and
+its mirror ``_in_d``) with its multiplicity, so walks over the
+condensation never consult the input layer.
 
 Every node lives in a slot of one dense internal id space.  Callers name
 input nodes by external ids, which the graph maps to slots in exactly one
@@ -368,45 +368,25 @@ class SccGraph:
     # DAG layer
 
     def dag_children(self, s: int) -> list[int]:
-        """Distinct successor components of ``s`` (explicit and implicit)."""
+        """Distinct successor components of ``s``."""
         self._check_current(s)
         od = self._out_d[s]
-        out = list(od) if od else []
-        if self._kind[s] == INPUT:
-            parent = self._parent
-            out.extend(v for v in self._out_i[s] if parent[v] == _NONE and v != s)
-        return out
+        return list(od) if od else []
 
     def dag_parents(self, s: int) -> list[int]:
         """Distinct predecessor components of ``s``."""
         self._check_current(s)
         idd = self._in_d[s]
-        out = list(idd) if idd else []
-        if self._kind[s] == INPUT:
-            parent = self._parent
-            out.extend(v for v in self._in_i[s] if parent[v] == _NONE and v != s)
-        return out
+        return list(idd) if idd else []
 
     def edge_multiplicity(self, s: int, t: int) -> int:
         """Number of input edges mapping onto DAG edge (s, t); 0 if absent."""
         self._check_current(s)
         self._check_current(t)
         od = self._out_d[s]
-        if od is not None and t in od:
-            return od[t]
-        if self._kind[s] == INPUT and self._kind[t] == INPUT and t in self._out_i[s]:
-            return 1
-        return 0
-
-    def has_explicit_dag_edge(self, s: int, t: int) -> bool:
-        od = self._out_d[s]
-        return od is not None and t in od
+        return od.get(t, 0) if od else 0
 
     def _add_dag_edge(self, s: int, t: int, mult: int) -> None:
-        # Stored only when a multi-node SCC is involved; otherwise the
-        # input edge itself represents the DAG edge.
-        if self._kind[s] != SCC_CURRENT and self._kind[t] != SCC_CURRENT:
-            return
         od = self._out_d[s]
         if od is None:
             od = self._out_d[s] = {}
@@ -416,14 +396,10 @@ class SccGraph:
             idd = self._in_d[t] = {}
         idd[s] = idd.get(s, 0) + mult
 
-    def increment_dag_edge(self, s: int, t: int) -> None:
-        self._out_d[s][t] += 1
-        self._in_d[t][s] += 1
-
     def _dec_dag_edge(self, s: int, t: int) -> None:
         od = self._out_d[s]
         if od is None or t not in od:
-            return  # implicit edge: nothing stored
+            raise InternalError(f"no DAG edge ({s}, {t}) to drop an input edge from")
         left = od[t] - 1
         if left:
             od[t] = left
@@ -470,44 +446,21 @@ class SccGraph:
         add_out: dict[int, int] = {}
         add_in: dict[int, int] = {}
         total = 0
-        # Phase 1: gather the absorbed members' external adjacency while
-        # containment links still resolve to the pre-merge components.
+        # Phase 1: gather the absorbed members' external adjacency.  A fresh
+        # representative has no edges yet, so every internal edge points
+        # into ``merge_set``.
         for m in members:
             total += size[m]
             if m == rep:
                 continue
-            if kind[m] == SCC_CURRENT:
-                for t, mu in out_d[m].items():
-                    if t in merge_set or t == rep:
-                        continue
+            for t, mu in (out_d[m] or {}).items():
+                if t not in merge_set:
                     add_out[t] = add_out.get(t, 0) + mu
                     del in_d[t][m]
-                for src, mu in in_d[m].items():
-                    if src in merge_set or src == rep:
-                        continue
+            for src, mu in (in_d[m] or {}).items():
+                if src not in merge_set:
                     add_in[src] = add_in.get(src, 0) + mu
                     del out_d[src][m]
-            else:
-                # Lone input node: its incident edges live in the input
-                # layer; explicit entries exist only toward SCC neighbors.
-                for t in out_d[m] or ():
-                    if t not in merge_set and t != rep:
-                        del in_d[t][m]
-                for src in in_d[m] or ():
-                    if src not in merge_set and src != rep:
-                        del out_d[src][m]
-                for v in self._out_i[m]:
-                    if v == m:
-                        continue
-                    f = self.find_scc(v)
-                    if f not in merge_set and f != rep:
-                        add_out[f] = add_out.get(f, 0) + 1
-                for w in self._in_i[m]:
-                    if w == m:
-                        continue
-                    f = self.find_scc(w)
-                    if f not in merge_set and f != rep:
-                        add_in[f] = add_in.get(f, 0) + 1
             out_d[m] = in_d[m] = None
         # Phase 2: relink and expire the absorbed components.
         for m in members:
@@ -601,7 +554,7 @@ class SccGraph:
 
         if remnant != s:
             # The component dissolved to the single node v: hand the
-            # leftover explicit edges to v under the storage rule.
+            # leftover DAG edges to v.
             for t, mu in (self._out_d[s] or {}).items():
                 del self._in_d[t][s]
                 self._add_dag_edge(v, t, mu)

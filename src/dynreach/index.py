@@ -22,7 +22,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from .errors import InputError, LogicError
-from .graph import INPUT, SccGraph
+from .graph import SccGraph
 from .labeling import IntervalLabeler, Label, LabelerConfig
 from .ops import DeleteEdge, InsertEdge, UpdateOp
 
@@ -105,30 +105,6 @@ class ReachabilityIndex:
         found, visited, pruned = self._search_dag(s, t, use_labels=True)
         return found, QueryStats(visited, pruned)
 
-    def dfs_input(self, u: int, v: int) -> bool:
-        """Baseline answer by plain DFS over the input edges; ignores the
-        whole index and serves as the ground-truth oracle."""
-        g = self.graph
-        su = g.input_slot(u)
-        sv = g.input_slot(v)
-        if su == sv:
-            return True
-        vis = self._vis
-        self._stamp += 1
-        stamp = self._stamp
-        out_i = g._out_i
-        vis[su] = stamp
-        stack = [su]
-        while stack:
-            w = stack.pop()
-            for c in out_i[w]:
-                if c == sv:
-                    return True
-                if vis[c] != stamp:
-                    vis[c] = stamp
-                    stack.append(c)
-        return False
-
     def dfs_dag(self, s: int, t: int) -> bool:
         """Plain DFS over the condensation (no label pruning)."""
         self.graph._check_current(s)
@@ -155,7 +131,7 @@ class ReachabilityIndex:
         vis = self._vis
         self._stamp += 1
         stamp = self._stamp
-        out_d, out_i, parent, kind = g._out_d, g._out_i, g._parent, g._kind
+        out_d = g._out_d
         vis[s] = stamp
         visited = 1
         pruned = 0
@@ -165,30 +141,6 @@ class ReachabilityIndex:
             od = out_d[w]
             if od:
                 for c in od:
-                    if c == t:
-                        return True, visited, pruned
-                    if vis[c] == stamp:
-                        continue
-                    if k1:
-                        if b0[c] > bt or e0[c] < et:
-                            pruned += 1
-                            continue
-                    elif k:
-                        ok = True
-                        for bcol, ecol, btd, etd in dims:
-                            if bcol[c] > btd or ecol[c] < etd:
-                                ok = False
-                                break
-                        if not ok:
-                            pruned += 1
-                            continue
-                    vis[c] = stamp
-                    visited += 1
-                    stack.append(c)
-            if kind[w] == INPUT:
-                for c in out_i[w]:
-                    if parent[c] != -1 or c == w:
-                        continue  # inside some SCC: covered by explicit edges
                     if c == t:
                         return True, visited, pruned
                     if vis[c] == stamp:
@@ -230,7 +182,7 @@ class ReachabilityIndex:
             return
         od = g._out_d[s]
         if od is not None and t in od:
-            g.increment_dag_edge(s, t)
+            g._add_dag_edge(s, t, 1)
             return
         if self._search_dag(t, s, use_labels=True)[0]:
             self._merge(s, t)
@@ -544,4 +496,4 @@ class ReachabilityIndex:
 
     def full_relabel(self) -> None:
         """Maintenance valve: rerun the initial labeling in place."""
-        self.labeler.full_relabel(self.graph)
+        self.labeler.initial_labels(self.graph)

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from heapq import heappop, heappush
 
 from .errors import InternalError, LogicError
-from .graph import INPUT as _INPUT
 from .graph import SccGraph
 
 #: A label value: one (begin, end) pair per dimension.
@@ -62,8 +61,6 @@ class IntervalLabeler:
         # One generator per dimension, consumed across the index lifetime.
         self._rngs = [random.Random(cfg.seed * 1_000_003 + d) for d in range(cfg.k)]
         self._max_end = [0] * cfg.k
-        # Instrumentation: (node, dimension) end-recomputation events.
-        self.pq_recomputes = 0
 
     # ------------------------------------------------------------------
     # access
@@ -116,7 +113,8 @@ class IntervalLabeler:
         shuffled order, sharing a counter).  Exiting a node advances the
         counter by the component size and sets the end rank; the begin
         rank is the minimum of the entry counter and the children's
-        begins.
+        begins.  Rerunning it on a live index discards every earlier label
+        and the end values they drifted to.
         """
         if self.k == 0:
             return
@@ -162,8 +160,7 @@ class IntervalLabeler:
                 labeled += 1
         if labeled != expected:
             raise InternalError("condensation contains nodes unreachable from any root")
-        if ctr > self._max_end[d]:
-            self._max_end[d] = ctr
+        self._max_end[d] = ctr
 
     # ------------------------------------------------------------------
     # enlargement on edge insertion / merge
@@ -202,9 +199,7 @@ class IntervalLabeler:
         if self.k == 0:
             return
         seeds = list(seeds)
-        in_d, in_i = graph._in_d, graph._in_i
-        parent, kind = graph._parent, graph._kind
-        input_kind = _INPUT
+        in_d = graph._in_d
         b_cols = self._b
         # Begin phase: push the (monotone) min up every parent chain.
         stack = list(seeds)
@@ -213,17 +208,6 @@ class IntervalLabeler:
             idd = in_d[w]
             if idd:
                 for p in idd:
-                    changed = False
-                    for b_col in b_cols:
-                        if b_col[p] > b_col[w]:
-                            b_col[p] = b_col[w]
-                            changed = True
-                    if changed:
-                        stack.append(p)
-            if kind[w] == input_kind:
-                for p in in_i[w]:
-                    if parent[p] != -1 or p == w:
-                        continue
                     changed = False
                     for b_col in b_cols:
                         if b_col[p] > b_col[w]:
@@ -246,18 +230,12 @@ class IntervalLabeler:
                     for p in idd:
                         if e_col[p] < floor:
                             heappush(heap, (e_col[p], p, floor))
-                if kind[w] == input_kind:
-                    for p in in_i[w]:
-                        if parent[p] == -1 and p != w and e_col[p] < floor:
-                            heappush(heap, (e_col[p], p, floor))
-            applied = 0
             hi = self._max_end[d]
             while heap:
                 _, p, floor = heappop(heap)
                 if e_col[p] >= floor:
                     continue
                 e_col[p] = floor
-                applied += 1
                 if floor > hi:
                     hi = floor
                 up = floor + 1
@@ -266,11 +244,6 @@ class IntervalLabeler:
                     for q in idd:
                         if e_col[q] < up:
                             heappush(heap, (e_col[q], q, up))
-                if kind[p] == input_kind:
-                    for q in in_i[p]:
-                        if parent[q] == -1 and q != p and e_col[q] < up:
-                            heappush(heap, (e_col[q], q, up))
-            self.pq_recomputes += applied
             self._max_end[d] = hi
 
     # ------------------------------------------------------------------
@@ -363,11 +336,3 @@ class IntervalLabeler:
             e_col[u] = e
             if e > self._max_end[d]:
                 self._max_end[d] = e
-
-    def full_relabel(self, graph: SccGraph) -> None:
-        """Recompute every label from scratch (maintenance valve for
-        long-running instances whose end values have drifted high)."""
-        if self.k == 0:
-            return
-        self._max_end = [0] * self.k
-        self.initial_labels(graph)

@@ -5,9 +5,12 @@ and node inserts and deletes, queries, edge batches) with ``k`` from 0 to
 3.  Inserted node ids are drawn from ``[0, capacity + 1]``, so they land
 on ids that SCC slots and dead slots occupy, and on live ids, which must
 be rejected without any change.  After every step the partition, the
-input edges and label containment must agree with the mirror.
+input edges, the condensation's edges with their multiplicities and label
+containment must agree with the mirror.
 """
 from __future__ import annotations
+
+from collections import Counter
 
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
@@ -121,6 +124,16 @@ class IndexAgainstMirror(RuleBasedStateMachine):
     def agrees_with_mirror(self):
         assert set(self.idx.graph.input_edges()) == set(self.mirror.edge_list())
         assert self.idx.scc_partition() == self.mirror.partition()
+        g = self.idx.graph
+        counts: Counter[tuple[int, int]] = Counter()
+        for u, v in self.mirror.edge_list():
+            s, t = self.idx.find(u), self.idx.find(v)
+            if s != t:
+                counts[s, t] += 1
+        nodes = g.current_dag_nodes()
+        stored = {(s, t): g.edge_multiplicity(s, t) for s in nodes for t in g.dag_children(s)}
+        assert stored == dict(counts)
+        assert {(p, s) for s in nodes for p in g.dag_parents(s)} == set(counts)
         check_label_invariants(self.idx)
 
 

@@ -150,7 +150,7 @@ def test_dag_children_on_sample():
     assert g.dag_children(comps["3"]) == []  # sink component
     assert set(g.dag_children(NODE["R"])) == {comps["1"], comps["2"]}
     assert g.edge_multiplicity(NODE["R"], comps["2"]) == 2  # via D and E
-    assert g.edge_multiplicity(NODE["H"], NODE["L"]) == 1  # implicit edge
+    assert g.edge_multiplicity(NODE["H"], NODE["L"]) == 1  # singleton to singleton
     assert g.edge_multiplicity(NODE["L"], NODE["R"]) == 0
 
 

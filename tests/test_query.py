@@ -8,7 +8,7 @@ import pytest
 from dynreach import InputError, LabelerConfig, LogicError, ReachabilityIndex, gen_er, gen_updates, OpRatios
 from dynreach.ops import DeleteEdge, DeleteNode, InsertEdge, InsertNode
 
-from oracles import Mirror
+from oracles import Mirror, edge_reach
 from samples import NODE, random_digraph, sample_comps, sample_index
 
 
@@ -42,13 +42,6 @@ def test_reachable_unknown_node():
         idx.reachable(0, 1234)
 
 
-def test_dfs_input_examples():
-    idx = sample_index(k=1)
-    assert idx.dfs_input(NODE["R"], NODE["S"])
-    assert not idx.dfs_input(NODE["M"], NODE["R"])
-    assert idx.dfs_input(NODE["A"], NODE["A"])
-
-
 def test_dfs_dag_examples():
     idx = sample_index(k=1)
     comps = sample_comps(idx.graph)
@@ -60,7 +53,7 @@ def test_dfs_dag_examples():
         idx.dfs_dag(comps["1"], comps["3"])  # component 1 expired
 
 
-def test_dfs_dag_lifts_dfs_input():
+def test_dfs_dag_lifts_edge_reach():
     for seed in range(50):
         n = 20
         edges = random_digraph(n, 36, seed)
@@ -68,7 +61,7 @@ def test_dfs_dag_lifts_dfs_input():
         rng = random.Random(seed)
         for _ in range(12):
             u, v = rng.randrange(n), rng.randrange(n)
-            assert idx.dfs_dag(idx.find(u), idx.find(v)) == idx.dfs_input(u, v)
+            assert idx.dfs_dag(idx.find(u), idx.find(v)) == edge_reach(edges, u, v)
 
 
 def test_pruned_children_are_truly_unreachable():
