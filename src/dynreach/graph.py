@@ -25,6 +25,7 @@ method takes and returns slots.
 """
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterable, Iterator, Sequence
 
 from .errors import InputError, InternalError, LogicError
@@ -37,6 +38,8 @@ INPUT, SCC_CURRENT, SCC_EXPIRED, DEAD = range(4)
 KIND_NAMES = {INPUT: "input", SCC_CURRENT: "scc-current", SCC_EXPIRED: "scc-expired"}
 
 _NONE = -1
+# Tarjan index of a node whose SCC is complete: above every live index.
+_DONE = sys.maxsize
 
 
 class SccGraph:
@@ -99,7 +102,7 @@ class SccGraph:
                 ou[v] = None
                 in_i[v][u] = None
                 g._num_edges += 1
-        for comp in g._tarjan_all():
+        for comp in g._tarjan(range(n), [0] * n, [0] * n):
             if len(comp) > 1:
                 s = g._alloc_scc(len(comp))
                 for m in comp:
@@ -117,38 +120,49 @@ class SccGraph:
                     g._add_dag_edge(s, t, 1)
         return g
 
-    def _tarjan_all(self) -> list[list[int]]:
-        """Iterative Tarjan over the input layer; SCCs in completion order."""
-        n = len(self._kind)
+    def _tarjan(
+        self,
+        roots: Iterable[int],
+        index: list[int] | dict[int, int],
+        low: list[int] | dict[int, int],
+        restricted: bool = False,
+    ) -> list[list[int]]:
+        """Iterative Tarjan over the input layer; SCCs in completion order.
+
+        ``index`` and ``low`` map every node the run may enter to 0 (lists
+        over all slots, or dicts over a node set); with ``restricted``,
+        nodes missing from ``index`` are not entered, so the run sees the
+        subgraph that set induces.  A node's index becomes ``_DONE`` once
+        its SCC is complete, which both marks it visited and keeps it out
+        of every later ``low``.
+        """
         out_i = self._out_i
-        index = [0] * n  # 0 = unvisited, otherwise discovery index + 1
-        low = [0] * n
-        on_stack = bytearray(n)
         stack: list[int] = []
         comps: list[list[int]] = []
         counter = 1
-        for root in range(n):
-            if index[root] or out_i[root] is None:
+        for root in roots:
+            if index[root]:
                 continue
             work: list[tuple[int, Iterator[int]]] = [(root, iter(out_i[root]))]
             index[root] = low[root] = counter
             counter += 1
             stack.append(root)
-            on_stack[root] = 1
             while work:
                 w, it = work[-1]
                 advanced = False
                 for c in it:
-                    if not index[c]:
+                    if restricted and c not in index:
+                        continue
+                    ci = index[c]
+                    if not ci:
                         index[c] = low[c] = counter
                         counter += 1
                         stack.append(c)
-                        on_stack[c] = 1
                         work.append((c, iter(out_i[c])))
                         advanced = True
                         break
-                    if on_stack[c] and index[c] < low[w]:
-                        low[w] = index[c]
+                    if ci < low[w]:
+                        low[w] = ci
                 if advanced:
                     continue
                 work.pop()
@@ -160,7 +174,7 @@ class SccGraph:
                     comp = []
                     while True:
                         x = stack.pop()
-                        on_stack[x] = 0
+                        index[x] = _DONE
                         comp.append(x)
                         if x == w:
                             break
@@ -323,6 +337,10 @@ class SccGraph:
     def find_scc(self, x: int) -> int:
         """Current component of any known node, with path compression."""
         self._check_known(x)
+        return self._find(x)
+
+    def _find(self, x: int) -> int:
+        """``find_scc`` without the check that ``x`` names a known node."""
         parent = self._parent
         root = x
         while parent[root] != _NONE:
@@ -488,23 +506,26 @@ class SccGraph:
     # ------------------------------------------------------------------
     # split
 
-    def apply_split(self, s: int, v: int, comps: Sequence[Sequence[int]]) -> list[int]:
-        """Detach extracted components from SCC ``s`` after an edge deletion.
+    def apply_split(self, s: int, keep: int, comps: Sequence[Sequence[int]]) -> list[int]:
+        """Detach the components that broke off SCC ``s``.
 
-        ``comps`` lists the member slots of each new component in
-        discovery order; the remnant holding the deletion target's slot
-        ``v`` keeps the node ``s`` unless it shrinks to ``v`` alone, in
-        which case ``s`` is orphaned.  Only the extracted members'
-        incident edges are touched.  Returns the new component ids
-        followed by the remnant id.
+        ``comps`` lists the member slots of each detached component; the
+        remnant is the rest of ``s``, which holds the slot ``keep``.  It
+        keeps the node ``s`` unless it shrinks to ``keep`` alone, in which
+        case ``s``'s remaining DAG edges go to ``keep`` and ``s`` is
+        orphaned.  Only the detached members' incident edges are touched,
+        so the cost follows their degrees, not the remnant's size.
+        Returns the new component ids followed by the remnant id.
         """
         if not self.is_current(s) or self._kind[s] != SCC_CURRENT:
             raise LogicError(f"node {s} is not a current multi-node component")
         parent, kind, size = self._parent, self._kind, self._size
-        extracted: set[int] = set()
+        out_i, in_i = self._out_i, self._in_i
+        find = self._find
+        detached: set[int] = set()
         new_ids: list[int] = []
         for members in comps:
-            extracted.update(members)
+            detached.update(members)
             if len(members) == 1:
                 x = members[0]
                 parent[x] = _NONE
@@ -514,12 +535,12 @@ class SccGraph:
                 for m in members:
                     parent[m] = c
                 new_ids.append(c)
-        remaining = size[s] - len(extracted)
-        if remaining < 1 or v in extracted:
-            raise InternalError("split does not leave the deletion target behind")
+        remaining = size[s] - len(detached)
+        if remaining < 1 or keep in detached:
+            raise InternalError("split does not leave the kept node behind")
         if remaining == 1:
-            parent[v] = _NONE
-            remnant = v
+            parent[keep] = _NONE
+            remnant = keep
         else:
             size[s] = remaining
             remnant = s
@@ -528,39 +549,34 @@ class SccGraph:
 
         for members, cid in zip(comps, new_ids):
             for x in members:
-                for y in self._out_i[x]:
+                for y in out_i[x]:
                     if y == x:
                         continue
-                    if y in extracted:
-                        fy = self.find_scc(y)
+                    fy = find(y)
+                    if y in detached:
                         if fy != cid:
                             self._add_dag_edge(cid, fy, 1)
                         continue
-                    fy = self.find_scc(y)
-                    if fy in split_ids:  # stayed in the remnant
-                        self._add_dag_edge(cid, fy, 1)
-                    else:  # external: the old (s, fy) edge loses one witness
+                    if fy not in split_ids:  # external: the old (s, fy) edge loses one witness
                         self._dec_dag_edge(s, fy)
-                        self._add_dag_edge(cid, fy, 1)
-                for w in self._in_i[x]:
-                    if w == x or w in extracted:
+                    self._add_dag_edge(cid, fy, 1)
+                for w in in_i[x]:
+                    if w == x or w in detached:
                         continue
-                    fw = self.find_scc(w)
-                    if fw in split_ids:
-                        self._add_dag_edge(fw, cid, 1)
-                    else:
+                    fw = find(w)
+                    if fw not in split_ids:
                         self._dec_dag_edge(fw, s)
-                        self._add_dag_edge(fw, cid, 1)
+                    self._add_dag_edge(fw, cid, 1)
 
         if remnant != s:
-            # The component dissolved to the single node v: hand the
-            # leftover DAG edges to v.
+            # The component dissolved to the single node ``keep``: hand
+            # the leftover DAG edges to it.
             for t, mu in (self._out_d[s] or {}).items():
                 del self._in_d[t][s]
-                self._add_dag_edge(v, t, mu)
+                self._add_dag_edge(keep, t, mu)
             for src, mu in (self._in_d[s] or {}).items():
                 del self._out_d[src][s]
-                self._add_dag_edge(src, v, mu)
+                self._add_dag_edge(src, keep, mu)
             self._out_d[s] = self._in_d[s] = None
             kind[s] = SCC_EXPIRED
         new_ids.append(remnant)

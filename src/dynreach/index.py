@@ -8,6 +8,19 @@ condensation that descends only into children whose labels could still
 subsume the target, so a positive answer is always certified by an
 actual path and a failed label test never hides one.
 
+Deleting edges inside an SCC (one edge, or every edge of a deleted node at
+once) splits it from the smaller side (``extract_components``).  An
+anchor inside the component must still be reached from every tail of a
+removed edge and must still reach every head.  That check is complete:
+any node cut off from the anchor is cut off at the first removed edge on
+its old path, whose tail it still reaches.  Each check races a search from
+the endpoint against one from the anchor, balanced by edges scanned; a
+search that runs dry first has found a closed set, which breaks off and
+is decomposed on its own, and the far ends of its boundary edges are
+checked in turn.  A deletion therefore costs in proportion to the edges
+of the pieces that break off plus the races that met, never the size of
+what is left; the remnant keeps its handle, containment chain and label.
+
 Public methods take external node ids and translate them to graph slots
 once, on entry; everything below that boundary (extraction, splits,
 merges, labels) works on slots and component handles only.
@@ -17,7 +30,7 @@ and visit stamps); an instance therefore needs exclusive access.
 """
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import defaultdict
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
@@ -25,6 +38,18 @@ from .errors import InputError, LogicError
 from .graph import SccGraph
 from .labeling import IntervalLabeler, Label, LabelerConfig
 from .ops import DeleteEdge, InsertEdge, UpdateOp
+
+
+@dataclass(frozen=True, slots=True)
+class Split:
+    """The components that break off an SCC, and a slot of what is left;
+    false when nothing breaks off."""
+
+    keep: int
+    comps: list[list[int]]
+
+    def __bool__(self) -> bool:
+        return bool(self.comps)
 
 
 @dataclass(frozen=True, slots=True)
@@ -42,14 +67,10 @@ class ReachabilityIndex:
     def __init__(self, graph: SccGraph, labeler: IntervalLabeler) -> None:
         self.graph = graph
         self.labeler = labeler
+        # Visit marks of searches and extractions: a slot is marked by
+        # the current search iff it holds that search's stamp.
         self._vis: list[int] = [0] * graph.capacity
         self._stamp = 0
-        # Scratch state for component extraction (stamped, not cleared).
-        self._ex_seen: list[int] = [0] * graph.capacity
-        self._ex_idx: list[int] = [0] * graph.capacity
-        self._ex_low: list[int] = [0] * graph.capacity
-        self._ex_on: list[int] = [0] * graph.capacity
-        self._ex_stamp = 0
 
     @property
     def k(self) -> int:
@@ -76,12 +97,7 @@ class ReachabilityIndex:
         capacity grows only on node insertion, merge and split."""
         cap = self.graph.capacity
         if len(self._vis) < cap:
-            grow = cap - len(self._vis)
-            self._vis.extend([0] * grow)
-            self._ex_seen.extend([0] * grow)
-            self._ex_idx.extend([0] * grow)
-            self._ex_low.extend([0] * grow)
-            self._ex_on.extend([0] * grow)
+            self._vis.extend([0] * (cap - len(self._vis)))
         self.labeler.ensure_capacity(cap - 1)
 
     # ------------------------------------------------------------------
@@ -249,133 +265,151 @@ class ReachabilityIndex:
         sv = g.input_slot(v)
         if not g.has_input_edge(su, sv):
             raise InputError(f"edge ({u}, {v}) does not exist")
-        self._delete_edge(su, sv)
-
-    def _delete_edge(self, su: int, sv: int) -> None:
-        """Delete the existing edge between input slots ``su`` and ``sv``."""
-        g = self.graph
         g.remove_input_edge(su, sv)
         if su == sv:
             return
-        s = g.find_scc(su)
-        t = g.find_scc(sv)
+        s = g._find(su)
+        t = g._find(sv)
         if s != t:
             g._dec_dag_edge(s, t)
             return
-        comps = self.extract_components(su, sv, s)
-        if not comps:
-            return  # su still reaches sv: component intact
+        self._split(s, (su,), (sv,))
+
+    def _split(self, s: int, tails: Sequence[int], heads: Sequence[int]) -> None:
+        """Split SCC ``s`` after the removal of internal edges with these
+        tails and heads, and relabel the pieces."""
+        split = self.extract_components(s, tails, heads)
+        if not split:
+            return
         old_label = self.labeler.label_of(s) if self.k else ()
-        clist = g.apply_split(s, sv, comps)
+        clist = self.graph.apply_split(s, split.keep, split.comps)
         self._ensure_capacity()
         if self.k:
-            self.labeler.relabel_split(g, clist, old_label)
+            self.labeler.relabel_split(self.graph, clist, old_label)
 
-    def extract_components(self, su: int, sv: int, s: int) -> list[list[int]]:
-        """Find the components that break off ``s`` once the edge between
-        slots ``su`` and ``sv`` is gone.
+    def extract_components(self, s: int, tails: Sequence[int], heads: Sequence[int]) -> Split:
+        """Find the components that break off SCC ``s`` once internal
+        edges with these tails and heads are gone.
 
-        Bottom-up restricted Tarjan: start at ``su``; whenever a run
-        touches ``sv`` (or a node already known to reach it) the whole
-        exploration spine still reaches ``sv`` and is marked to stay, and
-        the run stops.  Confirmed components enqueue their in-component
-        parents as future start points.  Members of the remnant around
-        ``sv`` are never visited.  Empty result means no split.
+        The remnant ``R`` starts as all of ``s``, around an anchor ``a``
+        (the first head).  Every tail must still reach ``a`` inside ``R``
+        and ``a`` must still reach every head.  That check is complete: a
+        node that no longer reaches ``a`` had a path to it in ``s``, and
+        the first removed edge on that path has a tail the node still
+        reaches, which then fails too; symmetrically for heads.  Each
+        queued item is settled by a race: a search from the item's node
+        and one from ``a``, in opposite directions and inside ``R``, take
+        turns by edges scanned (``_race``).
+
+        * They meet: the item holds.
+        * The item's search runs dry first: its closed set ``D`` misses
+          ``a`` and is a union of final components.  ``D`` leaves ``R``,
+          a Tarjan restricted to ``D`` splits it into components, and the
+          far ends of the edges between ``D`` and ``R`` are queued, since
+          those edges are now missing from ``R`` just like removed ones.
+        * ``a``'s search runs dry first: its closed set is detached the
+          same way, the item's node becomes the anchor, and every item
+          whose node is still in ``R`` is queued again.
+
+        Detaching a closed set never breaks a path that settled an item
+        earlier under the same anchor, so when the queue empties ``R`` is
+        strongly connected and is the remnant.
+
+        Cost: a race that runs dry has scanned about as many edges on the
+        other side as its closed set holds, so a deletion costs in
+        proportion to the edges of the pieces that break off, plus the
+        races that met.  The remnant is never enumerated.
+
+        Returns the detached components and the anchor, a slot of the
+        remnant; false when nothing breaks off.
         """
         g = self.graph
-        if g.find_scc(su) != s or g.find_scc(sv) != s:
-            raise LogicError(f"slots {su}, {sv} are not members of component {s}")
-        reaches_v: set[int] = set()
-        assigned: set[int] = set()
+        find = g._find
+        for x in (*tails, *heads):
+            if find(x) != s:
+                raise LogicError(f"slot {x} is not a member of component {s}")
+        out_i, in_i = g._out_i, g._in_i
+        vis = self._vis
+        self._stamp += 1
+        gone = self._stamp  # the mark of detached slots
+        a = heads[0]
+        # Items: (slot, True) = the slot must reach a, (slot, False) = a
+        # must reach the slot; the flag says whether the slot's search runs
+        # forward (and a's backward).
+        items = [(x, True) for x in tails] + [(x, False) for x in heads]
+        queue = list(items)
+        settled: set[tuple[int, int]] = set()
         comps: list[list[int]] = []
-        pending: deque[int] = deque()
-        if self._extract_run(su, sv, s, reaches_v, assigned, comps, pending):
-            return []  # u still reaches v (nothing was extracted)
-        while pending:
-            start = pending.popleft()
-            if start in reaches_v or start in assigned:
+        while queue:
+            item = queue.pop()
+            x, forward = item
+            if vis[x] == gone or item in settled:
                 continue
-            self._extract_run(start, sv, s, reaches_v, assigned, comps, pending)
-        return comps
+            dry = self._race(x, a, s, gone, out_i if forward else in_i, in_i if forward else out_i)
+            if dry is None:
+                settled.add(item)
+                continue
+            side, closed = dry
+            for y in closed:
+                vis[y] = gone
+            zero = dict.fromkeys(closed, 0)
+            comps.extend(g._tarjan(closed, zero, dict(zero), restricted=True))
+            # A closed set reached forward only has edges in from R; one
+            # reached backward only has edges out to R.
+            if forward == (side == 0):
+                fresh = [(w, True) for y in closed for w in in_i[y] if vis[w] != gone and find(w) == s]
+            else:
+                fresh = [(h, False) for y in closed for h in out_i[y] if vis[h] != gone and find(h) == s]
+            items += fresh
+            if side == 0:
+                queue += fresh
+            else:
+                a = x
+                settled.clear()
+                queue = list(items)
+        return Split(a, comps)
 
-    def _extract_run(
-        self,
-        start: int,
-        v: int,
-        s: int,
-        reaches_v: set[int],
-        assigned: set[int],
-        comps: list[list[int]],
-        pending: deque[int],
-    ) -> bool:
-        """One restricted Tarjan pass from ``start``; True if it aborted
-        because ``start`` still reaches ``v``."""
+    def _race(
+        self, x: int, a: int, s: int, gone: int, x_adj: list, a_adj: list
+    ) -> tuple[int, list[int]] | None:
+        """Search from ``x`` along ``x_adj`` and from ``a`` along ``a_adj``
+        over the members of ``s`` not marked ``gone``, expanding one node at a
+        time on the side that has scanned fewer edges.  None when the
+        searches meet; otherwise (0 for ``x``'s side, 1 for ``a``'s, the
+        nodes that side found) for the side that ran out of nodes first,
+        whose found set is then closed under its adjacency."""
+        if x == a:
+            return None
         g = self.graph
-        out_i, in_i, parent = g._out_i, g._in_i, g._parent
-        find = g.find_scc
-        self._ex_stamp += 1
-        stamp = self._ex_stamp
-        seen, idx, low, on_stack = self._ex_seen, self._ex_idx, self._ex_low, self._ex_on
-        tstack: list[int] = []
-        counter = 1
-        seen[start] = stamp
-        idx[start] = low[start] = counter
-        counter += 1
-        tstack.append(start)
-        on_stack[start] = stamp
-        # adjacency is not mutated while a run is in flight
-        frames: list[tuple[int, Iterable[int]]] = [(start, iter(out_i[start]))]
-        while frames:
-            w, it = frames[-1]
-            advanced = False
-            for c in it:
-                if c == v or c in reaches_v:
-                    # Everything still on the Tarjan stack has a path to
-                    # the current node, hence to v: it all stays put.
-                    reaches_v.update(tstack)
-                    return True
-                if c == w or c in assigned:
+        parent, find = g._parent, g._find
+        vis = self._vis
+        mine = self._stamp + 1
+        theirs = mine + 1
+        self._stamp = theirs
+        vis[x] = mine
+        vis[a] = theirs
+        sides = (([x], x_adj, mine, theirs), ([a], a_adj, theirs, mine))
+        pos = [0, 0]
+        cost = [0, 0]
+        while True:
+            for side in (0, 1):
+                if pos[side] == len(sides[side][0]):
+                    return side, sides[side][0]
+            side = 0 if cost[0] <= cost[1] else 1
+            found, adj, own, other = sides[side]
+            w = found[pos[side]]
+            pos[side] += 1
+            nbrs = adj[w]
+            cost[side] += len(nbrs) + 1
+            for c in nbrs:
+                m = vis[c]
+                if m == own:
                     continue
-                if parent[c] != s and find(c) != s:
-                    continue
-                if seen[c] != stamp:
-                    seen[c] = stamp
-                    idx[c] = low[c] = counter
-                    counter += 1
-                    tstack.append(c)
-                    on_stack[c] = stamp
-                    frames.append((c, iter(out_i[c])))
-                    advanced = True
-                    break
-                if on_stack[c] == stamp and idx[c] < low[w]:
-                    low[w] = idx[c]
-            if advanced:
-                continue
-            frames.pop()
-            if frames:
-                p = frames[-1][0]
-                if low[w] < low[p]:
-                    low[p] = low[w]
-            if low[w] == idx[w]:
-                members = []
-                while True:
-                    x = tstack.pop()
-                    on_stack[x] = 0
-                    members.append(x)
-                    assigned.add(x)
-                    if x == w:
-                        break
-                comps.append(members)
-                for m in members:
-                    for p in in_i[m]:
-                        if (
-                            p != v
-                            and p not in assigned
-                            and p not in reaches_v
-                            and (parent[p] == s or find(p) == s)
-                        ):
-                            pending.append(p)
-        return False
+                if m == other:
+                    return None
+                if m != gone and (parent[c] == s or find(c) == s):
+                    vis[c] = own
+                    found.append(c)
 
     # ------------------------------------------------------------------
     # node insertion / deletion
@@ -415,19 +449,37 @@ class ReachabilityIndex:
     def delete_node(self, u: int) -> None:
         """Remove a node with all incident edges.
 
-        Outgoing edges run through the full deletion path in stored
-        order (each may split a component); once the node is a lone
-        source, its incoming edges are inter-component by construction
-        and are dropped with multiplicity bookkeeping only.
+        Every incident edge is removed first; edges to other components
+        only lose multiplicity, and when the node sat in a multi-node
+        component that component is split once, over all the removed
+        internal edges.  The node is then a lone, edge-free piece and is
+        dropped.
         """
         g = self.graph
-        slot = g.input_slot(u)
-        for ws in list(g._out_i[slot]):
-            self._delete_edge(slot, ws)
-        for ws in list(g._in_i[slot]):
-            g.remove_input_edge(ws, slot)
-            g._dec_dag_edge(g.find_scc(ws), slot)
-        g.remove_input_node(slot)
+        x = g.input_slot(u)
+        s = g._find(x)
+        tails: list[int] = []
+        heads: list[int] = []
+        for y in list(g._out_i[x]):
+            g.remove_input_edge(x, y)
+            if y != x:
+                t = g._find(y)
+                if t == s:
+                    tails.append(x)
+                    heads.append(y)
+                else:
+                    g._dec_dag_edge(s, t)
+        for w in list(g._in_i[x]):
+            g.remove_input_edge(w, x)
+            t = g._find(w)
+            if t == s:
+                tails.append(w)
+                heads.append(x)
+            else:
+                g._dec_dag_edge(t, s)
+        if tails:
+            self._split(s, tails, heads)
+        g.remove_input_node(x)
 
     # ------------------------------------------------------------------
     # batch updates

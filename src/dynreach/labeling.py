@@ -250,65 +250,79 @@ class IntervalLabeler:
     # split relabeling
 
     def relabel_split(self, graph: SccGraph, clist: Sequence[int], old_label: Label) -> None:
-        """Redistribute a split component's interval over its fragments.
+        """Label the pieces of a split component.
 
-        ``clist`` holds the new components in extraction order with the
-        surviving component last; they form a sub-DAG with that survivor
-        as sole root and the deletion source's component as sole leaf.
-        Per dimension, a randomized post-order restricted to ``clist``
-        assigns intervals starting from the old begin value; a node's end
-        is the larger of the running counter and its largest child end
-        plus one, so edges out of the fragment stay covered.  Any growth
-        past the old label is propagated to outside ancestors.
+        ``clist`` holds the detached pieces with the remnant last.  The
+        remnant keeps the split component's label ``old_label``: its
+        edges to and from outside were the component's, so they stay
+        covered.  The pieces and the remnant form a sub-DAG; per
+        dimension, a randomized post-order over it from its sources (for
+        one deleted edge, the sole source is the head's piece, and the
+        remnant may sit anywhere below it) gives each piece the begin
+        ``min(entry counter, children's begins)`` and the end ``max(counter,
+        largest child end + 1)``, the counter starting at the old begin
+        and passing over the remnant.  Pieces above the remnant so cover
+        it, and pieces below it normally fall inside its label;
+        propagating from the pieces restores containment wherever a label
+        had to grow, the remnant's included.  The remnant's own edges are
+        never scanned, so the cost follows the pieces' degrees.
         """
         if self.k == 0:
             return
+        *pieces, remnant = clist
         cset = set(clist)
-        if len(cset) != len(clist) or len(clist) < 2:
+        if len(cset) != len(clist) or not pieces:
             raise LogicError("split list must hold at least two distinct components")
-        root = clist[-1]
         self.ensure_capacity(graph.capacity - 1)
-        leaves = [w for w in clist if not any(c in cset for c in graph.dag_children(w))]
-        if len(leaves) != 1:
-            raise LogicError(f"split sub-DAG must have exactly one leaf, found {len(leaves)}")
+        self.set_label(remnant, old_label)
+        out_d, in_d = graph._out_d, graph._in_d
+        kids: dict[int, list[int]] = {w: [] for w in clist}
+        fed: set[int] = set()  # members with a parent inside the sub-DAG
+        for p in pieces:
+            for c in out_d[p] or ():
+                if c in cset:
+                    kids[p].append(c)
+                    fed.add(c)
+            if remnant in (in_d[p] or ()):
+                kids[remnant].append(p)
+                fed.add(p)
+        sources = [w for w in clist if w not in fed]
         size = graph._size
         for d in range(self.k):
             b_col, e_col = self._b[d], self._e[d]
             ctr = old_label[d][0]
-            state = {root: 1}
-            inner = [c for c in graph.dag_children(root) if c in cset]
-            frames: list[list] = [[root, self._ordered(d, inner), 0, ctr]]
-            done = 0
-            while frames:
-                frame = frames[-1]
-                node, kids, i, entry = frame
-                if i < len(kids):
-                    frame[2] = i + 1
-                    c = kids[i]
-                    if c not in state:
-                        state[c] = 1
-                        nxt = [x for x in graph.dag_children(c) if x in cset]
-                        frames.append([c, self._ordered(d, nxt), 0, ctr])
-                    continue
-                frames.pop()
-                begin = entry
-                end = 0
-                for c in graph.dag_children(node):
-                    cb = b_col[c]
-                    if cb < begin:
-                        begin = cb
-                    ce = e_col[c]
-                    if ce > end:
-                        end = ce
-                ctr += size[node]
-                b_col[node] = begin
-                e_col[node] = max(ctr, end + 1)
-                if e_col[node] > self._max_end[d]:
-                    self._max_end[d] = e_col[node]
-                done += 1
-            if done != len(clist):
-                raise LogicError("split sub-DAG is not connected under its root")
-        self.propagate(graph, clist)
+            seen: set[int] = set()
+            for root in self._ordered(d, list(sources)):
+                seen.add(root)
+                frames: list[list] = [[root, self._ordered(d, list(kids[root])), 0, ctr]]
+                while frames:
+                    frame = frames[-1]
+                    node, nxt, i, entry = frame
+                    if i < len(nxt):
+                        frame[2] = i + 1
+                        c = nxt[i]
+                        if c not in seen:
+                            seen.add(c)
+                            frames.append([c, self._ordered(d, list(kids[c])), 0, ctr])
+                        continue
+                    frames.pop()
+                    if node == remnant:
+                        continue
+                    begin = entry
+                    end = 0
+                    for c in out_d[node] or ():
+                        cb = b_col[c]
+                        if cb < begin:
+                            begin = cb
+                        ce = e_col[c]
+                        if ce > end:
+                            end = ce
+                    ctr += size[node]
+                    b_col[node] = begin
+                    e_col[node] = max(ctr, end + 1)
+                    if e_col[node] > self._max_end[d]:
+                        self._max_end[d] = e_col[node]
+        self.propagate(graph, pieces)
 
     # ------------------------------------------------------------------
     # fresh nodes

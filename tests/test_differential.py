@@ -1,4 +1,4 @@
-"""Stateful differential test: random update histories against ``Mirror``.
+"""Differential tests: random update histories against ``Mirror``.
 
 Hypothesis drives one index and one mirror through the full op mix (edge
 and node inserts and deletes, queries, edge batches) with ``k`` from 0 to
@@ -7,9 +7,17 @@ on ids that SCC slots and dead slots occupy, and on live ids, which must
 be rejected without any change.  After every step the partition, the
 input edges, the condensation's edges with their multiplicities and label
 containment must agree with the mirror.
+
+``replay_random_history`` does the same with a plain seeded generator.
+It starts from one SCC in which most members have in- or out-degree 1
+(a cycle plus a few chords), so deletions break pieces off both ends of
+a removed edge and move the split's anchor.  Run many of them with
+``python tests/test_differential.py COUNT``.
 """
 from __future__ import annotations
 
+import random
+import sys
 from collections import Counter
 
 from hypothesis import HealthCheck, settings
@@ -19,6 +27,79 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, pr
 from dynreach import DeleteEdge, InputError, InsertEdge, LabelerConfig, ReachabilityIndex
 
 from oracles import Mirror, check_label_invariants
+from samples import random_strongly_connected
+
+
+def assert_agrees(idx, mirror):
+    """Input edges, partition, every DAG edge with its multiplicity, and
+    label containment against the mirror."""
+    assert set(idx.graph.input_edges()) == set(mirror.edge_list())
+    assert idx.scc_partition() == mirror.partition()
+    g = idx.graph
+    counts: Counter[tuple[int, int]] = Counter()
+    for u, v in mirror.edge_list():
+        s, t = idx.find(u), idx.find(v)
+        if s != t:
+            counts[s, t] += 1
+    nodes = g.current_dag_nodes()
+    stored = {(s, t): g.edge_multiplicity(s, t) for s in nodes for t in g.dag_children(s)}
+    assert stored == dict(counts)
+    assert {(p, s) for s in nodes for p in g.dag_parents(s)} == set(counts)
+    check_label_invariants(idx)
+
+
+def replay_random_history(seed: int, n: int, k: int, steps: int) -> None:
+    """Replay ``steps`` random ops from the full mix on a cycle of ``n``
+    nodes with ``n // 4`` chords, checking against ``Mirror`` after each."""
+    rng = random.Random(seed)
+    edges = random_strongly_connected(n, n // 4, seed)
+    idx = ReachabilityIndex.build(edges, n, LabelerConfig(k=k, seed=seed))
+    mirror = Mirror(edges, n)
+    for step in range(steps):
+        nodes = sorted(mirror.nodes)
+        present = mirror.edge_list()
+        roll = rng.random()
+        if roll < 0.35 and present:
+            u, v = present[rng.randrange(len(present))]
+            idx.delete_edge(u, v)
+            mirror.delete_edge(u, v)
+        elif roll < 0.6 and nodes:
+            u, v = rng.choice(nodes), rng.choice(nodes)
+            idx.insert_edge(u, v)
+            mirror.insert_edge(u, v)
+        elif roll < 0.7:
+            u = rng.randrange(idx.graph.capacity + 2)
+            if u in mirror.nodes:
+                continue
+            outs = rng.sample(nodes, min(len(nodes), rng.randrange(3)))
+            ins = rng.sample(nodes, min(len(nodes), rng.randrange(3)))
+            idx.insert_node(u, outs, ins)
+            mirror.insert_node(u, outs, ins)
+        elif roll < 0.8 and nodes:
+            u = rng.choice(nodes)
+            idx.delete_node(u)
+            mirror.delete_node(u)
+        elif roll < 0.9 and nodes:
+            ops = []
+            for _ in range(rng.randrange(1, 6)):
+                u, v = rng.choice(nodes), rng.choice(nodes)
+                if v in mirror.out[u]:
+                    ops.append(DeleteEdge(u, v))
+                    mirror.delete_edge(u, v)
+                else:
+                    ops.append(InsertEdge(u, v))
+                    mirror.insert_edge(u, v)
+            idx.apply_batch(ops)
+        elif nodes:
+            for _ in range(3):
+                u, v = rng.choice(nodes), rng.choice(nodes)
+                assert idx.reachable(u, v) == mirror.reach(u, v), (seed, step, u, v)
+        assert_agrees(idx, mirror)
+
+
+def test_random_histories_from_one_scc():
+    for seed in range(12):
+        replay_random_history(seed, n=20 + 3 * seed, k=seed % 4, steps=40)
 
 
 class IndexAgainstMirror(RuleBasedStateMachine):
@@ -26,11 +107,18 @@ class IndexAgainstMirror(RuleBasedStateMachine):
         n=st.integers(1, 16),
         k=st.integers(0, 3),
         seed=st.integers(0, 2**16),
+        one_scc=st.booleans(),
         data=st.data(),
     )
-    def build(self, n, k, seed, data):
+    def build(self, n, k, seed, one_scc, data):
+        """A random edge list, or one SCC: a cycle plus at most ``n // 4``
+        random chords, whose other members have in- and out-degree 1."""
         pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
-        edges = data.draw(st.lists(pairs, max_size=3 * n), label="edges")
+        if one_scc:
+            chords = data.draw(st.lists(pairs, max_size=n // 4), label="chords")
+            edges = [(i, (i + 1) % n) for i in range(n)] + chords
+        else:
+            edges = data.draw(st.lists(pairs, max_size=3 * n), label="edges")
         self.idx = ReachabilityIndex.build(edges, n, LabelerConfig(k=k, seed=seed))
         self.mirror = Mirror(edges, n)
 
@@ -122,19 +210,7 @@ class IndexAgainstMirror(RuleBasedStateMachine):
 
     @invariant()
     def agrees_with_mirror(self):
-        assert set(self.idx.graph.input_edges()) == set(self.mirror.edge_list())
-        assert self.idx.scc_partition() == self.mirror.partition()
-        g = self.idx.graph
-        counts: Counter[tuple[int, int]] = Counter()
-        for u, v in self.mirror.edge_list():
-            s, t = self.idx.find(u), self.idx.find(v)
-            if s != t:
-                counts[s, t] += 1
-        nodes = g.current_dag_nodes()
-        stored = {(s, t): g.edge_multiplicity(s, t) for s in nodes for t in g.dag_children(s)}
-        assert stored == dict(counts)
-        assert {(p, s) for s in nodes for p in g.dag_parents(s)} == set(counts)
-        check_label_invariants(self.idx)
+        assert_agrees(self.idx, self.mirror)
 
 
 IndexAgainstMirror.TestCase.settings = settings(
@@ -146,3 +222,12 @@ IndexAgainstMirror.TestCase.settings = settings(
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
 )
 test_index_against_mirror = IndexAgainstMirror.TestCase
+
+
+if __name__ == "__main__":
+    # Outside the test suite: COUNT histories of 300 ops, n 5-60, k 0-3.
+    count = int(sys.argv[1]) if len(sys.argv) > 1 else 300
+    for seed in range(count):
+        rng = random.Random(seed)
+        replay_random_history(seed, n=rng.randrange(5, 61), k=rng.randrange(4), steps=300)
+    print(f"{count} histories matched Mirror")

@@ -141,6 +141,25 @@ def test_split_two_cycle_keeps_containment():
         assert idx.reachable(v, u)
 
 
+def test_split_with_remnant_between_pieces():
+    # Deleting (10, 11), 10's only out-edge and 11's only in-edge, leaves
+    # the piece {11} above the core and {10} below it: the remnant is
+    # neither root nor leaf of the split sub-DAG, and keeps its label.
+    core = [(i, (i + 1) % 10) for i in range(10)] + [(0, 5), (6, 2)]
+    edges = core + [(3, 10), (8, 10), (10, 11), (11, 1), (11, 4)]
+    idx = ReachabilityIndex.build(edges, 12, LabelerConfig(k=2, seed=4))
+    s = idx.find(0)
+    assert idx.find(10) == idx.find(11) == s
+    label = idx.label_of(s)
+    idx.delete_edge(10, 11)
+    g = idx.graph
+    assert idx.find(10) == 10 and idx.find(11) == 11
+    assert idx.find(5) == s and idx.label_of(s) == label
+    assert g.dag_children(11) == [s] and g.dag_parents(10) == [s]
+    check_label_invariants(idx)
+    assert subsumes(idx.label_of(11), label) and subsumes(label, idx.label_of(10))
+
+
 def test_k0_disables_labeling():
     idx = sample_index(k=0, order=None)
     assert idx.k == 0

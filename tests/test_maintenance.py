@@ -176,11 +176,14 @@ def test_delete_split_scenarios():
     assert idx.find(NODE["A"]) == comps["3"]
     check_label_invariants(idx)
 
+    # The search back from the anchor B runs dry on {A, B, C} first, so
+    # that side breaks off and the remnant {N, O, P, S, T} keeps the handle.
     idx.delete_edge(NODE["N"], NODE["B"])
-    c4 = idx.find(NODE["N"])
-    assert c4 != comps["3"] and idx.graph.scc_size(c4) == 5
-    assert {idx.find(NODE[x]) for x in "NOPST"} == {c4}
-    assert {idx.find(NODE[x]) for x in "ABC"} == {comps["3"]}
+    c1 = idx.find(NODE["A"])
+    assert c1 != comps["3"] and idx.graph.scc_size(c1) == 3
+    assert {idx.find(NODE[x]) for x in "ABC"} == {c1}
+    assert {idx.find(NODE[x]) for x in "NOPST"} == {comps["3"]}
+    assert idx.graph.scc_size(comps["3"]) == 5
     assert idx.find(NODE["I"]) == NODE["I"]
     check_label_invariants(idx)
 
@@ -200,7 +203,7 @@ def test_extract_requires_membership():
     idx = sample_index(k=1)
     comps = sample_comps(idx.graph)
     with pytest.raises(LogicError):
-        idx.extract_components(NODE["A"], NODE["R"], comps["1"])
+        idx.extract_components(comps["1"], (NODE["A"],), (NODE["R"],))
 
 
 def test_delete_random_internal_edges_match_oracle():
@@ -218,6 +221,72 @@ def test_delete_random_internal_edges_match_oracle():
             mirror.delete_edge(u, v)
             assert idx.scc_partition() == mirror.partition(), (seed, u, v)
             check_label_invariants(idx)
+
+
+def one_scc_with_edge(shape: str) -> tuple[list[tuple[int, int]], int, int]:
+    """A strongly connected graph of 200+ nodes and the edge (u, v) to
+    delete: a 200-node core (cycle plus chords) with v = 200 hanging off
+    it by that edge alone ('head'), with u = 200 leaving it by that edge
+    alone ('tail'), or with both, u = 200 and v = 201 ('both')."""
+    edges = random_strongly_connected(200, 100, seed=5)
+    if shape == "head":
+        return edges + [(7, 200), (200, 50), (200, 120)], 7, 200
+    if shape == "tail":
+        return edges + [(30, 200), (150, 200), (200, 7)], 200, 7
+    return edges + [(30, 200), (150, 200), (200, 201), (201, 50), (201, 120)], 200, 201
+
+
+@pytest.mark.parametrize(
+    "shape, detached",
+    [("head", [200]), ("tail", [200]), ("both", [200, 201])],
+)
+def test_split_moves_only_what_breaks_off(shape, detached):
+    # The deleted edge is v's only in-edge, u's only out-edge, or both;
+    # in each case the core keeps the handle and its label, and only the
+    # nodes that break off are passed to apply_split.
+    edges, u, v = one_scc_with_edge(shape)
+    n = max(map(max, edges)) + 1
+    idx = ReachabilityIndex.build(edges, n, LabelerConfig(k=2, seed=1))
+    s = idx.find(u)
+    assert idx.graph.scc_size(s) == n
+    label = idx.label_of(s)
+    moved = []
+    apply_split = idx.graph.apply_split
+
+    def recording(s, keep, comps):
+        moved.append(sorted(x for members in comps for x in members))
+        return apply_split(s, keep, comps)
+
+    idx.graph.apply_split = recording
+    idx.delete_edge(u, v)
+    mirror = Mirror(edges, n)
+    mirror.delete_edge(u, v)
+    assert idx.scc_partition() == mirror.partition()
+    check_label_invariants(idx)
+    assert moved == [detached]  # build gives input u slot u
+    assert all(idx.find(x) == s for x in range(n) if x not in detached)
+    assert idx.label_of(s) == label
+
+
+def test_delete_node_in_large_scc_extracts_once():
+    edges = random_strongly_connected(200, 100, seed=3)
+    x = max(range(200), key=lambda w: sum(a == w for a, _ in edges))
+    assert sum(a == x for a, _ in edges) > 1
+    idx = ReachabilityIndex.build(edges, 200, LabelerConfig(k=1, seed=0))
+    calls = []
+    extract = idx.extract_components
+
+    def counting(*args):
+        calls.append(args)
+        return extract(*args)
+
+    idx.extract_components = counting
+    idx.delete_node(x)
+    mirror = Mirror(edges, 200)
+    mirror.delete_node(x)
+    assert len(calls) == 1
+    assert idx.scc_partition() == mirror.partition()
+    check_label_invariants(idx)
 
 
 def test_merge_then_delete_restores_partition():
