@@ -436,7 +436,15 @@ class SccGraph:
         representative; when every member is a lone input node a fresh SCC
         node is allocated instead.  Absorbed SCC nodes expire, absorbed
         singletons simply gain a containment link, and the representative
-        inherits the union of everyone's external DAG edges.
+        inherits the union of everyone's external DAG edges.  The cost
+        follows the degrees of the members other than the representative.
+
+        Labels are not this layer's concern: the index labels the merged
+        component from the member with the most DAG parents (the anchor,
+        see ``IntervalLabeler.merge_label``), which need not be the
+        representative.  That is sound because labels only need
+        containment along DAG edges, and the index reads the members'
+        adjacency for it before the merge.
         """
         if len(members) < 2:
             raise LogicError("merge needs at least two components")

@@ -8,6 +8,19 @@ condensation that descends only into children whose labels could still
 subsume the target, so a positive answer is always certified by an
 actual path and a failed label test never hides one.
 
+An edge (s, t) closes a cycle when ``t`` reaches ``s``; one two-way search
+(``collect_merge_list``), forward from ``t`` and backward from ``s`` and
+balanced by edges, both detects that and finds the components on a
+t-to-s path.  They merge into one, whose label is anchored on the
+member with the most DAG parents: the anchor's label, widened over the
+external children of the other members.  Labels only need containment
+along DAG edges (GRAIL's condition), so that label is valid as soon as
+every parent covers it, and only the other members' parents, plus the
+anchor's when its label had to widen, can fail to.  A merge therefore
+scans the adjacency of the members other than the anchor, plus the labels
+that really grow; joining a component with many parents no longer costs
+its in-degree.
+
 Deleting edges inside an SCC (one edge, or every edge of a deleted node at
 once) splits it from the smaller side (``extract_components``).  An
 anchor inside the component must still be reached from every tail of a
@@ -200,58 +213,107 @@ class ReachabilityIndex:
         if od is not None and t in od:
             g._add_dag_edge(s, t, 1)
             return
-        if self._search_dag(t, s, use_labels=True)[0]:
-            self._merge(s, t)
+        lab = self.labeler
+        mlist = self.collect_merge_list(t, s) if lab.covers(t, s) else None
+        if mlist:
+            self._merge(mlist)
         else:
             g._add_dag_edge(s, t, 1)
-            if self.k:
-                self.labeler.enlarge_to_cover(g, s, t)
+            lab.enlarge_to_cover(g, (s,), t)
 
-    def _merge(self, s: int, t: int) -> None:
-        """Collapse every component on a t-to-s path; the representative
-        adopts t's label, which already subsumes all of them."""
-        mlist = self.collect_merge_list(t, s)
-        snapshot = self.labeler.label_of(t) if self.k else ()
-        rep = self.graph.merge_components(mlist)
-        self._ensure_capacity()
-        if self.k:
-            self.labeler.set_label(rep, snapshot)
-            self.labeler.propagate(self.graph, (rep,))
-
-    def collect_merge_list(self, t: int, s: int) -> list[int]:
-        """Every component on some t-to-s path, ordered with ``s`` first
-        and ``t`` last.  The search skips children whose labels cannot
-        subsume ``s``'s, since those provably do not reach it."""
+    def _merge(self, mlist: list[int]) -> None:
+        """Collapse the components of ``mlist`` into one.  Its label is
+        the anchor's (the member with the most DAG parents) widened over
+        the other members' external children, and only the parents that
+        can fail to cover it are checked and grown
+        (``IntervalLabeler.merge_label``).  Containment along DAG edges is
+        all the labels need, so that label is valid once they cover it;
+        the merge scans the other members' adjacency, not the anchor's."""
         g = self.graph
         lab = self.labeler
-        prune = lab.k > 0
-        reach: dict[int, bool] = {s: True}
-        order: list[int] = []
-        frames: list[list] = [[t, g.dag_children(t), 0, False]]
-        while frames:
-            frame = frames[-1]
-            node, kids, i, acc = frame
-            if i < len(kids):
-                frame[2] = i + 1
-                c = kids[i]
-                hit = reach.get(c)
-                if hit is not None:
-                    if hit:
-                        frame[3] = True
-                elif prune and not lab.covers(c, s):
-                    reach[c] = False  # cannot reach s: label test failed
-                else:
-                    frames.append([c, g.dag_children(c), 0, False])
-                continue
-            frames.pop()
-            reach[node] = acc
-            if acc:
-                order.append(node)
-                if frames:
-                    frames[-1][3] = True
-        if not reach.get(t):
-            raise LogicError(f"component {t} does not reach {s}: nothing to merge")
-        return [s] + order
+        if self.k:
+            label, parents = lab.merge_label(g, mlist)
+        rep = g.merge_components(mlist)
+        self._ensure_capacity()
+        if self.k:
+            lab.set_label(rep, label)
+            lab.enlarge_to_cover(g, parents, rep)
+
+    def collect_merge_list(self, t: int, s: int) -> list[int]:
+        """Every component on some t-to-s path, with ``s`` first and ``t``
+        last; empty when ``t`` does not reach ``s``.
+
+        One two-way search both detects the cycle and finds the merge
+        set.  It runs forward from ``t``, skipping children ``c`` with
+        ``not covers(c, s)``, and backward from ``s``, skipping parents
+        ``p`` with ``not covers(t, p)``; neither skip drops a node on a
+        t-to-s path.  The search stops when one side runs out of nodes:
+        that side has found everything on a t-to-s path, and it has met
+        the far endpoint iff there is one.  The merge set is then read off
+        the edges that side scanned between found nodes, from the far
+        endpoint back to its start.
+
+        The sides are balanced by edges.  The side with fewer edges known
+        to be left (those of its found, unexpanded nodes) expands next,
+        unless its edges scanned plus left exceed twice the other side's.
+        A hub at either end is so expanded only when the other side has as
+        much left, and a hub in the middle of the merge set, which both
+        sides must pass, usually once: the side that expanded it has
+        little left and finishes first.  A side's scanned plus left edges
+        never exceed what it needs to run dry, so the search scans at most
+        about three times the edges of the cheaper one-way search, plus
+        one node's degree.
+        """
+        g = self.graph
+        covers = self.labeler.covers
+        # Per side: found node -> the found nodes it was reached from, the
+        # found nodes in order, the adjacency followed, the far endpoint.
+        sides = (({t: []}, [t], g._out_d, s), ({s: []}, [s], g._in_d, t))
+        pos = [0, 0]
+        cost = [0, 0]  # edges and nodes scanned
+        left = [len(g._out_d[t] or ()), len(g._in_d[s] or ())]  # edges of found, unexpanded nodes
+        while True:
+            for side, (found, queue, _, goal) in enumerate(sides):
+                if pos[side] == len(queue):
+                    return self._read_off(found, queue[0], goal, t, s)
+            side = 0 if left[0] <= left[1] else 1
+            if cost[side] + left[side] > 2 * (cost[1 - side] + left[1 - side]):
+                side = 1 - side
+            found, queue, adj, goal = sides[side]
+            w = queue[pos[side]]
+            pos[side] += 1
+            nbrs = adj[w] or ()
+            cost[side] += len(nbrs) + 1
+            left[side] -= len(nbrs)
+            for c in nbrs:
+                links = found.get(c)
+                if links is not None:
+                    links.append(w)
+                elif c == goal:
+                    # Never expanded: nothing past the far endpoint lies on
+                    # a t-to-s path, and it may be a hub.
+                    found[c] = [w]
+                elif covers(c, s) if side == 0 else covers(t, c):
+                    found[c] = [w]
+                    queue.append(c)
+                    left[side] += len(adj[c] or ())
+
+    @staticmethod
+    def _read_off(found: dict[int, list[int]], root: int, goal: int, t: int, s: int) -> list[int]:
+        """The nodes on a root-to-goal path among ``found``, walking the
+        recorded links back from ``goal``; ordered ``s`` first, ``t`` last."""
+        if goal not in found:
+            return []
+        seen = {root, goal}
+        middle: list[int] = []
+        stack = [goal]
+        while stack:
+            for y in found[stack.pop()]:
+                if y not in seen:
+                    seen.add(y)
+                    middle.append(y)
+                    stack.append(y)
+        return [s, *middle, t]
 
     # ------------------------------------------------------------------
     # edge deletion

@@ -165,31 +165,76 @@ class IntervalLabeler:
     # ------------------------------------------------------------------
     # enlargement on edge insertion / merge
 
-    def enlarge_to_cover(self, graph: SccGraph, s: int, t: int) -> None:
-        """Grow the label of ``s`` over the label of its new child ``t``.
+    def merge_label(self, graph: SccGraph, members: Sequence[int]) -> tuple[Label, list[int]]:
+        """The label of the component that merges ``members`` (before the
+        merge), and the parents that must then be made to cover it.
 
-        No-op when ``s`` already subsumes ``t``; otherwise the enlargement
-        is propagated to ancestors of ``s``.
+        Containment is only required along DAG edges, so any label that
+        covers the merged component's external children and is covered
+        by its parents is valid.  The label starts from the *anchor*, the
+        member with the most DAG parents, whose label already covers its
+        own children and is already covered by its own parents.  It is
+        widened over the external children of the other members (begin
+        ``b <= b_c``, end ``e >= e_c + 1``).  The parents returned are those
+        of the other members, plus the anchor's only when the label had to
+        widen.  A merge so scans the adjacency of the members other than
+        the anchor, and the anchor's parents only when its label grew.
         """
+        in_d, out_d = graph._in_d, graph._out_d
+        anchor = max(members, key=lambda m: len(in_d[m] or ()))
+        inside = set(members)
+        others = [m for m in members if m != anchor]
+        kids = {c for m in others for c in out_d[m] or () if c not in inside}
+        label = []
+        widened = False
+        for b_col, e_col in zip(self._b, self._e):
+            b, e = b_col[anchor], e_col[anchor]
+            for c in kids:
+                if b_col[c] < b:
+                    b = b_col[c]
+                if e_col[c] >= e:
+                    e = e_col[c] + 1
+            widened = widened or (b, e) != (b_col[anchor], e_col[anchor])
+            label.append((b, e))
+        checked = members if widened else others
+        parents = list(dict.fromkeys(p for m in checked for p in in_d[m] or () if p not in inside))
+        return tuple(label), parents
+
+    def enlarge_to_cover(self, graph: SccGraph, parents: Iterable[int], t: int) -> None:
+        """Grow each of ``parents`` over the label of their child ``t``
+        (begin ``b_p <= b_t``, end ``e_p >= e_t + 1``) and propagate from
+        those that grew.  No-op for a parent that already covers ``t``."""
         if self.k == 0:
             return
-        changed = False
-        for d in range(self.k):
-            b_col, e_col = self._b[d], self._e[d]
-            if b_col[t] < b_col[s]:
-                b_col[s] = b_col[t]
-                changed = True
-            need = e_col[t] + 1
-            if need > e_col[s]:
-                e_col[s] = need
-                changed = True
-                if need > self._max_end[d]:
-                    self._max_end[d] = need
-        if changed:
-            self.propagate(graph, (s,))
+        grown = []
+        dims = list(zip(self._b, self._e, range(self.k)))
+        max_end = self._max_end
+        for p in parents:
+            changed = False
+            for b_col, e_col, d in dims:
+                if b_col[t] < b_col[p]:
+                    b_col[p] = b_col[t]
+                    changed = True
+                need = e_col[t] + 1
+                if need > e_col[p]:
+                    e_col[p] = need
+                    changed = True
+                    if need > max_end[d]:
+                        max_end[d] = need
+            if changed:
+                grown.append(p)
+        if grown:
+            self.propagate(graph, grown)
 
     def propagate(self, graph: SccGraph, seeds: Iterable[int]) -> None:
-        """Restore edge-wise containment above ``seeds`` (labels final).
+        """Restore edge-wise containment above ``seeds``, the nodes whose
+        labels just changed (their labels are final).
+
+        Only ancestors of the seeds can lose containment, and only through
+        a chain of labels that grew, so the cost follows the seeds' in-
+        degrees and the part of their ancestry that has to grow.  On a
+        merge the seeds are the parents that had to grow over the merged
+        label (``merge_label``), never the merged component itself.
 
         Begin values are min-propagated with a worklist.  End values are
         finalized in ascending order of their previous value through a

@@ -1,0 +1,40 @@
+"""The benchmark ledger summarizes captured replay-benchmark pairs."""
+from __future__ import annotations
+
+import importlib.util
+import json
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("bench_ledger", ROOT / "tools" / "bench_ledger.py")
+bench_ledger = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_ledger)
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+
+
+def write_run(runs: Path, name: str, ops: float, scale: str, traced: bool = False) -> None:
+    metrics = {m["name"]: {"value": ops, "unit": m["unit"]} for m in SPEC["end_to_end"]}
+    result = {"correct": True, "attempted": 10, "failed": 0, "metrics": metrics}
+    (runs / f"{name}.out").write_text("noise\n" + json.dumps(result) + "\n")
+    err = "traced pass: 12.5 ms inside index calls\n" if traced else ""
+    (runs / f"{name}.err").write_text(err + f"churn seed 1: 1 passes, host speed scale {scale}, 0 failed\n")
+
+
+def test_ledger_pairs_medians_wins_and_trace(tmp_path):
+    for seed, (p, c) in enumerate([(1.0, 2.0), (2.0, 1.5), (3.0, 4.0)], start=11):
+        write_run(tmp_path, f"parent_churn_s{seed}", p, "0.600..0.700")
+        write_run(tmp_path, f"change_churn_s{seed}", c, "0.650..0.690")
+    write_run(tmp_path, "change_churn_s14", 9.0, "0.1..0.2")  # no pair: left out
+    write_run(tmp_path, "parent_churn_s1_trace", 5.0, "0.6..0.6", traced=True)
+    write_run(tmp_path, "change_churn_s1_trace", 4.0, "0.6..0.6", traced=True)
+    out = bench_ledger.ledger(tmp_path, SPEC)
+    row = out["workloads"]["churn"]
+    assert row["seeds"] == [11, 12, 13] and row["pairs"] == 3
+    assert row["parent_scale"] == [0.6, 0.7] and row["change_failed"] == 0
+    ops = row["metrics"]["ops_per_s"]
+    assert ops["parent"] == {"q1": 1.5, "median": 2.0, "q3": 2.5}
+    assert ops["change"]["median"] == 2.0 and ops["change_wins"] == 2
+    assert row["metrics"]["query_p50_ms"]["change_wins"] == 1  # lower is better
+    assert set(row["metrics"]) == {m["name"] for m in SPEC["end_to_end"]}
+    trace = out["traced"]["churn"]["1"]
+    assert trace["parent"]["index_ms"] == 12.5 and trace["change"]["ops_per_s"] == 4.0

@@ -11,8 +11,11 @@ containment must agree with the mirror.
 ``replay_random_history`` does the same with a plain seeded generator.
 It starts from one SCC in which most members have in- or out-degree 1
 (a cycle plus a few chords), so deletions break pieces off both ends of
-a removed edge and move the split's anchor.  Run many of them with
-``python tests/test_differential.py COUNT``.
+a removed edge and move the split's anchor.  Its insert-heavy variant
+adds a DAG fringe of parents and children around the SCC and draws few
+deletions, so inserted edges close cycles through the large SCC from
+either end and from the middle of the merge set.  Run many histories of
+both kinds with ``python tests/test_differential.py COUNT``.
 """
 from __future__ import annotations
 
@@ -48,18 +51,31 @@ def assert_agrees(idx, mirror):
     check_label_invariants(idx)
 
 
-def replay_random_history(seed: int, n: int, k: int, steps: int) -> None:
+def replay_random_history(seed: int, n: int, k: int, steps: int, fringe: int = 0) -> None:
     """Replay ``steps`` random ops from the full mix on a cycle of ``n``
-    nodes with ``n // 4`` chords, checking against ``Mirror`` after each."""
+    nodes with ``n // 4`` chords, checking against ``Mirror`` after each.
+
+    With ``fringe`` > 0 the history is insert-heavy: ``fringe`` more nodes
+    form a DAG around the cycle (the first half its parents, the rest its
+    children, with edges among them from lower to higher id only) and
+    edge deletions are drawn at a seventh of their usual share."""
     rng = random.Random(seed)
     edges = random_strongly_connected(n, n // 4, seed)
+    half = n + fringe // 2
+    for f in range(n, n + fringe):
+        core = rng.randrange(n)
+        edges.append((f, core) if f < half else (core, f))
+        if f + 1 < n + fringe:
+            edges.append((f, rng.randrange(f + 1, n + fringe)))
+    n += fringe
+    deletes = 0.05 if fringe else 0.35
     idx = ReachabilityIndex.build(edges, n, LabelerConfig(k=k, seed=seed))
     mirror = Mirror(edges, n)
     for step in range(steps):
         nodes = sorted(mirror.nodes)
         present = mirror.edge_list()
         roll = rng.random()
-        if roll < 0.35 and present:
+        if roll < deletes and present:
             u, v = present[rng.randrange(len(present))]
             idx.delete_edge(u, v)
             mirror.delete_edge(u, v)
@@ -100,6 +116,11 @@ def replay_random_history(seed: int, n: int, k: int, steps: int) -> None:
 def test_random_histories_from_one_scc():
     for seed in range(12):
         replay_random_history(seed, n=20 + 3 * seed, k=seed % 4, steps=40)
+
+
+def test_insert_heavy_histories_around_one_scc():
+    for seed in range(12):
+        replay_random_history(seed, n=20 + 3 * seed, k=seed % 4, steps=60, fringe=12 + seed)
 
 
 class IndexAgainstMirror(RuleBasedStateMachine):
@@ -225,9 +246,15 @@ test_index_against_mirror = IndexAgainstMirror.TestCase
 
 
 if __name__ == "__main__":
-    # Outside the test suite: COUNT histories of 300 ops, n 5-60, k 0-3.
+    # Outside the test suite: COUNT plain and COUNT insert-heavy histories
+    # of 300 ops, n 5-60, k 0-3.
     count = int(sys.argv[1]) if len(sys.argv) > 1 else 300
     for seed in range(count):
         rng = random.Random(seed)
         replay_random_history(seed, n=rng.randrange(5, 61), k=rng.randrange(4), steps=300)
-    print(f"{count} histories matched Mirror")
+    print(f"{count} plain histories matched Mirror")
+    for seed in range(count):
+        rng = random.Random(seed)
+        n = rng.randrange(5, 61)
+        replay_random_history(seed, n=n, k=rng.randrange(4), steps=300, fringe=rng.randrange(2, n + 2))
+    print(f"{count} insert-heavy histories matched Mirror")

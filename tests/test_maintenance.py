@@ -66,7 +66,8 @@ def test_insert_merge_scenario():
     idx = sample_index(k=1)
     comps = sample_comps(idx.graph)
     mlist = idx.collect_merge_list(comps["1"], comps["3"])
-    assert mlist == [comps["3"], NODE["L"], NODE["H"], NODE["I"], comps["1"]]
+    assert mlist[0] == comps["3"] and mlist[-1] == comps["1"]
+    assert sorted(mlist) == sorted([comps["3"], NODE["L"], NODE["H"], NODE["I"], comps["1"]])
     idx.insert_edge(NODE["N"], NODE["B"])
     rep = idx.find(NODE["N"])
     assert rep == comps["3"]
@@ -76,13 +77,25 @@ def test_insert_merge_scenario():
 
 
 def test_insert_merge_label_adoption_before_propagation():
-    # Immediately after a merge the representative carries the pre-merge
-    # label of the merge list's last component.
-    idx = sample_index(k=1)
-    comps = sample_comps(idx.graph)
-    t_label = idx.label_of(comps["1"])
-    idx.insert_edge(NODE["N"], NODE["B"])
-    assert idx.label_of(comps["3"]) == t_label
+    # Closing N -> B merges {1, H, I, L, 3}.  Component 3 has the most DAG
+    # parents (I, K, L), so it is the anchor: the merged component takes
+    # its label widened over the other members' one external child, M.
+    # Propagation only grows parents, so that label is still there after
+    # the insert.
+    for order in ("reversed", "ltr", "both"):
+        idx = sample_index(k=1, order=order)
+        g = idx.graph
+        comps = sample_comps(g)
+        members = [comps["1"], NODE["H"], NODE["I"], NODE["L"], comps["3"]]
+        assert sorted(len(g.dag_parents(m)) for m in members) == [1, 1, 1, 2, 3]
+        assert len(g.dag_parents(comps["3"])) == 3
+        anchor, m = idx.label_of(comps["3"]), idx.label_of(NODE["M"])
+        want = tuple((min(ba, bm), max(ea, em + 1)) for (ba, ea), (bm, em) in zip(anchor, m))
+        idx.insert_edge(NODE["N"], NODE["B"])
+        rep = idx.find(NODE["N"])
+        assert rep == comps["3"]
+        assert idx.label_of(rep) == want
+        check_label_invariants(idx)
 
 
 def test_insert_replay_against_dual_oracles():
@@ -101,6 +114,79 @@ def test_insert_replay_against_dual_oracles():
             assert idx.reachable(a, b) == mirror.reach(a, b), (step, a, b)
 
 
+def scc_with_fringe(position: str) -> tuple[list[tuple[int, int]], int, int]:
+    """A 200-node SCC (cycle plus chords) with a DAG fringe, and the edge
+    (u, v) whose insertion closes a cycle through it and the path nodes
+    200-202, with the SCC as the new edge's tail 's', its head 't', or in
+    the 'middle' of the merge set.  The SCC has five parents of its own
+    (210-214) and children 220-222; each path node has one parent
+    (230-232) and one of the SCC's children as its external child."""
+    edges = random_strongly_connected(200, 100, seed=7)
+    edges += [(210 + i, 40 * i) for i in range(5)]
+    edges += [(20 * i + 3, 220 + i) for i in range(3)]
+    edges += [(230 + i, 200 + i) for i in range(3)] + [(200 + i, 220 + i) for i in range(3)]
+    if position == "s":
+        return edges + [(200, 201), (201, 202), (202, 5)], 9, 200
+    if position == "t":
+        return edges + [(9, 200), (200, 201), (201, 202)], 202, 5
+    return edges + [(200, 201), (201, 5), (9, 202)], 202, 200
+
+
+@pytest.mark.parametrize("position", ["s", "t", "middle"])
+def test_merge_into_large_scc_pays_for_the_small_side(position):
+    # The SCC is the anchor: the merged label is its own, since the other
+    # members' external children are its children too, so none of its
+    # parents changes; and the insert runs one condensation search.
+    edges, u, v = scc_with_fringe(position)
+    n = max(map(max, edges)) + 1
+    idx = ReachabilityIndex.build(edges, n, LabelerConfig(k=2, seed=3))
+    core = idx.find(0)
+    assert idx.graph.scc_size(core) == 200
+    label = idx.label_of(core)
+    anchor_parents = {x: idx.label_of(x) for x in range(210, 215)}
+    searches = []
+    for name in ("collect_merge_list", "_search_dag"):
+        def counting(*args, _name=name, _fn=getattr(idx, name), **kwargs):
+            searches.append(_name)
+            return _fn(*args, **kwargs)
+
+        setattr(idx, name, counting)
+    idx.insert_edge(u, v)
+    mirror = Mirror(edges, n)
+    mirror.insert_edge(u, v)
+    assert idx.scc_partition() == mirror.partition()
+    assert idx.graph.scc_size(idx.find(0)) == 203
+    check_label_invariants(idx)
+    assert idx.label_of(idx.find(0)) == label  # the hull did not widen
+    assert {x: idx.label_of(x) for x in anchor_parents} == anchor_parents
+    assert searches == ["collect_merge_list"]
+
+
+def test_merge_search_expands_a_middle_hub_once():
+    # t = 201 -> 0 -> s = 202, also through 1, 2 and 3, and the hub 0 has
+    # 100 children and 100 parents.  Both sides reach the hub; the one
+    # that expands it first has little left and runs dry, so the other
+    # never label-tests the hub's edges.
+    edges = [(0, c) for c in range(1, 101)] + [(p, 0) for p in range(101, 201)]
+    edges += [(201, 0), (0, 202), (1, 202), (2, 202), (3, 202)]
+    idx = ReachabilityIndex.build(edges, 203, LabelerConfig(k=1, seed=4))
+    tests = []
+    covers = idx.labeler.covers
+
+    def counting(a, b):
+        tests.append((a, b))
+        return covers(a, b)
+
+    idx.labeler.covers = counting
+    idx.insert_edge(202, 201)
+    mirror = Mirror(edges, 203)
+    mirror.insert_edge(202, 201)
+    assert idx.scc_partition() == mirror.partition()
+    check_label_invariants(idx)
+    assert idx.graph.scc_size(idx.find(0)) == 6
+    assert len(tests) < 120  # one side of the hub: about 100 tests
+
+
 # ----------------------------------------------------------------------
 # merge list
 
@@ -113,8 +199,9 @@ def test_merge_list_two_elements():
 def test_merge_list_requires_reachability():
     idx = sample_index(k=1)
     comps = sample_comps(idx.graph)
-    with pytest.raises(LogicError):
-        idx.collect_merge_list(comps["3"], comps["1"])  # 3 does not reach 1
+    before = snapshot(idx)
+    assert idx.collect_merge_list(comps["3"], comps["1"]) == []  # 3 does not reach 1
+    assert snapshot(idx) == before
 
 
 def test_merge_list_equals_path_intersection_oracle():

@@ -1,0 +1,113 @@
+"""Summarize replay-benchmark pairs into one committed ledger file.
+
+    python3 tools/bench_ledger.py RUNS_DIR BENCH_N.json
+
+``RUNS_DIR`` holds the captured output of ``replaybench/run.py`` runs of
+two commits, the parent and the change: for each run, its standard
+output in ``<side>_<workload>_s<seed>.out`` and its standard error in the
+``.err`` file of the same name, where ``<side>`` is ``parent`` or
+``change``; traced runs (``--trace 1``) end in ``_trace`` before the
+suffix.  The last line of each ``.out`` file is the run's JSON result;
+the ``.err`` file gives the host-speed scale range and, for a traced run,
+the time inside index calls.
+
+The ledger holds, per workload: the seeds and the number of pairs (a seed
+run on both sides), the host-speed scale range and the failures per side,
+and for every end-to-end metric of ``BENCHMARK.json`` each side's median
+and quartiles with the number of pairs the change won; and, per traced
+workload and seed, both sides' per-layer metrics.  It adds no gate:
+``BENCHMARK.json`` stays the gate.
+"""
+from __future__ import annotations
+
+import json
+import re
+import sys
+from pathlib import Path
+from statistics import median, quantiles
+
+ROOT = Path(__file__).resolve().parent.parent
+SIDES = ("parent", "change")
+NAME = re.compile(r"^(parent|change)_(.+)_s(\d+)(_trace)?\.out$")
+SCALE = re.compile(r"host speed scale ([0-9.]+)\.\.([0-9.]+)")
+INDEX_MS = re.compile(r"traced pass: ([0-9.]+) ms inside index calls")
+
+
+def read_run(out: Path) -> dict:
+    """The JSON result of one run, with its scale range (and, for a traced
+    run, the time inside index calls) from its standard error."""
+    result = json.loads(out.read_text().strip().splitlines()[-1])
+    err = out.with_suffix(".err").read_text()
+    scale = SCALE.search(err)
+    if scale is None:
+        raise ValueError(f"{out.with_suffix('.err')}: no host speed scale")
+    result["scale"] = [float(scale[1]), float(scale[2])]
+    index_ms = INDEX_MS.search(err)
+    if index_ms is not None:
+        result["index_ms"] = float(index_ms[1])
+    return result
+
+
+def spread(values: list[float]) -> dict[str, float]:
+    q1, _, q3 = quantiles(values, n=4, method="inclusive")
+    return {"q1": q1, "median": median(values), "q3": q3}
+
+
+def ledger(runs: Path, spec: dict) -> dict:
+    timed: dict[str, dict[str, dict[int, dict]]] = {}
+    traced: dict[str, dict[str, dict[int, dict]]] = {}
+    for out in sorted(runs.glob("*.out")):
+        match = NAME.match(out.name)
+        if match is None:
+            continue
+        side, workload, seed, trace = match.groups()
+        table = traced if trace else timed
+        table.setdefault(workload, {s: {} for s in SIDES})[side][int(seed)] = read_run(out)
+    result: dict = {"command": spec["command"] + ["--seconds", str(spec["run_seconds"])], "workloads": {}}
+    for workload, sides in sorted(timed.items()):
+        seeds = sorted(set(sides["parent"]) & set(sides["change"]))
+        row: dict = {"seeds": seeds, "pairs": len(seeds), "metrics": {}}
+        for side in SIDES:
+            side_runs = [sides[side][s] for s in seeds]
+            row[f"{side}_scale"] = [min(r["scale"][0] for r in side_runs), max(r["scale"][1] for r in side_runs)]
+            row[f"{side}_failed"] = sum(r["failed"] for r in side_runs)
+            row[f"{side}_correct"] = all(r["correct"] for r in side_runs)
+        for metric in spec["end_to_end"]:
+            name = metric["name"]
+            values = {side: [sides[side][s]["metrics"][name]["value"] for s in seeds] for side in SIDES}
+            sign = 1 if metric["better"] == "higher" else -1
+            wins = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
+            row["metrics"][name] = {
+                "unit": metric["unit"],
+                "better": metric["better"],
+                "bound": metric["bound"],
+                **{side: spread(values[side]) for side in SIDES},
+                "change_wins": wins,
+            }
+        result["workloads"][workload] = row
+    result["traced"] = {
+        workload: {
+            str(seed): {
+                side: {
+                    "index_ms": sides[side][seed].get("index_ms"),
+                    **{k: v["value"] for k, v in sides[side][seed]["metrics"].items()},
+                }
+                for side in SIDES
+            }
+            for seed in sorted(set(sides["parent"]) & set(sides["change"]))
+        }
+        for workload, sides in sorted(traced.items())
+    }
+    return result
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        sys.exit(__doc__)
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    Path(argv[1]).write_text(json.dumps(ledger(Path(argv[0]), spec), indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
