@@ -3,23 +3,30 @@
 The index composes the layered graph with the interval labeler and keeps
 both consistent through the four update operations (edge/node insertion
 and deletion); a batch of edge updates runs through the same edge
-insertion and deletion.  Queries run a depth-first search over the
-condensation that descends only into children whose labels could still
-subsume the target, so a positive answer is always certified by an
-actual path and a failed label test never hides one.
+insertion and deletion.
 
-An edge (s, t) closes a cycle when ``t`` reaches ``s``; one two-way search
-(``collect_merge_list``), forward from ``t`` and backward from ``s`` and
-balanced by edges, both detects that and finds the components on a
-t-to-s path.  They merge into one, whose label is anchored on the
-member with the most DAG parents: the anchor's label, widened over the
-external children of the other members.  Labels only need containment
-along DAG edges (GRAIL's condition), so that label is valid as soon as
-every parent covers it, and only the other members' parents, plus the
-anchor's when its label had to widen, can fail to.  A merge therefore
-scans the adjacency of the members other than the anchor, plus the labels
-that really grow; joining a component with many parents no longer costs
-its in-degree.
+A query from ``s`` to ``t`` in different components searches the
+condensation from both ends (``_two_way``): forward from ``s`` into
+children whose labels still cover ``t``'s, and backward from ``t`` into
+parents whose labels ``s``'s still covers.  The side with fewer edges
+left to scan expands next, so a hub on either side is passed by the
+other.  The answer is true when one side reaches a node the other has
+found, which certifies a path, and false when either side runs out of
+nodes; a failed label test never hides a path.
+
+An edge (s, t) closes a cycle when ``t`` reaches ``s``; the same two-way
+search (``collect_merge_list``), forward from ``t`` and backward from
+``s``, both detects that and finds the components on a t-to-s path: it
+runs on until one side runs out of nodes and keeps the links that side
+followed.  The components found merge into one, whose label is
+anchored on the member with the most DAG parents: the anchor's label,
+widened over the external children of the other members.  Labels only
+need containment along DAG edges (GRAIL's condition), so that label is
+valid as soon as every parent covers it, and only the other members'
+parents, plus the anchor's when its label had to widen, can fail to.  A
+merge therefore scans the adjacency of the members other than the
+anchor, plus the labels that really grow; joining a component with many
+parents no longer costs its in-degree.
 
 Deleting edges inside an SCC (one edge, or every edge of a deleted node at
 once) splits it from the smaller side (``extract_components``).  An
@@ -67,7 +74,11 @@ class Split:
 
 @dataclass(frozen=True, slots=True)
 class QueryStats:
-    """Search instrumentation: nodes entered and children label-pruned."""
+    """Search instrumentation.  ``visited`` is 1 plus the components the
+    search found from either end, the two ends not counted; ``pruned`` is
+    the label tests failed on both sides.  A query answered without a
+    search (same component, or the ends' labels fail) has (1, 0), so a
+    negative answer with ``visited > 1`` is a label false positive."""
 
     visited: int
     pruned: int
@@ -135,7 +146,7 @@ class ReachabilityIndex:
         return found, QueryStats(visited, pruned)
 
     def dfs_dag(self, s: int, t: int) -> bool:
-        """Plain DFS over the condensation (no label pruning)."""
+        """Search of the condensation without label pruning."""
         self.graph._check_current(s)
         self.graph._check_current(t)
         if s == t:
@@ -143,54 +154,15 @@ class ReachabilityIndex:
         return self._search_dag(s, t, use_labels=False)[0]
 
     def _search_dag(self, s: int, t: int, use_labels: bool) -> tuple[bool, int, int]:
-        """DFS from component ``s`` toward ``t``.  Returns (found, visited,
-        pruned); children are skipped when their label cannot subsume the
-        target's (k >= 1 and use_labels)."""
-        g = self.graph
+        """Does component ``s`` reach ``t``?  Returns (found, visited,
+        pruned), as ``QueryStats`` counts them; the labels prune when
+        k >= 1 and ``use_labels``."""
         lab = self.labeler
         k = lab.k if use_labels else 0
         if k and not lab.covers(s, t):
             return False, 1, 0
-        k1 = k == 1
-        if k1:
-            b0, e0 = lab._b[0], lab._e[0]
-            bt, et = b0[t], e0[t]
-        elif k:
-            dims = [(lab._b[d], lab._e[d], lab._b[d][t], lab._e[d][t]) for d in range(k)]
-        vis = self._vis
-        self._stamp += 1
-        stamp = self._stamp
-        out_d = g._out_d
-        vis[s] = stamp
-        visited = 1
-        pruned = 0
-        stack = [s]
-        while stack:
-            w = stack.pop()
-            od = out_d[w]
-            if od:
-                for c in od:
-                    if c == t:
-                        return True, visited, pruned
-                    if vis[c] == stamp:
-                        continue
-                    if k1:
-                        if b0[c] > bt or e0[c] < et:
-                            pruned += 1
-                            continue
-                    elif k:
-                        ok = True
-                        for bcol, ecol, btd, etd in dims:
-                            if bcol[c] > btd or ecol[c] < etd:
-                                ok = False
-                                break
-                        if not ok:
-                            pruned += 1
-                            continue
-                    vis[c] = stamp
-                    visited += 1
-                    stack.append(c)
-        return False, visited, pruned
+        dry, visited, pruned, _ = self._two_way(s, t, k, keep=False)
+        return dry < 0, visited, pruned
 
     # ------------------------------------------------------------------
     # edge insertion
@@ -243,60 +215,118 @@ class ReachabilityIndex:
         """Every component on some t-to-s path, with ``s`` first and ``t``
         last; empty when ``t`` does not reach ``s``.
 
-        One two-way search both detects the cycle and finds the merge
-        set.  It runs forward from ``t``, skipping children ``c`` with
-        ``not covers(c, s)``, and backward from ``s``, skipping parents
-        ``p`` with ``not covers(t, p)``; neither skip drops a node on a
-        t-to-s path.  The search stops when one side runs out of nodes:
-        that side has found everything on a t-to-s path, and it has met
-        the far endpoint iff there is one.  The merge set is then read off
-        the edges that side scanned between found nodes, from the far
-        endpoint back to its start.
+        One two-way search (``_two_way``, forward from ``t`` and backward
+        from ``s``) both detects the cycle and finds the merge set.  It
+        runs until one side runs out of nodes: that side has found
+        everything on a t-to-s path, and it has met the far endpoint iff
+        there is one.  The merge set is then read off the links that side
+        recorded, from the far endpoint back to its start.
+        """
+        dry, _, _, links = self._two_way(t, s, self.k, keep=True)
+        return self._read_off(links, (t, s)[dry], (s, t)[dry], t, s)
+
+    def _two_way(self, a: int, b: int, k: int, keep: bool) -> tuple[int, int, int, dict | None]:
+        """Search the condensation forward from ``a`` and backward from
+        ``b``, skipping every node ``x`` whose label fails ``covers(a, x)``
+        and ``covers(x, b)`` in one of its first ``k`` dimensions; no node
+        on an a-to-b path fails.  Forward, only ``covers(x, b)`` can fail,
+        and backward only ``covers(a, x)``.
+
+        Without ``keep`` the search stops when one side reaches a node the
+        other has found, which certifies a path.  With ``keep`` each side
+        finds the other's nodes as its own and records, per found node,
+        the found nodes it was reached from; the other side's start is
+        recorded but never expanded, since nothing past it lies on an
+        a-to-b path.  Either way the search stops when one side runs out
+        of nodes, and that side's found set holds every node on an a-to-b
+        path that it can reach.
 
         The sides are balanced by edges.  The side with fewer edges known
         to be left (those of its found, unexpanded nodes) expands next,
         unless its edges scanned plus left exceed twice the other side's.
         A hub at either end is so expanded only when the other side has as
-        much left, and a hub in the middle of the merge set, which both
-        sides must pass, usually once: the side that expanded it has
-        little left and finishes first.  A side's scanned plus left edges
-        never exceed what it needs to run dry, so the search scans at most
-        about three times the edges of the cheaper one-way search, plus
-        one node's degree.
+        much left, and a hub in the middle, which both sides must pass,
+        usually once: the side that expanded it has little left and
+        finishes or meets the other first.  A side's scanned plus left
+        edges never exceed what it needs to run dry, so the search scans
+        at most about three times the edges of the cheaper one-way
+        search, plus one node's degree.
+
+        Returns (dry, visited, pruned, links): the side that ran out of
+        nodes (0 forward, 1 backward; -1 when the sides met), one plus the
+        nodes either side found other than ``a`` and ``b``, the failed
+        label tests, and the dry side's links (None without ``keep``).
         """
         g = self.graph
-        covers = self.labeler.covers
-        # Per side: found node -> the found nodes it was reached from, the
-        # found nodes in order, the adjacency followed, the far endpoint.
-        sides = (({t: []}, [t], g._out_d, s), ({s: []}, [s], g._in_d, t))
+        lab = self.labeler
+        # Per dimension: the columns, then the bounds of b and e between
+        # the labels of a and b; one dimension is tested inline.
+        dims = [
+            (bcol, ecol, bcol[a], bcol[b], ecol[b], ecol[a])
+            for bcol, ecol in zip(lab._b[:k], lab._e[:k])
+        ]
+        k1 = k == 1
+        if k1:
+            ((b0, e0, b_lo, b_hi, e_lo, e_hi),) = dims
+        vis = self._vis
+        base = self._stamp  # marks above base belong to this search
+        both = base + 3
+        self._stamp = both
+        vis[a] = base + 1
+        vis[b] = base + 2
+        # Per side: found nodes in order, adjacency followed, own mark,
+        # the other side's mark, the other side's start, links.
+        sides = (
+            ([a], g._out_d, base + 1, base + 2, b, {a: []} if keep else None),
+            ([b], g._in_d, base + 2, base + 1, a, {b: []} if keep else None),
+        )
         pos = [0, 0]
         cost = [0, 0]  # edges and nodes scanned
-        left = [len(g._out_d[t] or ()), len(g._in_d[s] or ())]  # edges of found, unexpanded nodes
+        left = [len(g._out_d[a] or ()), len(g._in_d[b] or ())]  # edges of found, unexpanded nodes
+        pruned = 0
         while True:
-            for side, (found, queue, _, goal) in enumerate(sides):
-                if pos[side] == len(queue):
-                    return self._read_off(found, queue[0], goal, t, s)
+            for side in (0, 1):
+                if pos[side] == len(sides[side][0]):
+                    return side, len(sides[0][0]) + len(sides[1][0]) - 1, pruned, sides[side][5]
             side = 0 if left[0] <= left[1] else 1
             if cost[side] + left[side] > 2 * (cost[1 - side] + left[1 - side]):
                 side = 1 - side
-            found, queue, adj, goal = sides[side]
-            w = queue[pos[side]]
+            found, adj, own, other, goal, links = sides[side]
+            w = found[pos[side]]
             pos[side] += 1
             nbrs = adj[w] or ()
             cost[side] += len(nbrs) + 1
             left[side] -= len(nbrs)
             for c in nbrs:
-                links = found.get(c)
-                if links is not None:
-                    links.append(w)
-                elif c == goal:
-                    # Never expanded: nothing past the far endpoint lies on
-                    # a t-to-s path, and it may be a hub.
-                    found[c] = [w]
-                elif covers(c, s) if side == 0 else covers(t, c):
-                    found[c] = [w]
-                    queue.append(c)
-                    left[side] += len(adj[c] or ())
+                m = vis[c]
+                if m <= base:
+                    if k1:
+                        ok = b_lo <= b0[c] <= b_hi and e_lo <= e0[c] <= e_hi
+                    else:
+                        ok = True
+                        for bcol, ecol, bd_lo, bd_hi, ed_lo, ed_hi in dims:
+                            if not (bd_lo <= bcol[c] <= bd_hi and ed_lo <= ecol[c] <= ed_hi):
+                                ok = False
+                                break
+                    if not ok:
+                        pruned += 1
+                        continue
+                    vis[c] = own
+                    if keep:
+                        links[c] = [w]
+                elif m != other:
+                    if keep:
+                        links[c].append(w)
+                    continue
+                elif not keep:
+                    return -1, len(sides[0][0]) + len(sides[1][0]) - 1, pruned, None
+                else:
+                    vis[c] = both
+                    links[c] = [w]
+                    if c == goal:
+                        continue
+                found.append(c)
+                left[side] += len(adj[c] or ())
 
     @staticmethod
     def _read_off(found: dict[int, list[int]], root: int, goal: int, t: int, s: int) -> list[int]:

@@ -36,5 +36,25 @@ def test_ledger_pairs_medians_wins_and_trace(tmp_path):
     assert ops["change"]["median"] == 2.0 and ops["change_wins"] == 2
     assert row["metrics"]["query_p50_ms"]["change_wins"] == 1  # lower is better
     assert set(row["metrics"]) == {m["name"] for m in SPEC["end_to_end"]}
+    assert ops["change/parent"] == 1.0 and ops["within_bound"] and not ops["gain_rule"]
     trace = out["traced"]["churn"]["1"]
     assert trace["parent"]["index_ms"] == 12.5 and trace["change"]["ops_per_s"] == 4.0
+
+
+def test_ledger_bound_and_gain_rule(tmp_path):
+    # ops_per_s is better higher: the change wins 9 of 10 pairs by far more
+    # than the parent's interquartile range.  Every metric takes the same
+    # values, so the lower-is-better ones lose by a factor of three.
+    for seed in range(10):
+        p = 100.0 + seed
+        write_run(tmp_path, f"parent_churn_s{seed}", p, "0.6..0.7")
+        write_run(tmp_path, f"change_churn_s{seed}", p - 1 if seed == 0 else 3 * p, "0.6..0.7")
+    metrics = bench_ledger.ledger(tmp_path, SPEC)["workloads"]["churn"]["metrics"]
+    ops = metrics["ops_per_s"]
+    assert ops["change_wins"] == 9 and ops["gain_rule"] and ops["within_bound"]
+    assert round(ops["change/parent"], 2) == 3.0
+    p99 = metrics["update_p99_ms"]
+    assert p99["change_wins"] == 1 and not p99["gain_rule"] and not p99["within_bound"]
+    write_run(tmp_path, "change_churn_s1", 50.0, "0.6..0.7")  # 8 of 10 breaks the gain rule
+    ops = bench_ledger.ledger(tmp_path, SPEC)["workloads"]["churn"]["metrics"]["ops_per_s"]
+    assert ops["change_wins"] == 8 and not ops["gain_rule"]

@@ -8,7 +8,10 @@ be rejected without any change.  After every step the partition, the
 input edges, the condensation's edges with their multiplicities and label
 containment must agree with the mirror.
 
-``replay_random_history`` does the same with a plain seeded generator.
+``replay_random_history`` does the same with a plain seeded generator,
+and after every step also checks queries from a few random sources: to
+their own component, to a component they reach and to a node they do
+not reach.
 It starts from one SCC in which most members have in- or out-degree 1
 (a cycle plus a few chords), so deletions break pieces off both ends of
 a removed edge and move the split's anchor.  Its insert-heavy variant
@@ -29,7 +32,7 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, pr
 
 from dynreach import DeleteEdge, InputError, InsertEdge, LabelerConfig, ReachabilityIndex
 
-from oracles import Mirror, check_label_invariants
+from oracles import Mirror, check_label_invariants, reachable_pairs
 from samples import random_strongly_connected
 
 
@@ -49,6 +52,25 @@ def assert_agrees(idx, mirror):
     assert stored == dict(counts)
     assert {(p, s) for s in nodes for p in g.dag_parents(s)} == set(counts)
     check_label_invariants(idx)
+
+
+def assert_queries(idx, mirror, rng, sources: int = 3) -> None:
+    """``reachable``, ``reachable_with_stats`` and ``dfs_dag`` against the
+    mirror from a few random sources, each to a member of its own
+    component, to a node it reaches in another component, and to a node
+    it does not reach."""
+    nodes = sorted(mirror.nodes)
+    for u in rng.sample(nodes, min(sources, len(nodes))):
+        reach = reachable_pairs([u], mirror.out)[u]
+        s = idx.find(u)
+        same = [v for v in nodes if idx.find(v) == s]
+        for group in (same, sorted(reach.difference(same)), [v for v in nodes if v not in reach]):
+            if group:
+                v = rng.choice(group)
+                want = v in reach
+                assert idx.reachable(u, v) == want, (u, v)
+                assert idx.reachable_with_stats(u, v)[0] == want, (u, v)
+                assert idx.dfs_dag(s, idx.find(v)) == want, (u, v)
 
 
 def replay_random_history(seed: int, n: int, k: int, steps: int, fringe: int = 0) -> None:
@@ -71,7 +93,7 @@ def replay_random_history(seed: int, n: int, k: int, steps: int, fringe: int = 0
     deletes = 0.05 if fringe else 0.35
     idx = ReachabilityIndex.build(edges, n, LabelerConfig(k=k, seed=seed))
     mirror = Mirror(edges, n)
-    for step in range(steps):
+    for _ in range(steps):
         nodes = sorted(mirror.nodes)
         present = mirror.edge_list()
         roll = rng.random()
@@ -95,7 +117,7 @@ def replay_random_history(seed: int, n: int, k: int, steps: int, fringe: int = 0
             u = rng.choice(nodes)
             idx.delete_node(u)
             mirror.delete_node(u)
-        elif roll < 0.9 and nodes:
+        elif nodes:
             ops = []
             for _ in range(rng.randrange(1, 6)):
                 u, v = rng.choice(nodes), rng.choice(nodes)
@@ -106,11 +128,8 @@ def replay_random_history(seed: int, n: int, k: int, steps: int, fringe: int = 0
                     ops.append(InsertEdge(u, v))
                     mirror.insert_edge(u, v)
             idx.apply_batch(ops)
-        elif nodes:
-            for _ in range(3):
-                u, v = rng.choice(nodes), rng.choice(nodes)
-                assert idx.reachable(u, v) == mirror.reach(u, v), (seed, step, u, v)
         assert_agrees(idx, mirror)
+        assert_queries(idx, mirror, rng)
 
 
 def test_random_histories_from_one_scc():

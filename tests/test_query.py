@@ -136,3 +136,48 @@ def test_query_stats_counts_pruned_children():
             assert stats.visited >= 1
             pruned_total += stats.pruned
     assert pruned_total > 0
+
+
+def hub_graph(position: str) -> tuple[list[tuple[int, int]], int, int, list[int], list[int]]:
+    """A hub H = 0 with 500 leaf children (1-500) and 500 source parents
+    (501-1000), and a positive pair (s, t) with H at ``position``: in the
+    middle of s -> H -> t, at s (H -> 1001 -> t) or at t (s -> 1001 -> H).
+    The edges into t and out of s come last, so a forward search from H
+    meets t only after H's other children."""
+    hub, children, parents = 0, list(range(1, 501)), list(range(501, 1001))
+    edges = [(hub, c) for c in children] + [(p, hub) for p in parents]
+    if position == "middle":
+        s, t = 1001, 1002
+        edges += [(s, hub), (hub, t)]
+    elif position == "s":
+        s, t = hub, 1002
+        edges += [(hub, 1001), (1001, t)]
+    else:
+        s, t = 1002, hub
+        edges += [(1001, hub), (s, 1001)]
+    return edges, s, t, children, parents
+
+
+@pytest.mark.parametrize("position", ["middle", "s", "t"])
+def test_hub_on_a_query_path_is_not_scanned(position):
+    # The search runs from both ends and the side with fewer edges left
+    # expands first, so neither side label-tests the hub's 500 children
+    # or 500 parents.  A forward search from s tests the children when the
+    # hub is in the middle or at s.
+    edges, s, t, children, parents = hub_graph(position)
+    n = max(map(max, edges)) + 1
+    mirror = Mirror(edges, n)
+    rng = random.Random(5)
+    pairs = [(s, t), (t, s), (s, children[7]), (parents[3], t), (parents[9], children[11])]
+    pairs += [(children[1], parents[2]), (children[4], children[5]), (parents[6], parents[8])]
+    pairs += [(children[rng.randrange(500)], t) for _ in range(5)]
+    pairs += [(s, parents[rng.randrange(500)]) for _ in range(5)]
+    for k in (1, 2):
+        idx = ReachabilityIndex.build(edges, n, LabelerConfig(k=k, seed=9))
+        for u, v in pairs:
+            want = mirror.reach(u, v)
+            assert idx.reachable(u, v) == want, (k, u, v)
+            found, stats = idx.reachable_with_stats(u, v)
+            assert found == want, (k, u, v)
+            assert stats.pruned + stats.visited <= 6, (k, u, v, stats)
+            assert idx.dfs_dag(idx.find(u), idx.find(v)) == want, (k, u, v)

@@ -15,8 +15,17 @@ The ledger holds, per workload: the seeds and the number of pairs (a seed
 run on both sides), the host-speed scale range and the failures per side,
 and for every end-to-end metric of ``BENCHMARK.json`` each side's median
 and quartiles with the number of pairs the change won; and, per traced
-workload and seed, both sides' per-layer metrics.  It adds no gate:
-``BENCHMARK.json`` stays the gate.
+workload and seed, both sides' per-layer metrics.  Each metric also
+reports, for reading only:
+
+* ``change/parent``: the change's median over the parent's;
+* ``within_bound``: the change's median is worse than the parent's by no
+  more than the metric's bound in ``BENCHMARK.json``;
+* ``gain_rule``: the change won at least nine in ten pairs, and its
+  median is better than the parent's by more than the parent's
+  interquartile range.
+
+It adds no gate: ``BENCHMARK.json`` stays the gate.
 """
 from __future__ import annotations
 
@@ -77,12 +86,18 @@ def ledger(runs: Path, spec: dict) -> dict:
             values = {side: [sides[side][s]["metrics"][name]["value"] for s in seeds] for side in SIDES}
             sign = 1 if metric["better"] == "higher" else -1
             wins = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
+            parent, change = spread(values["parent"]), spread(values["change"])
+            gain = sign * (change["median"] - parent["median"])
             row["metrics"][name] = {
                 "unit": metric["unit"],
                 "better": metric["better"],
                 "bound": metric["bound"],
-                **{side: spread(values[side]) for side in SIDES},
+                "parent": parent,
+                "change": change,
                 "change_wins": wins,
+                "change/parent": change["median"] / parent["median"],
+                "within_bound": gain >= -metric["bound"] * parent["median"],
+                "gain_rule": 10 * wins >= 9 * len(seeds) and gain > parent["q3"] - parent["q1"],
             }
         result["workloads"][workload] = row
     result["traced"] = {
