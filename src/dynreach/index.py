@@ -134,7 +134,7 @@ class ReachabilityIndex:
         t = g.find_scc(g.input_slot(v))
         if s == t:
             return True
-        return self._search_dag(s, t, use_labels=True)[0]
+        return self._search_dag(s, t)[0]
 
     def reachable_with_stats(self, u: int, v: int) -> tuple[bool, QueryStats]:
         g = self.graph
@@ -142,7 +142,7 @@ class ReachabilityIndex:
         t = g.find_scc(g.input_slot(v))
         if s == t:
             return True, QueryStats(1, 0)
-        found, visited, pruned = self._search_dag(s, t, use_labels=True)
+        found, visited, pruned = self._search_dag(s, t)
         return found, QueryStats(visited, pruned)
 
     def dfs_dag(self, s: int, t: int) -> bool:
@@ -151,17 +151,16 @@ class ReachabilityIndex:
         self.graph._check_current(t)
         if s == t:
             return True
-        return self._search_dag(s, t, use_labels=False)[0]
+        return self._two_way(s, t, 0, keep=False)[0] < 0
 
-    def _search_dag(self, s: int, t: int, use_labels: bool) -> tuple[bool, int, int]:
+    def _search_dag(self, s: int, t: int) -> tuple[bool, int, int]:
         """Does component ``s`` reach ``t``?  Returns (found, visited,
         pruned), as ``QueryStats`` counts them; the labels prune when
-        k >= 1 and ``use_labels``."""
+        k >= 1."""
         lab = self.labeler
-        k = lab.k if use_labels else 0
-        if k and not lab.covers(s, t):
+        if not lab.covers(s, t):
             return False, 1, 0
-        dry, visited, pruned, _ = self._two_way(s, t, k, keep=False)
+        dry, visited, pruned, _ = self._two_way(s, t, lab.k, keep=False)
         return dry < 0, visited, pruned
 
     # ------------------------------------------------------------------
@@ -191,7 +190,7 @@ class ReachabilityIndex:
             self._merge(mlist)
         else:
             g._add_dag_edge(s, t, 1)
-            lab.enlarge_to_cover(g, (s,), t)
+            lab.propagate(g, ((t, (s,)),))
 
     def _merge(self, mlist: list[int]) -> None:
         """Collapse the components of ``mlist`` into one.  Its label is
@@ -209,7 +208,7 @@ class ReachabilityIndex:
         self._ensure_capacity()
         if self.k:
             lab.set_label(rep, label)
-            lab.enlarge_to_cover(g, parents, rep)
+            lab.propagate(g, ((rep, parents),))
 
     def collect_merge_list(self, t: int, s: int) -> list[int]:
         """Every component on some t-to-s path, with ``s`` first and ``t``

@@ -9,6 +9,11 @@ label of ``t`` — so a failed subsumption test proves non-reachability,
 while a passing test may still be a false positive that the search
 resolves.
 
+Three steps maintain the labels: ``_post_order`` labels one randomized
+post-order, of the whole condensation on a build and of the pieces of a
+split component; ``merge_label`` labels a merged component; and
+``propagate`` restores containment above labels that are final.
+
 ``k = 0`` disables labeling entirely: every operation is a no-op and
 subsumption is treated as always true, degenerating search to a plain
 DAG traversal.
@@ -18,9 +23,9 @@ from __future__ import annotations
 import random
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 
-from .errors import InternalError, LogicError
+from .errors import InputError, InternalError, LogicError
 from .graph import SccGraph
 
 #: A label value: one (begin, end) pair per dimension.
@@ -40,6 +45,10 @@ class LabelerConfig:
     seed: int = 0
     dim_orders: Sequence[Mapping[int, float]] | None = field(default=None, compare=False)
 
+    def __post_init__(self) -> None:
+        if self.k < 0:
+            raise InputError(f"dimension count must be >= 0, got {self.k}")
+
 
 def subsumes(outer: Label, inner: Label) -> bool:
     """True iff every dimension of ``inner`` lies inside ``outer``."""
@@ -52,8 +61,6 @@ class IntervalLabeler:
     """Owns the label arrays for one index instance."""
 
     def __init__(self, cfg: LabelerConfig) -> None:
-        if cfg.k < 0:
-            raise LogicError(f"dimension count must be >= 0, got {cfg.k}")
         self.cfg = cfg
         self.k = cfg.k
         self._b: list[list[int]] = [[] for _ in range(cfg.k)]
@@ -70,7 +77,6 @@ class IntervalLabeler:
 
     def set_label(self, s: int, label: Label) -> None:
         for d, (b, e) in enumerate(label):
-            self._ensure_dim(d, s)
             self._b[d][s] = b
             self._e[d][s] = e
             if e > self._max_end[d]:
@@ -83,16 +89,13 @@ class IntervalLabeler:
                 return False
         return True
 
-    def _ensure_dim(self, d: int, upto: int) -> None:
-        col = self._b[d]
-        if upto >= len(col):
-            extra = upto + 1 - len(col)
-            col.extend([0] * extra)
-            self._e[d].extend([0] * extra)
-
     def ensure_capacity(self, upto: int) -> None:
-        for d in range(self.k):
-            self._ensure_dim(d, upto)
+        """Grow the label columns to hold slot ``upto``."""
+        for b_col, e_col in zip(self._b, self._e):
+            if upto >= len(b_col):
+                extra = upto + 1 - len(b_col)
+                b_col.extend([0] * extra)
+                e_col.extend([0] * extra)
 
     def _ordered(self, d: int, nodes: list[int]) -> list[int]:
         orders = self.cfg.dim_orders
@@ -104,17 +107,15 @@ class IntervalLabeler:
         return nodes
 
     # ------------------------------------------------------------------
-    # initial assignment
+    # post-order labels: build and split
 
     def initial_labels(self, graph: SccGraph) -> None:
         """Label every current DAG node with k randomized traversals.
 
-        Each dimension runs one post-order traversal from all roots (in
-        shuffled order, sharing a counter).  Exiting a node advances the
-        counter by the component size and sets the end rank; the begin
-        rank is the minimum of the entry counter and the children's
-        begins.  Rerunning it on a live index discards every earlier label
-        and the end values they drifted to.
+        Each dimension runs one post-order traversal (``_post_order``)
+        from all roots, the counter starting at 0, so the end of a node is
+        the counter when it exits.  Rerunning it on a live index discards
+        every earlier label and the end values they drifted to.
         """
         if self.k == 0:
             return
@@ -122,48 +123,108 @@ class IntervalLabeler:
         roots = [s for s in nodes if not graph.dag_parents(s)]
         self.ensure_capacity(graph.capacity - 1)
         for d in range(self.k):
-            self._traverse_dim(graph, d, roots, len(nodes))
+            self._max_end[d] = 0
+            if self._post_order(graph, d, roots, graph._out_d, 0) != len(nodes):
+                raise InternalError("condensation contains nodes unreachable from any root")
 
-    def _traverse_dim(self, graph: SccGraph, d: int, roots: list[int], expected: int) -> None:
+    def _post_order(
+        self, graph: SccGraph, d: int, roots: Iterable[int], kids: Sequence | Mapping, ctr: int,
+        skip: int = -1,
+    ) -> int:
+        """Label dimension ``d`` by one post-order traversal from ``roots``
+        (in shuffled order, sharing a counter that starts at ``ctr``),
+        following ``kids[node]`` (in shuffled order).
+
+        Exiting a node other than ``skip`` advances the counter by the
+        component size and gives the node the begin ``min(entry counter,
+        DAG children's begins)`` and the end ``max(counter, largest DAG
+        child end + 1)``; ``skip`` is traversed but keeps its label.
+        Raises ``_max_end[d]`` to the ends given and returns how many
+        nodes were labelled.
+        """
         b_col, e_col = self._b[d], self._e[d]
-        size = graph._size
+        out_d, size = graph._out_d, graph._size
         state = bytearray(graph.capacity)  # 0 new, 1 active, 2 done
-        ctr = 0
+        hi = self._max_end[d]
         labeled = 0
         for root in self._ordered(d, list(roots)):
             if state[root]:
                 continue
             state[root] = 1
-            frames: list[list] = [[root, self._ordered(d, graph.dag_children(root)), 0, ctr]]
+            frames: list[list] = [[root, self._ordered(d, list(kids[root] or ())), 0, ctr]]
             while frames:
                 frame = frames[-1]
-                node, kids, i, entry = frame
-                if i < len(kids):
+                node, nxt, i, entry = frame
+                if i < len(nxt):
                     frame[2] = i + 1
-                    c = kids[i]
+                    c = nxt[i]
                     if state[c] == 0:
                         state[c] = 1
-                        frames.append([c, self._ordered(d, graph.dag_children(c)), 0, ctr])
+                        frames.append([c, self._ordered(d, list(kids[c] or ())), 0, ctr])
                     elif state[c] == 1:
                         raise InternalError(f"cycle through node {c} in the condensation")
                     continue
                 frames.pop()
                 state[node] = 2
-                begin = entry
-                for c in kids:
-                    cb = b_col[c]
-                    if cb < begin:
-                        begin = cb
+                if node == skip:
+                    continue
                 ctr += size[node]
+                begin, end = entry, ctr
+                for c in out_d[node] or ():
+                    if b_col[c] < begin:
+                        begin = b_col[c]
+                    if e_col[c] >= end:
+                        end = e_col[c] + 1
                 b_col[node] = begin
-                e_col[node] = ctr
+                e_col[node] = end
+                if end > hi:
+                    hi = end
                 labeled += 1
-        if labeled != expected:
-            raise InternalError("condensation contains nodes unreachable from any root")
-        self._max_end[d] = ctr
+        self._max_end[d] = hi
+        return labeled
+
+    def relabel_split(self, graph: SccGraph, clist: Sequence[int], old_label: Label) -> None:
+        """Label the pieces of a split component.
+
+        ``clist`` holds the detached pieces with the remnant last.  The
+        remnant keeps the split component's label ``old_label``: its
+        edges to and from outside were the component's, so they stay
+        covered.  The pieces and the remnant form a sub-DAG; per
+        dimension, a post-order over it from its sources (for one deleted
+        edge, the sole source is the head's piece, and the remnant may sit
+        anywhere below it) labels the pieces (``_post_order``), the
+        counter starting at the old begin and passing over the remnant.
+        Pieces above the remnant so cover it, and pieces below it normally
+        fall inside its label; propagating from the pieces restores
+        containment wherever a label had to grow, the remnant's included.
+        The remnant's own edges are never scanned, so the cost follows the
+        pieces' degrees.
+        """
+        if self.k == 0:
+            return
+        *pieces, remnant = clist
+        cset = set(clist)
+        if len(cset) != len(clist) or not pieces:
+            raise LogicError("split list must hold at least two distinct components")
+        self.set_label(remnant, old_label)
+        out_d, in_d = graph._out_d, graph._in_d
+        kids: dict[int, list[int]] = {w: [] for w in clist}
+        fed: set[int] = set()  # members with a parent inside the sub-DAG
+        for p in pieces:
+            for c in out_d[p] or ():
+                if c in cset:
+                    kids[p].append(c)
+                    fed.add(c)
+            if remnant in (in_d[p] or ()):
+                kids[remnant].append(p)
+                fed.add(p)
+        sources = [w for w in clist if w not in fed]
+        for d in range(self.k):
+            self._post_order(graph, d, sources, kids, old_label[d][0], skip=remnant)
+        self.propagate(graph, [(w, in_d[w] or ()) for w in pieces])
 
     # ------------------------------------------------------------------
-    # enlargement on edge insertion / merge
+    # merge labels and propagation
 
     def merge_label(self, graph: SccGraph, members: Sequence[int]) -> tuple[Label, list[int]]:
         """The label of the component that merges ``members`` (before the
@@ -200,66 +261,43 @@ class IntervalLabeler:
         parents = list(dict.fromkeys(p for m in checked for p in in_d[m] or () if p not in inside))
         return tuple(label), parents
 
-    def enlarge_to_cover(self, graph: SccGraph, parents: Iterable[int], t: int) -> None:
-        """Grow each of ``parents`` over the label of their child ``t``
-        (begin ``b_p <= b_t``, end ``e_p >= e_t + 1``) and propagate from
-        those that grew.  No-op for a parent that already covers ``t``."""
-        if self.k == 0:
-            return
-        grown = []
-        dims = list(zip(self._b, self._e, range(self.k)))
-        max_end = self._max_end
-        for p in parents:
-            changed = False
-            for b_col, e_col, d in dims:
-                if b_col[t] < b_col[p]:
-                    b_col[p] = b_col[t]
-                    changed = True
-                need = e_col[t] + 1
-                if need > e_col[p]:
-                    e_col[p] = need
-                    changed = True
-                    if need > max_end[d]:
-                        max_end[d] = need
-            if changed:
-                grown.append(p)
-        if grown:
-            self.propagate(graph, grown)
+    def propagate(self, graph: SccGraph, covers: Iterable[tuple[int, Iterable[int]]]) -> None:
+        """Restore edge-wise containment above the children of ``covers``,
+        ``(child, parents)`` pairs whose child's label is final: each of
+        ``parents`` is grown over ``child`` (begin ``b_p <= b_c``, end
+        ``e_p >= e_c + 1``), and so on up every parent chain that grows.
 
-    def propagate(self, graph: SccGraph, seeds: Iterable[int]) -> None:
-        """Restore edge-wise containment above ``seeds``, the nodes whose
-        labels just changed (their labels are final).
+        A plain insertion of ``(s, t)`` passes ``((t, (s,)),)``, a merge
+        ``((rep, parents),)`` with the parents from ``merge_label``, and a
+        split every piece with all its parents.
 
-        Only ancestors of the seeds can lose containment, and only through
-        a chain of labels that grew, so the cost follows the seeds' in-
-        degrees and the part of their ancestry that has to grow.  On a
-        merge the seeds are the parents that had to grow over the merged
-        label (``merge_label``), never the merged component itself.
+        Only ancestors of the children can lose containment, and only
+        through a chain of labels that grew, so the cost follows the
+        parents given and the part of their ancestry that has to grow.
 
-        Begin values are min-propagated with a worklist.  End values are
+        Begin values are min-propagated with a worklist, which takes a
+        node's parents once per time its begin grew.  End values are
         finalized in ascending order of their previous value through a
         priority queue, so every ancestor sees finished children and is
         recomputed at most once.
         """
         if self.k == 0:
             return
-        seeds = list(seeds)
+        covers = list(covers)
         in_d = graph._in_d
         b_cols = self._b
         # Begin phase: push the (monotone) min up every parent chain.
-        stack = list(seeds)
+        stack = list(covers)
         while stack:
-            w = stack.pop()
-            idd = in_d[w]
-            if idd:
-                for p in idd:
-                    changed = False
-                    for b_col in b_cols:
-                        if b_col[p] > b_col[w]:
-                            b_col[p] = b_col[w]
-                            changed = True
-                    if changed:
-                        stack.append(p)
+            w, parents = stack.pop()
+            for p in parents:
+                changed = False
+                for b_col in b_cols:
+                    if b_col[p] > b_col[w]:
+                        b_col[p] = b_col[w]
+                        changed = True
+                if changed:
+                    stack.append((p, in_d[p] or ()))
         # End phase, one dimension at a time.  Entries are relaxations
         # (old end, node, required floor): because a parent's old end
         # exceeds its children's, every floor a node receives is final
@@ -267,14 +305,10 @@ class IntervalLabeler:
         # without rescanning child lists.
         for d in range(self.k):
             e_col = self._e[d]
-            heap: list[tuple[int, int, int]] = []
-            for w in seeds:
-                floor = e_col[w] + 1
-                idd = in_d[w]
-                if idd:
-                    for p in idd:
-                        if e_col[p] < floor:
-                            heappush(heap, (e_col[p], p, floor))
+            heap = [
+                (e_col[p], p, e_col[w] + 1) for w, parents in covers for p in parents if e_col[p] <= e_col[w]
+            ]
+            heapify(heap)
             hi = self._max_end[d]
             while heap:
                 _, p, floor = heappop(heap)
@@ -292,84 +326,6 @@ class IntervalLabeler:
             self._max_end[d] = hi
 
     # ------------------------------------------------------------------
-    # split relabeling
-
-    def relabel_split(self, graph: SccGraph, clist: Sequence[int], old_label: Label) -> None:
-        """Label the pieces of a split component.
-
-        ``clist`` holds the detached pieces with the remnant last.  The
-        remnant keeps the split component's label ``old_label``: its
-        edges to and from outside were the component's, so they stay
-        covered.  The pieces and the remnant form a sub-DAG; per
-        dimension, a randomized post-order over it from its sources (for
-        one deleted edge, the sole source is the head's piece, and the
-        remnant may sit anywhere below it) gives each piece the begin
-        ``min(entry counter, children's begins)`` and the end ``max(counter,
-        largest child end + 1)``, the counter starting at the old begin
-        and passing over the remnant.  Pieces above the remnant so cover
-        it, and pieces below it normally fall inside its label;
-        propagating from the pieces restores containment wherever a label
-        had to grow, the remnant's included.  The remnant's own edges are
-        never scanned, so the cost follows the pieces' degrees.
-        """
-        if self.k == 0:
-            return
-        *pieces, remnant = clist
-        cset = set(clist)
-        if len(cset) != len(clist) or not pieces:
-            raise LogicError("split list must hold at least two distinct components")
-        self.ensure_capacity(graph.capacity - 1)
-        self.set_label(remnant, old_label)
-        out_d, in_d = graph._out_d, graph._in_d
-        kids: dict[int, list[int]] = {w: [] for w in clist}
-        fed: set[int] = set()  # members with a parent inside the sub-DAG
-        for p in pieces:
-            for c in out_d[p] or ():
-                if c in cset:
-                    kids[p].append(c)
-                    fed.add(c)
-            if remnant in (in_d[p] or ()):
-                kids[remnant].append(p)
-                fed.add(p)
-        sources = [w for w in clist if w not in fed]
-        size = graph._size
-        for d in range(self.k):
-            b_col, e_col = self._b[d], self._e[d]
-            ctr = old_label[d][0]
-            seen: set[int] = set()
-            for root in self._ordered(d, list(sources)):
-                seen.add(root)
-                frames: list[list] = [[root, self._ordered(d, list(kids[root])), 0, ctr]]
-                while frames:
-                    frame = frames[-1]
-                    node, nxt, i, entry = frame
-                    if i < len(nxt):
-                        frame[2] = i + 1
-                        c = nxt[i]
-                        if c not in seen:
-                            seen.add(c)
-                            frames.append([c, self._ordered(d, list(kids[c])), 0, ctr])
-                        continue
-                    frames.pop()
-                    if node == remnant:
-                        continue
-                    begin = entry
-                    end = 0
-                    for c in out_d[node] or ():
-                        cb = b_col[c]
-                        if cb < begin:
-                            begin = cb
-                        ce = e_col[c]
-                        if ce > end:
-                            end = ce
-                    ctr += size[node]
-                    b_col[node] = begin
-                    e_col[node] = max(ctr, end + 1)
-                    if e_col[node] > self._max_end[d]:
-                        self._max_end[d] = e_col[node]
-        self.propagate(graph, pieces)
-
-    # ------------------------------------------------------------------
     # fresh nodes
 
     def label_new_source(self, graph: SccGraph, u: int, out_comps: Iterable[int]) -> None:
@@ -382,7 +338,6 @@ class IntervalLabeler:
         if self.k == 0:
             return
         comps = list(out_comps)
-        self.ensure_capacity(graph.capacity - 1)
         for d in range(self.k):
             b_col, e_col = self._b[d], self._e[d]
             if comps:

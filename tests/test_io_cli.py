@@ -180,6 +180,15 @@ def test_cli_bad_variant_exits_one(tmp_path, capsys):
     assert "variant" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["build", "query"])
+def test_cli_negative_k_exits_one(tmp_path, capsys, command):
+    g = _write_sample(tmp_path)
+    pair = ["--pair", "16", "17"] if command == "query" else []
+    assert main([command, "--graph", str(g), "--k", "-1", *pair]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "dimension count" in err
+
+
 def test_console_script_smoke(tmp_path):
     g = _write_sample(tmp_path)
     proc = subprocess.run(

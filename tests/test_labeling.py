@@ -180,3 +180,29 @@ def test_full_relabel_resets_drift():
     g = idx.graph
     roots = [s for s in g.current_dag_nodes() if not g.dag_parents(s)]
     assert max(idx.label_of(r)[0][1] for r in roots) == 19
+
+
+def test_update_sequence_labels_are_pinned():
+    # Two pinned dimensions through every update kind; the expected map
+    # is the labeling of the code before the label steps were merged, so
+    # that any change to a label value shows.
+    idx = sample_index(order="both")
+    steps = [
+        lambda: idx.insert_edge(NODE["M"], NODE["K"]),  # grows M, L, H and 1
+        lambda: idx.insert_edge(NODE["K"], NODE["A"]),  # merges 1, H, L, M, K; grows J and 2
+        lambda: idx.delete_edge(NODE["H"], NODE["L"]),  # L, M, K above {A, B, C}, H below
+        lambda: idx.insert_node(19, out_edges=[NODE["I"]], in_edges=[NODE["H"]]),
+        lambda: idx.delete_node(NODE["T"]),  # N, O, P, S break off
+    ]
+    for step in steps:
+        step()
+        check_label_invariants(idx)
+    g = idx.graph
+    assert idx.find(19) == 22 and idx.find(NODE["A"]) == 20
+    assert {s: idx.label_of(s) for s in g.current_dag_nodes()} == {
+        7: ((0, 11), (0, 17)), 8: ((0, 9), (0, 15)), 9: ((0, 15), (0, 20)),
+        10: ((0, 14), (0, 19)), 11: ((0, 16), (0, 21)), 12: ((0, 15), (0, 20)),
+        13: ((0, 1), (0, 1)), 14: ((1, 2), (1, 2)), 15: ((2, 3), (2, 3)),
+        16: ((0, 19), (0, 22)), 17: ((0, 5), (0, 5)), 20: ((0, 13), (0, 18)),
+        21: ((0, 18), (0, 21)), 22: ((0, 10), (0, 16)),
+    }

@@ -145,12 +145,13 @@ def test_merge_into_large_scc_pays_for_the_small_side(position):
     label = idx.label_of(core)
     anchor_parents = {x: idx.label_of(x) for x in range(210, 215)}
     searches = []
-    for name in ("collect_merge_list", "_search_dag"):
-        def counting(*args, _name=name, _fn=getattr(idx, name), **kwargs):
-            searches.append(_name)
-            return _fn(*args, **kwargs)
+    two_way = idx._two_way
 
-        setattr(idx, name, counting)
+    def counting(*args, **kwargs):
+        searches.append(kwargs["keep"])
+        return two_way(*args, **kwargs)
+
+    idx._two_way = counting
     idx.insert_edge(u, v)
     mirror = Mirror(edges, n)
     mirror.insert_edge(u, v)
@@ -159,7 +160,7 @@ def test_merge_into_large_scc_pays_for_the_small_side(position):
     check_label_invariants(idx)
     assert idx.label_of(idx.find(0)) == label  # the hull did not widen
     assert {x: idx.label_of(x) for x in anchor_parents} == anchor_parents
-    assert searches == ["collect_merge_list"]
+    assert searches == [True]  # one merge search, and no query search
 
 
 def test_merge_search_expands_a_middle_hub_once():
