@@ -2,17 +2,21 @@
 
 The index composes the layered graph with the interval labeler and keeps
 both consistent through the four update operations (edge/node insertion
-and deletion); a batch of edge updates runs through the same edge
-insertion and deletion.
+and deletion).  A node insertion is the node plus its edges: the node
+takes a fresh slot, whose label starts empty, and each of its edges runs
+through the edge insertion; a batch of edge updates runs through the same
+edge insertion and deletion.
 
 A query from ``s`` to ``t`` in different components searches the
 condensation from both ends (``_two_way``): forward from ``s`` into
 children whose labels still cover ``t``'s, and backward from ``t`` into
-parents whose labels ``s``'s still covers.  The side with fewer edges
-left to scan expands next, so a hub on either side is passed by the
-other.  The answer is true when one side reaches a node the other has
-found, which certifies a path, and false when either side runs out of
-nodes; a failed label test never hides a path.
+parents whose labels ``s``'s still covers.  A dead end, a component with
+no edge onward on that side, is not entered: nothing past it lies on a
+path.  The side with fewer edges left to scan expands next, so a hub on
+either side is passed by the other.  The answer is true when one side
+reaches a node the other has found, which certifies a path, and false
+when either side runs out of nodes; a failed label test never hides a
+path.
 
 An edge (s, t) closes a cycle when ``t`` reaches ``s``; the same two-way
 search (``collect_merge_list``), forward from ``t`` and backward from
@@ -75,10 +79,14 @@ class Split:
 @dataclass(frozen=True, slots=True)
 class QueryStats:
     """Search instrumentation.  ``visited`` is 1 plus the components the
-    search found from either end, the two ends not counted; ``pruned`` is
-    the label tests failed on both sides.  A query answered without a
-    search (same component, or the ends' labels fail) has (1, 0), so a
-    negative answer with ``visited > 1`` is a label false positive."""
+    search found from either end, the two ends and the dead ends it
+    skipped not counted; ``pruned`` is the label tests failed on both
+    sides.  A query answered without a search (same component, or the
+    ends' labels fail) has (1, 0), so a negative answer with
+    ``visited > 1`` is a label false positive.  A query into a node that
+    has never had a DAG edge mostly passes the first label test (its
+    label starts empty, inside every label made before it), but the
+    backward side runs dry at once, so it has (1, 0) too."""
 
     visited: int
     pruned: int
@@ -229,7 +237,11 @@ class ReachabilityIndex:
         ``b``, skipping every node ``x`` whose label fails ``covers(a, x)``
         and ``covers(x, b)`` in one of its first ``k`` dimensions; no node
         on an a-to-b path fails.  Forward, only ``covers(x, b)`` can fail,
-        and backward only ``covers(a, x)``.
+        and backward only ``covers(a, x)``.  A node that passes but has no
+        edge onward on that side is skipped unmarked: it is not the goal,
+        which is marked from the start, so no a-to-b path passes it.  In a
+        BA graph most parents of the giant component are sources, so the
+        side that expands the giant finds only the few that lead on.
 
         Without ``keep`` the search stops when one side reaches a node the
         other has found, which certifies a path.  With ``keep`` each side
@@ -310,6 +322,8 @@ class ReachabilityIndex:
                     if not ok:
                         pruned += 1
                         continue
+                    if not adj[c]:
+                        continue  # a dead end: not the goal, which is marked
                     vis[c] = own
                     if keep:
                         links[c] = [w]
@@ -510,30 +524,21 @@ class ReachabilityIndex:
     ) -> None:
         """Add a fresh node with its incident edges.
 
-        The node starts as its own singleton component; its label spans
-        its out-neighbors' hull (or opens past every existing end value
-        when there are none).  Incoming edges then run through the full
-        edge-insertion path one at a time and may trigger merges.
+        The node starts as its own singleton component, in a fresh slot
+        with the empty label (``IntervalLabeler.ensure_capacity``).  Each
+        out-edge, then each in-edge, runs through ``insert_edge``.  The
+        out-edges close no cycle, since the node has no in-edge yet, and
+        their propagation grows its label to the out-neighbors' hull; the
+        in-edges may merge.
         """
         g = self.graph
         for w in (*out_edges, *in_edges):
             if w != u:
                 g.input_slot(w)  # reject unknown endpoints before any change
-        slot = g.add_input_node(u)
+        g.add_input_node(u)
         self._ensure_capacity()
-        comps: list[int] = []
-        seen: set[int] = set()
         for w in out_edges:
-            sw = g.input_slot(w)
-            if not g.add_input_edge(slot, sw) or sw == slot:
-                continue  # duplicate, or a self-loop kept in the input layer only
-            f = g.find_scc(sw)
-            g._add_dag_edge(slot, f, 1)
-            if f not in seen:
-                seen.add(f)
-                comps.append(f)
-        if self.k:
-            self.labeler.label_new_source(g, slot, comps)
+            self.insert_edge(u, w)
         for w in in_edges:
             self.insert_edge(w, u)
 

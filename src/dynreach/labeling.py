@@ -12,7 +12,10 @@ resolves.
 Three steps maintain the labels: ``_post_order`` labels one randomized
 post-order, of the whole condensation on a build and of the pieces of a
 split component; ``merge_label`` labels a merged component; and
-``propagate`` restores containment above labels that are final.
+``propagate`` restores containment above labels that are final.  A fresh
+slot starts with the empty label (``ensure_capacity``), which needs no
+containment until it gains a DAG edge, so an inserted node is labelled by
+the ``propagate`` of its out-edges' insertions like any other tail.
 
 ``k = 0`` disables labeling entirely: every operation is a no-op and
 subsumption is treated as always true, degenerating search to a plain
@@ -28,7 +31,9 @@ from heapq import heapify, heappop, heappush
 from .errors import InputError, InternalError, LogicError
 from .graph import SccGraph
 
-#: A label value: one (begin, end) pair per dimension.
+#: A label value: one (begin, end) pair per dimension.  A component that
+#: has never had a DAG child may hold the empty interval its slot started
+#: with (``b > e``).
 Label = tuple[tuple[int, int], ...]
 
 
@@ -90,12 +95,20 @@ class IntervalLabeler:
         return True
 
     def ensure_capacity(self, upto: int) -> None:
-        """Grow the label columns to hold slot ``upto``."""
-        for b_col, e_col in zip(self._b, self._e):
+        """Grow the label columns to hold slot ``upto``.
+
+        A new slot gets the empty label ``[max_end, -1]`` in every
+        dimension: every label made so far covers it, and it covers only
+        empty labels, which is valid for a node without DAG edges.  Its
+        first DAG child ``c`` makes ``propagate`` grow it over the child
+        (begin at most ``b_c``, end ``e_c + 1``); a merge or a split
+        overwrites it.
+        """
+        for b_col, e_col, hi in zip(self._b, self._e, self._max_end):
             if upto >= len(b_col):
                 extra = upto + 1 - len(b_col)
-                b_col.extend([0] * extra)
-                e_col.extend([0] * extra)
+                b_col.extend([hi] * extra)
+                e_col.extend([-1] * extra)
 
     def _ordered(self, d: int, nodes: list[int]) -> list[int]:
         orders = self.cfg.dim_orders
@@ -324,29 +337,3 @@ class IntervalLabeler:
                         if e_col[q] < up:
                             heappush(heap, (e_col[q], q, up))
             self._max_end[d] = hi
-
-    # ------------------------------------------------------------------
-    # fresh nodes
-
-    def label_new_source(self, graph: SccGraph, u: int, out_comps: Iterable[int]) -> None:
-        """Label a just-inserted node from its outgoing neighbors.
-
-        With successors, the interval spans their hull plus one; without,
-        it opens past the largest end value ever assigned (0 on an empty
-        index).
-        """
-        if self.k == 0:
-            return
-        comps = list(out_comps)
-        for d in range(self.k):
-            b_col, e_col = self._b[d], self._e[d]
-            if comps:
-                b = min(b_col[c] for c in comps)
-                e = max(e_col[c] for c in comps) + 1
-            else:
-                b = self._max_end[d]
-                e = b + 1
-            b_col[u] = b
-            e_col[u] = e
-            if e > self._max_end[d]:
-                self._max_end[d] = e

@@ -192,6 +192,36 @@ def test_merge_search_expands_a_middle_hub_once():
     assert visited + pruned < 120
 
 
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_merge_search_skips_dead_ends_at_a_hub(k):
+    # t = 251 -> 0 -> s = 252, and the hub 0 has 150 sink children and
+    # 100 source parents.  Both sides reach the hub, and the backward side,
+    # with fewer edges left, expands it.  The parents whose labels t's
+    # covers have no edge onward and are not t, so none is entered: the
+    # search finds the hub alone, from both ends.
+    edges = [(0, c) for c in range(1, 151)] + [(p, 0) for p in range(151, 251)]
+    edges += [(251, 0), (0, 252)]
+    idx = ReachabilityIndex.build(edges, 253, LabelerConfig(k=k, seed=4))
+    searches = []
+    two_way = idx._two_way
+
+    def counting(*args, **kwargs):
+        result = two_way(*args, **kwargs)
+        searches.append(result)
+        return result
+
+    idx._two_way = counting
+    idx.insert_edge(252, 251)
+    mirror = Mirror(edges, 253)
+    mirror.insert_edge(252, 251)
+    assert idx.scc_partition() == mirror.partition()
+    check_label_invariants(idx)
+    assert idx.graph.scc_size(idx.find(0)) == 3
+    ((dry, visited, _, _),) = searches
+    assert dry == 1  # the backward side expanded the hub and ran dry
+    assert visited == 3  # one plus the hub, counted once per side
+
+
 # ----------------------------------------------------------------------
 # merge list
 
@@ -410,10 +440,84 @@ def test_insert_node_label_from_out_neighbors():
 
 
 def test_insert_isolated_node_into_empty_index():
+    # A fresh slot holds the empty label [max_end, -1] until it gains a
+    # DAG child.
     idx = ReachabilityIndex.build([], 0, LabelerConfig(k=1, seed=0))
     idx.insert_node(0)
-    assert idx.label_of(idx.find(0)) == ((0, 1),)
+    assert idx.label_of(idx.find(0)) == ((0, -1),)
     assert idx.reachable(0, 0)
+
+
+def test_insert_sink_node_below_deep_ancestry_changes_no_label():
+    # The tail of the in-edges has 39 ancestors; an empty label is covered
+    # by every label already, so no label and no end bound moves.  Ten
+    # isolated roots put the chain's begins above 0.
+    n = 40
+    chain = [(i, i + 1) for i in range(n - 1)]
+    idx = ReachabilityIndex.build(chain, n + 10, LabelerConfig(k=2, seed=3))
+    lab, g = idx.labeler, idx.graph
+    labels = {s: idx.label_of(s) for s in g.current_dag_nodes()}
+    assert all(labels[idx.find(n - 1)][d][0] > 0 for d in range(2))
+    max_end = list(lab._max_end)
+    idx.insert_node(100, in_edges=[n - 1, n // 2])
+    assert {s: idx.label_of(s) for s in labels} == labels
+    assert lab._max_end == max_end
+    assert idx.label_of(idx.find(100)) == tuple((e, -1) for e in max_end)
+    check_label_invariants(idx)
+    assert idx.reachable(0, 100) and not idx.reachable(100, 0)
+
+
+def test_insert_node_sends_every_edge_through_insert_edge(monkeypatch):
+    # 9 -> 0 -> 1 -> 2 -> 9 closes a cycle; 0 and 2 are listed twice and
+    # the self-loop once on each side.
+    edges = [(0, 1), (1, 2)]
+    idx = ReachabilityIndex.build(edges, 3, LabelerConfig(k=2, seed=1))
+    calls = []
+    insert_edge = idx.insert_edge
+
+    def spy(u, v):
+        calls.append((u, v))
+        insert_edge(u, v)
+
+    monkeypatch.setattr(idx, "insert_edge", spy)
+    outs, ins = [0, 9, 1, 0], [2, 9, 2]
+    idx.insert_node(9, out_edges=outs, in_edges=ins)
+    assert calls == [(9, w) for w in outs] + [(w, 9) for w in ins]
+    mirror = Mirror(edges, 3)
+    mirror.insert_node(9, outs, ins)
+    assert sorted(idx.graph.input_edges()) == sorted(mirror.edge_list())
+    assert idx.scc_partition() == mirror.partition()
+    check_label_invariants(idx)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("child", [False, True])
+def test_edgeless_node_as_merge_anchor(k, child):
+    # Node 10 keeps its empty label while it gains three parents, then
+    # 10 -> 0 -> 1 -> 10 closes a cycle in which it has the most parents.
+    # With ``child``, the merged component has an external child (4).
+    edges = [(0, 1), (5, 0)] + [(1, 4)] * child
+    idx = ReachabilityIndex.build(edges, 6, LabelerConfig(k=k, seed=k))
+    mirror = Mirror(edges, 6)
+    idx.insert_node(10)
+    mirror.insert_node(10, [], [])
+    for w in (1, 2, 3):
+        idx.insert_edge(w, 10)
+        mirror.insert_edge(w, 10)
+    g = idx.graph
+    x = idx.find(10)
+    assert all(b > e for b, e in idx.label_of(x))
+    assert len(g.dag_parents(x)) == 3
+    assert len(g.dag_parents(idx.find(0))) == len(g.dag_parents(idx.find(1))) == 1
+    idx.insert_edge(10, 0)
+    mirror.insert_edge(10, 0)
+    assert idx.find(10) == idx.find(0) == idx.find(1)
+    assert idx.scc_partition() == mirror.partition()
+    check_label_invariants(idx)
+    nodes = [*range(6), 10]
+    for u in nodes:
+        for v in nodes:
+            assert idx.reachable(u, v) == mirror.reach(u, v), (u, v)
 
 
 def test_insert_node_with_merging_in_edge():
