@@ -7,16 +7,19 @@ takes a fresh slot, whose label starts empty, and each of its edges runs
 through the edge insertion; a batch of edge updates runs through the same
 edge insertion and deletion.
 
-A query from ``s`` to ``t`` in different components searches the
-condensation from both ends (``_two_way``): forward from ``s`` into
-children whose labels still cover ``t``'s, and backward from ``t`` into
-parents whose labels ``s``'s still covers.  A dead end, a component with
-no edge onward on that side, is not entered: nothing past it lies on a
-path.  The side with fewer edges left to scan expands next, so a hub on
-either side is passed by the other.  The answer is true when one side
-reaches a node the other has found, which certifies a path, and false
-when either side runs out of nodes; a failed label test never hides a
-path.
+A query from ``s`` to ``t`` is true at once when both lie in one
+component or a stored DAG edge leads from ``s``'s to ``t``'s (such an
+edge joins current components), and false when ``s``'s label fails to
+cover ``t``'s; the edge goes first, as more queries end there.  Any
+other query searches the condensation from both ends (``_two_way``):
+forward from ``s`` into children whose labels still cover ``t``'s, and
+backward from ``t`` into parents whose labels ``s``'s still covers.  A
+dead end, a component with no edge onward on that side, is not
+entered: nothing past it lies on a path.  The side with fewer edges
+left to scan expands next, so a hub on either side is passed by the
+other.  The answer is true when one side reaches a node the other has
+found, which certifies a path, and false when either side runs out of
+nodes; a failed label test never hides a path.
 
 An edge (s, t) closes a cycle when ``t`` reaches ``s``; the same two-way
 search (``collect_merge_list``), forward from ``t`` and backward from
@@ -81,12 +84,13 @@ class QueryStats:
     """Search instrumentation.  ``visited`` is 1 plus the components the
     search found from either end, the two ends and the dead ends it
     skipped not counted; ``pruned`` is the label tests failed on both
-    sides.  A query answered without a search (same component, or the
-    ends' labels fail) has (1, 0), so a negative answer with
-    ``visited > 1`` is a label false positive.  A query into a node that
-    has never had a DAG edge mostly passes the first label test (its
-    label starts empty, inside every label made before it), but the
-    backward side runs dry at once, so it has (1, 0) too."""
+    sides.  A query answered without a search (same component, a DAG
+    edge from ``s``'s to ``t``'s, or the ends' labels fail) has (1, 0), so
+    a negative answer with ``visited > 1`` is a label false positive.  A
+    query into a node that has never had a DAG edge mostly passes the
+    first label test (its label starts empty, inside every label made
+    before it), but the backward side runs dry at once, so it has (1, 0)
+    too."""
 
     visited: int
     pruned: int
@@ -138,16 +142,16 @@ class ReachabilityIndex:
     def reachable(self, u: int, v: int) -> bool:
         """Does input node ``u`` reach input node ``v``?"""
         g = self.graph
-        s = g.find_scc(g.input_slot(u))
-        t = g.find_scc(g.input_slot(v))
+        s = g._find(g.input_slot(u))
+        t = g._find(g.input_slot(v))
         if s == t:
             return True
         return self._search_dag(s, t)[0]
 
     def reachable_with_stats(self, u: int, v: int) -> tuple[bool, QueryStats]:
         g = self.graph
-        s = g.find_scc(g.input_slot(u))
-        t = g.find_scc(g.input_slot(v))
+        s = g._find(g.input_slot(u))
+        t = g._find(g.input_slot(v))
         if s == t:
             return True, QueryStats(1, 0)
         found, visited, pruned = self._search_dag(s, t)
@@ -165,6 +169,8 @@ class ReachabilityIndex:
         """Does component ``s`` reach ``t``?  Returns (found, visited,
         pruned), as ``QueryStats`` counts them; the labels prune when
         k >= 1."""
+        if t in (self.graph._out_d[s] or ()):
+            return True, 1, 0
         lab = self.labeler
         if not lab.covers(s, t):
             return False, 1, 0
@@ -184,8 +190,8 @@ class ReachabilityIndex:
             return
         if su == sv:
             return  # self-loops never alter the condensation
-        s = g.find_scc(su)
-        t = g.find_scc(sv)
+        s = g._find(su)
+        t = g._find(sv)
         if s == t:
             return
         od = g._out_d[s]
@@ -193,7 +199,8 @@ class ReachabilityIndex:
             g._add_dag_edge(s, t, 1)
             return
         lab = self.labeler
-        mlist = self.collect_merge_list(t, s) if lab.covers(t, s) else None
+        # A cycle through (s, t) needs a DAG parent of s to return through.
+        mlist = self.collect_merge_list(t, s) if g._in_d[s] and lab.covers(t, s) else None
         if mlist:
             self._merge(mlist)
         else:
@@ -271,14 +278,16 @@ class ReachabilityIndex:
         g = self.graph
         lab = self.labeler
         # Per dimension: the columns, then the bounds of b and e between
-        # the labels of a and b; one dimension is tested inline.
-        dims = [
-            (bcol, ecol, bcol[a], bcol[b], ecol[b], ecol[a])
-            for bcol, ecol in zip(lab._b[:k], lab._e[:k])
-        ]
+        # the labels of a and b; one dimension is set up and tested inline.
         k1 = k == 1
         if k1:
-            ((b0, e0, b_lo, b_hi, e_lo, e_hi),) = dims
+            b0, e0 = lab._b[0], lab._e[0]
+            b_lo, b_hi, e_lo, e_hi = b0[a], b0[b], e0[b], e0[a]
+        else:
+            dims = [
+                (bcol, ecol, bcol[a], bcol[b], ecol[b], ecol[a])
+                for bcol, ecol in zip(lab._b[:k], lab._e[:k])
+            ]
         vis = self._vis
         base = self._stamp  # marks above base belong to this search
         both = base + 3

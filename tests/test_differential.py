@@ -10,8 +10,8 @@ containment must agree with the mirror.
 
 ``replay_random_history`` does the same with a plain seeded generator,
 and after every step also checks queries from a few random sources: to
-their own component, to a component they reach and to a node they do
-not reach.
+their own component, to a component they reach, to a node they do not
+reach and to a DAG child of their component.
 It starts from one SCC in which most members have in- or out-degree 1
 (a cycle plus a few chords), so deletions break pieces off both ends of
 a removed edge and move the split's anchor.  Its insert-heavy variant
@@ -30,7 +30,7 @@ from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
-from dynreach import DeleteEdge, InputError, InsertEdge, LabelerConfig, ReachabilityIndex
+from dynreach import DeleteEdge, InputError, InsertEdge, LabelerConfig, QueryStats, ReachabilityIndex
 
 from oracles import Mirror, check_label_invariants, reachable_pairs
 from samples import random_strongly_connected
@@ -58,12 +58,22 @@ def assert_queries(idx, mirror, rng, sources: int = 3) -> None:
     """``reachable``, ``reachable_with_stats`` and ``dfs_dag`` against the
     mirror from a few random sources, each to a member of its own
     component, to a node it reaches in another component, and to a node
-    it does not reach."""
+    it does not reach; and to a member of a DAG child of its component,
+    when it has one, so that the direct-edge answer is checked too (that
+    node is picked without ``rng``, which also draws the history)."""
     nodes = sorted(mirror.nodes)
     for u in rng.sample(nodes, min(sources, len(nodes))):
         reach = reachable_pairs([u], mirror.out)[u]
         s = idx.find(u)
         same = [v for v in nodes if idx.find(v) == s]
+        children = set(idx.graph.dag_children(s))
+        child = [v for v in nodes if idx.find(v) in children]
+        if child:
+            v = child[u % len(child)]
+            assert v in reach, (u, v)
+            assert idx.reachable(u, v), (u, v)
+            assert idx.reachable_with_stats(u, v) == (True, QueryStats(1, 0)), (u, v)
+            assert idx.dfs_dag(s, idx.find(v)), (u, v)
         for group in (same, sorted(reach.difference(same)), [v for v in nodes if v not in reach]):
             if group:
                 v = rng.choice(group)

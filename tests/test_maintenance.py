@@ -490,6 +490,30 @@ def test_insert_node_sends_every_edge_through_insert_edge(monkeypatch):
     check_label_invariants(idx)
 
 
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_out_edges_of_a_new_node_run_no_merge_search(k, monkeypatch):
+    # A tail without a DAG parent closes no cycle: of 9's edges, only the
+    # in-edge 2 -> 9 searches, and it closes 9 -> 0 -> 1 -> 2 -> 9.
+    edges = [(0, 1), (1, 2), (3, 1)]
+    idx = ReachabilityIndex.build(edges, 4, LabelerConfig(k=k, seed=k))
+    calls = []
+    collect = idx.collect_merge_list
+
+    def spy(t, s):
+        calls.append((t, s))
+        return collect(t, s)
+
+    monkeypatch.setattr(idx, "collect_merge_list", spy)
+    outs, ins = [0, 1, 2, 3], [2]
+    idx.insert_node(9, out_edges=outs, in_edges=ins)
+    g = idx.graph
+    assert calls == [(g.input_slot(9), g.input_slot(2))]
+    mirror = Mirror(edges, 4)
+    mirror.insert_node(9, outs, ins)
+    assert idx.scc_partition() == mirror.partition()
+    check_label_invariants(idx)
+
+
 @pytest.mark.parametrize("k", [1, 2])
 @pytest.mark.parametrize("child", [False, True])
 def test_edgeless_node_as_merge_anchor(k, child):

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from dynreach import InputError, LabelerConfig, LogicError, ReachabilityIndex, gen_er, gen_updates, OpRatios
+from dynreach import InputError, LabelerConfig, LogicError, QueryStats, ReachabilityIndex, gen_er, gen_updates, OpRatios
 from dynreach.ops import DeleteEdge, DeleteNode, InsertEdge, InsertNode
 
 from oracles import Mirror, edge_reach
@@ -37,9 +37,27 @@ def test_root_label_rejection_visits_one_node():
 
 
 def test_reachable_unknown_node():
+    # Never inserted (1234) or removed by delete_node (R), on either end.
     idx = sample_index(k=1)
-    with pytest.raises(InputError):
-        idx.reachable(0, 1234)
+    idx.delete_node(NODE["R"])
+    for u, v in ((0, 1234), (1234, 0), (NODE["R"], 0), (0, NODE["R"])):
+        for query in (idx.reachable, idx.reachable_with_stats):
+            with pytest.raises(InputError):
+                query(u, v)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_query_along_a_dag_edge_runs_no_search(k, monkeypatch):
+    # A hub with 500 children: the stored DAG edge answers hub -> child.
+    idx = ReachabilityIndex.build([(0, c) for c in range(1, 501)], 501, LabelerConfig(k=k, seed=k))
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr(idx, "_two_way", no_search)
+    for c in (1, 250, 500):
+        assert idx.reachable_with_stats(0, c) == (True, QueryStats(1, 0))
+        assert idx.reachable(0, c)
 
 
 def test_dfs_dag_examples():
