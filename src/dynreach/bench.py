@@ -177,6 +177,8 @@ class DfsBaseline:
         del self._in[v][u]
 
     def insert_node(self, u: int, out_edges: Sequence[int] = (), in_edges: Sequence[int] = ()) -> None:
+        if u < 0:
+            raise InputError(f"negative node id {u}")
         if u >= len(self._out):
             extra = u + 1 - len(self._out)
             self._out.extend([None] * extra)

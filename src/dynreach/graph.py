@@ -429,7 +429,7 @@ class SccGraph:
     # ------------------------------------------------------------------
     # merge
 
-    def merge_components(self, members: Sequence[int]) -> int:
+    def merge_components(self, members: Sequence[int]) -> tuple[int, list[int], list[int]]:
         """Collapse two or more current components into one.
 
         The member with the largest size (smallest id on ties) becomes the
@@ -439,12 +439,13 @@ class SccGraph:
         inherits the union of everyone's external DAG edges.  The cost
         follows the degrees of the members other than the representative.
 
-        Labels are not this layer's concern: the index labels the merged
-        component from the member with the most DAG parents (the anchor,
-        see ``IntervalLabeler.merge_label``), which need not be the
-        representative.  That is sound because labels only need
-        containment along DAG edges, and the index reads the members'
-        adjacency for it before the merge.
+        Returns the representative, then the external children and the
+        external parents of the absorbed members (all members when the
+        representative is fresh): the components whose DAG edges to or
+        from the merged component are new.  The index labels the merged
+        component from the representative's own label over those
+        children, and checks those parents
+        (``IntervalLabeler.merge_label``).
         """
         if len(members) < 2:
             raise LogicError("merge needs at least two components")
@@ -509,7 +510,7 @@ class SccGraph:
                 od = out_d[src] = {}
             od[rep] = ns
         size[rep] = total
-        return rep
+        return rep, list(add_out), list(add_in)
 
     # ------------------------------------------------------------------
     # split

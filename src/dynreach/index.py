@@ -25,15 +25,16 @@ An edge (s, t) closes a cycle when ``t`` reaches ``s``; the same two-way
 search (``collect_merge_list``), forward from ``t`` and backward from
 ``s``, both detects that and finds the components on a t-to-s path: it
 runs on until one side runs out of nodes and keeps the links that side
-followed.  The components found merge into one, whose label is
-anchored on the member with the most DAG parents: the anchor's label,
-widened over the external children of the other members.  Labels only
-need containment along DAG edges (GRAIL's condition), so that label is
-valid as soon as every parent covers it, and only the other members'
-parents, plus the anchor's when its label had to widen, can fail to.  A
-merge therefore scans the adjacency of the members other than the
-anchor, plus the labels that really grow; joining a component with many
-parents no longer costs its in-degree.
+followed.  The components found merge into the graph's representative
+(the largest member, or a fresh node when every member is a singleton),
+which also carries the merged label: its own label, widened over the
+external children the merge moved onto it.  Labels only need
+containment along DAG edges (GRAIL's condition), so that label is valid
+as soon as every parent covers it, and only the parents the merge moved
+onto it, plus its own when its label had to widen, can fail to.  A
+merge therefore scans the adjacency of the absorbed members once, plus
+the labels that really grow; joining a component with many parents
+does not cost its in-degree.
 
 Deleting edges inside an SCC (one edge, or every edge of a deleted node at
 once) splits it from the smaller side (``extract_components``).  An
@@ -157,24 +158,13 @@ class ReachabilityIndex:
         found, visited, pruned = self._search_dag(s, t)
         return found, QueryStats(visited, pruned)
 
-    def dfs_dag(self, s: int, t: int) -> bool:
-        """Search of the condensation without label pruning."""
-        self.graph._check_current(s)
-        self.graph._check_current(t)
-        if s == t:
-            return True
-        return self._two_way(s, t, 0, keep=False)[0] < 0
-
     def _search_dag(self, s: int, t: int) -> tuple[bool, int, int]:
         """Does component ``s`` reach ``t``?  Returns (found, visited,
         pruned), as ``QueryStats`` counts them; the labels prune when
         k >= 1."""
         if t in (self.graph._out_d[s] or ()):
             return True, 1, 0
-        lab = self.labeler
-        if not lab.covers(s, t):
-            return False, 1, 0
-        dry, visited, pruned, _ = self._two_way(s, t, lab.k, keep=False)
+        dry, visited, pruned, _ = self._two_way(s, t, self.labeler.k, False)
         return dry < 0, visited, pruned
 
     # ------------------------------------------------------------------
@@ -198,32 +188,26 @@ class ReachabilityIndex:
         if od is not None and t in od:
             g._add_dag_edge(s, t, 1)
             return
-        lab = self.labeler
         # A cycle through (s, t) needs a DAG parent of s to return through.
-        mlist = self.collect_merge_list(t, s) if g._in_d[s] and lab.covers(t, s) else None
+        mlist = self.collect_merge_list(t, s) if g._in_d[s] else None
         if mlist:
             self._merge(mlist)
         else:
             g._add_dag_edge(s, t, 1)
-            lab.propagate(g, ((t, (s,)),))
+            self.labeler.propagate(g, ((t, (s,)),))
 
     def _merge(self, mlist: list[int]) -> None:
-        """Collapse the components of ``mlist`` into one.  Its label is
-        the anchor's (the member with the most DAG parents) widened over
-        the other members' external children, and only the parents that
-        can fail to cover it are checked and grown
+        """Collapse the components of ``mlist`` into the graph's
+        representative, and label it from its own label widened over the
+        external children the merge moved onto it
         (``IntervalLabeler.merge_label``).  Containment along DAG edges is
-        all the labels need, so that label is valid once they cover it;
-        the merge scans the other members' adjacency, not the anchor's."""
+        all the labels need, so that label is valid once the parents the
+        merge moved onto it cover it, and all its parents when it widened;
+        only the absorbed members' adjacency is scanned."""
         g = self.graph
-        lab = self.labeler
-        if self.k:
-            label, parents = lab.merge_label(g, mlist)
-        rep = g.merge_components(mlist)
+        rep, kids, parents = g.merge_components(mlist)
         self._ensure_capacity()
-        if self.k:
-            lab.set_label(rep, label)
-            lab.propagate(g, ((rep, parents),))
+        self.labeler.merge_label(g, rep, kids, parents)
 
     def collect_merge_list(self, t: int, s: int) -> list[int]:
         """Every component on some t-to-s path, with ``s`` first and ``t``
@@ -241,10 +225,12 @@ class ReachabilityIndex:
 
     def _two_way(self, a: int, b: int, k: int, keep: bool) -> tuple[int, int, int, dict | None]:
         """Search the condensation forward from ``a`` and backward from
-        ``b``, skipping every node ``x`` whose label fails ``covers(a, x)``
-        and ``covers(x, b)`` in one of its first ``k`` dimensions; no node
-        on an a-to-b path fails.  Forward, only ``covers(x, b)`` can fail,
-        and backward only ``covers(a, x)``.  A node that passes but has no
+        ``b``, skipping every node whose label, in one of its first ``k``
+        dimensions, is not inside ``a``'s or does not hold ``b``'s; no
+        node on an a-to-b path fails.  Forward, only the test against
+        ``b`` can fail, and backward only the one against ``a``.  When
+        ``a``'s label does not hold ``b``'s, no search is set up: the
+        forward side runs dry at ``a``.  A node that passes but has no
         edge onward on that side is skipped unmarked: it is not the goal,
         which is marked from the start, so no a-to-b path passes it.  In a
         BA graph most parents of the giant component are sources, so the
@@ -275,19 +261,30 @@ class ReachabilityIndex:
         nodes either side found other than ``a`` and ``b``, the failed
         label tests, and the dry side's links (None without ``keep``).
         """
-        g = self.graph
         lab = self.labeler
-        # Per dimension: the columns, then the bounds of b and e between
-        # the labels of a and b; one dimension is set up and tested inline.
+        # The ends first: unless a's label holds b's in every dimension,
+        # nothing is set up.  Per dimension: the columns, then the bounds
+        # of b and e between the labels of a and b; one dimension is set
+        # up and tested inline.
         k1 = k == 1
         if k1:
             b0, e0 = lab._b[0], lab._e[0]
             b_lo, b_hi, e_lo, e_hi = b0[a], b0[b], e0[b], e0[a]
+            ok = b_lo <= b_hi and e_lo <= e_hi
         else:
-            dims = [
-                (bcol, ecol, bcol[a], bcol[b], ecol[b], ecol[a])
-                for bcol, ecol in zip(lab._b[:k], lab._e[:k])
-            ]
+            for d in range(k):
+                if lab._b[d][a] > lab._b[d][b] or lab._e[d][b] > lab._e[d][a]:
+                    ok = False
+                    break
+            else:
+                ok = True
+                dims = [
+                    (bcol, ecol, bcol[a], bcol[b], ecol[b], ecol[a])
+                    for bcol, ecol in zip(lab._b[:k], lab._e[:k])
+                ]
+        if not ok:
+            return 0, 1, 0, {a: []} if keep else None
+        g = self.graph
         vis = self._vis
         base = self._stamp  # marks above base belong to this search
         both = base + 3
@@ -395,11 +392,10 @@ class ReachabilityIndex:
         split = self.extract_components(s, tails, heads)
         if not split:
             return
-        old_label = self.labeler.label_of(s) if self.k else ()
+        old_label = self.labeler.label_of(s)
         clist = self.graph.apply_split(s, split.keep, split.comps)
         self._ensure_capacity()
-        if self.k:
-            self.labeler.relabel_split(self.graph, clist, old_label)
+        self.labeler.relabel_split(self.graph, clist, old_label)
 
     def extract_components(self, s: int, tails: Sequence[int], heads: Sequence[int]) -> Split:
         """Find the components that break off SCC ``s`` once internal

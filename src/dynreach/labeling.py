@@ -11,11 +11,13 @@ resolves.
 
 Three steps maintain the labels: ``_post_order`` labels one randomized
 post-order, of the whole condensation on a build and of the pieces of a
-split component; ``merge_label`` labels a merged component; and
-``propagate`` restores containment above labels that are final.  A fresh
-slot starts with the empty label (``ensure_capacity``), which needs no
-containment until it gains a DAG edge, so an inserted node is labelled by
-the ``propagate`` of its out-edges' insertions like any other tail.
+split component; ``merge_label`` widens the label of a merge's
+representative over the children the merge gave it; and ``propagate``
+restores containment above labels that are final.  A fresh slot starts
+with the empty label (``ensure_capacity``), which needs no containment
+until it gains a DAG edge, so an inserted node is labelled by the
+``propagate`` of its out-edges' insertions like any other tail, and a
+fresh merge representative by the widening over its children.
 
 ``k = 0`` disables labeling entirely: every operation is a no-op and
 subsumption is treated as always true, degenerating search to a plain
@@ -87,13 +89,6 @@ class IntervalLabeler:
             if e > self._max_end[d]:
                 self._max_end[d] = e
 
-    def covers(self, s: int, t: int) -> bool:
-        """Id-level subsumption test; vacuously true when k = 0."""
-        for d in range(self.k):
-            if self._b[d][s] > self._b[d][t] or self._e[d][s] < self._e[d][t]:
-                return False
-        return True
-
     def ensure_capacity(self, upto: int) -> None:
         """Grow the label columns to hold slot ``upto``.
 
@@ -101,7 +96,8 @@ class IntervalLabeler:
         dimension: every label made so far covers it, and it covers only
         empty labels, which is valid for a node without DAG edges.  Its
         first DAG child ``c`` makes ``propagate`` grow it over the child
-        (begin at most ``b_c``, end ``e_c + 1``); a merge or a split
+        (begin at most ``b_c``, end ``e_c + 1``), as ``merge_label`` grows
+        a fresh merge representative over its children; a split
         overwrites it.
         """
         for b_col, e_col, hi in zip(self._b, self._e, self._max_end):
@@ -239,40 +235,33 @@ class IntervalLabeler:
     # ------------------------------------------------------------------
     # merge labels and propagation
 
-    def merge_label(self, graph: SccGraph, members: Sequence[int]) -> tuple[Label, list[int]]:
-        """The label of the component that merges ``members`` (before the
-        merge), and the parents that must then be made to cover it.
+    def merge_label(self, graph: SccGraph, rep: int, kids: Sequence[int], parents: Sequence[int]) -> None:
+        """Label the merged component ``rep`` and restore containment
+        above it.
 
+        ``kids`` and ``parents`` are the external children and parents
+        that the merge moved onto ``rep`` (``SccGraph.merge_components``).
         Containment is only required along DAG edges, so any label that
-        covers the merged component's external children and is covered
-        by its parents is valid.  The label starts from the *anchor*, the
-        member with the most DAG parents, whose label already covers its
-        own children and is already covered by its own parents.  It is
-        widened over the external children of the other members (begin
-        ``b <= b_c``, end ``e >= e_c + 1``).  The parents returned are those
-        of the other members, plus the anchor's only when the label had to
-        widen.  A merge so scans the adjacency of the members other than
-        the anchor, and the anchor's parents only when its label grew.
+        covers ``rep``'s children and is covered by its parents is valid.
+        ``rep``'s own label already covers its own children and is covered
+        by its own parents; a fresh ``rep`` has none and starts from the
+        empty label of its slot.  That label is widened over ``kids``
+        (begin ``b <= b_c``, end ``e >= e_c + 1``), stored, and propagated
+        to ``parents``, or to all of ``rep``'s parents when it widened.
         """
-        in_d, out_d = graph._in_d, graph._out_d
-        anchor = max(members, key=lambda m: len(in_d[m] or ()))
-        inside = set(members)
-        others = [m for m in members if m != anchor]
-        kids = {c for m in others for c in out_d[m] or () if c not in inside}
         label = []
         widened = False
         for b_col, e_col in zip(self._b, self._e):
-            b, e = b_col[anchor], e_col[anchor]
+            b, e = b_col[rep], e_col[rep]
             for c in kids:
                 if b_col[c] < b:
                     b = b_col[c]
                 if e_col[c] >= e:
                     e = e_col[c] + 1
-            widened = widened or (b, e) != (b_col[anchor], e_col[anchor])
+            widened = widened or (b, e) != (b_col[rep], e_col[rep])
             label.append((b, e))
-        checked = members if widened else others
-        parents = list(dict.fromkeys(p for m in checked for p in in_d[m] or () if p not in inside))
-        return tuple(label), parents
+        self.set_label(rep, tuple(label))
+        self.propagate(graph, ((rep, (graph._in_d[rep] or ()) if widened else parents),))
 
     def propagate(self, graph: SccGraph, covers: Iterable[tuple[int, Iterable[int]]]) -> None:
         """Restore edge-wise containment above the children of ``covers``,
@@ -281,8 +270,8 @@ class IntervalLabeler:
         ``e_p >= e_c + 1``), and so on up every parent chain that grows.
 
         A plain insertion of ``(s, t)`` passes ``((t, (s,)),)``, a merge
-        ``((rep, parents),)`` with the parents from ``merge_label``, and a
-        split every piece with all its parents.
+        ``((rep, parents),)`` (``merge_label``), and a split every piece
+        with all its parents.
 
         Only ancestors of the children can lose containment, and only
         through a chain of labels that grew, so the cost follows the

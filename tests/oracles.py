@@ -2,7 +2,8 @@
 
 Deliberately different machinery from the package: components come from
 Kosaraju's two-pass sweep, reachability from a fresh DFS over a plain
-adjacency dict, and label checks from dense numpy comparisons.
+adjacency dict or over the condensation's public child lists (never the
+index's search or labels), and label checks from dense numpy comparisons.
 """
 from __future__ import annotations
 
@@ -91,6 +92,25 @@ def adjacency_reach(out: dict[int, set[int]], u: int, v: int) -> bool:
         for c in out.get(w, ()):
             if c == v:
                 return True
+            if c not in seen:
+                seen.add(c)
+                stack.append(c)
+    return False
+
+
+def dag_reach(graph, s: int, t: int) -> bool:
+    """DFS over ``graph.dag_children``: does current component ``s``
+    reach current component ``t``?"""
+    for x in (s, t):
+        if not graph.is_current(x):
+            raise ValueError(f"node {x} is not a current component")
+    seen = {s}
+    stack = [s]
+    while stack:
+        w = stack.pop()
+        if w == t:
+            return True
+        for c in graph.dag_children(w):
             if c not in seen:
                 seen.add(c)
                 stack.append(c)

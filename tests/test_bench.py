@@ -1,7 +1,9 @@
 """Workload replay harness: reports, variants, and cross-variant agreement."""
 from __future__ import annotations
 
-from dynreach import BenchConfig, LabelerConfig, ReachabilityIndex, gen_er, gen_updates, OpRatios, run_bench
+import pytest
+
+from dynreach import BenchConfig, InputError, LabelerConfig, ReachabilityIndex, gen_er, gen_updates, OpRatios, run_bench
 from dynreach.bench import DfsBaseline, parse_variant
 from dynreach.ops import DeleteEdge, InsertEdge, Query
 
@@ -95,3 +97,14 @@ def test_run_bench_reports_offending_op_index():
 
     with pytest.raises(InputError, match="op 1"):
         run_bench([(0, 1)], 2, [Query(0, 1), DeleteEdge(1, 0)], BenchConfig(variant="dg1"))
+
+
+def test_dfs_baseline_rejects_a_negative_node_id():
+    # A negative id would index from the end of the slot lists and bring
+    # the deleted node 2 back.
+    base = DfsBaseline([(0, 1), (1, 2)], 3)
+    base.delete_node(2)
+    with pytest.raises(InputError):
+        base.insert_node(-1)
+    with pytest.raises(InputError):
+        base.reachable(0, 2)

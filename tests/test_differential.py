@@ -32,7 +32,7 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, pr
 
 from dynreach import DeleteEdge, InputError, InsertEdge, LabelerConfig, QueryStats, ReachabilityIndex
 
-from oracles import Mirror, check_label_invariants, reachable_pairs
+from oracles import Mirror, check_label_invariants, dag_reach, reachable_pairs
 from samples import random_strongly_connected
 
 
@@ -55,12 +55,13 @@ def assert_agrees(idx, mirror):
 
 
 def assert_queries(idx, mirror, rng, sources: int = 3) -> None:
-    """``reachable``, ``reachable_with_stats`` and ``dfs_dag`` against the
-    mirror from a few random sources, each to a member of its own
-    component, to a node it reaches in another component, and to a node
-    it does not reach; and to a member of a DAG child of its component,
-    when it has one, so that the direct-edge answer is checked too (that
-    node is picked without ``rng``, which also draws the history)."""
+    """``reachable``, ``reachable_with_stats`` and ``dag_reach`` over the
+    condensation against the mirror from a few random sources, each to a
+    member of its own component, to a node it reaches in another
+    component, and to a node it does not reach; and to a member of a DAG
+    child of its component, when it has one, so that the direct-edge
+    answer is checked too (that node is picked without ``rng``, which
+    also draws the history)."""
     nodes = sorted(mirror.nodes)
     for u in rng.sample(nodes, min(sources, len(nodes))):
         reach = reachable_pairs([u], mirror.out)[u]
@@ -73,14 +74,14 @@ def assert_queries(idx, mirror, rng, sources: int = 3) -> None:
             assert v in reach, (u, v)
             assert idx.reachable(u, v), (u, v)
             assert idx.reachable_with_stats(u, v) == (True, QueryStats(1, 0)), (u, v)
-            assert idx.dfs_dag(s, idx.find(v)), (u, v)
+            assert dag_reach(idx.graph, s, idx.find(v)), (u, v)
         for group in (same, sorted(reach.difference(same)), [v for v in nodes if v not in reach]):
             if group:
                 v = rng.choice(group)
                 want = v in reach
                 assert idx.reachable(u, v) == want, (u, v)
                 assert idx.reachable_with_stats(u, v)[0] == want, (u, v)
-                assert idx.dfs_dag(s, idx.find(v)) == want, (u, v)
+                assert dag_reach(idx.graph, s, idx.find(v)) == want, (u, v)
 
 
 def replay_random_history(seed: int, n: int, k: int, steps: int, fringe: int = 0) -> None:

@@ -93,15 +93,15 @@ def test_find_scc_path_compression_depth():
     # Chain five merges so one input node sits under a tower of expired
     # components, then check a single lookup flattens its path.
     g = SccGraph.build([], num_nodes=64)
-    comp = g.merge_components([0, 1])
+    comp = g.merge_components([0, 1])[0]
     absorbed = 2
     # each fresh group outweighs the running component, so the
     # representative moves and node 0's chain gains a link per round
     for width in (3, 7, 15, 31):
         fresh = list(range(absorbed, absorbed + width))
         absorbed += width
-        bigger = g.merge_components(fresh)
-        comp = g.merge_components([comp, bigger])
+        bigger = g.merge_components(fresh)[0]
+        comp = g.merge_components([comp, bigger])[0]
     assert g.containment_depth(0) >= 5
     root = g.find_scc(0)
     assert g.containment_depth(0) == 1
@@ -111,20 +111,22 @@ def test_find_scc_path_compression_depth():
 def test_merge_choice_largest_then_smallest_id():
     g = sample_graph()
     comps = sample_comps(g)
-    rep = g.merge_components([comps["1"], comps["3"]])  # sizes 3 vs 5
+    rep, kids, parents = g.merge_components([comps["1"], comps["3"]])  # sizes 3 vs 5
     assert rep == comps["3"]
     assert g.scc_size(rep) == 8
+    # the absorbed component 1's external children and parent
+    assert sorted(kids) == [NODE["H"], NODE["I"]] and parents == [NODE["R"]]
 
     # tie on size: the smaller id wins
     g2 = SccGraph.build([(0, 1), (1, 0), (2, 3), (3, 2)], num_nodes=4)
     a, b = g2.find_scc(0), g2.find_scc(2)
     assert g2._size[a] == g2._size[b] == 2
-    assert g2.merge_components([b, a]) == min(a, b)
+    assert g2.merge_components([b, a])[0] == min(a, b)
 
 
 def test_merge_two_singletons_creates_fresh_scc_node():
     g = SccGraph.build([(0, 1)], num_nodes=2)
-    rep = g.merge_components([0, 1])
+    rep = g.merge_components([0, 1])[0]
     assert rep >= 2
     assert g._kind[rep] == SCC_CURRENT
     assert g.scc_size(rep) == 2
@@ -221,5 +223,5 @@ def test_node_lifecycle():
     with pytest.raises(InputError):
         g.find_scc(x)
     # slots are never reused: the next SCC node allocates above slot x
-    rep = g.merge_components([0, 1])
+    rep = g.merge_components([0, 1])[0]
     assert rep > x

@@ -1,0 +1,31 @@
+"""The label digest tool replays a benchmark part deterministically."""
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("label_digest", ROOT / "tools" / "label_digest.py")
+label_digest = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(label_digest)
+
+from workloads import SPECS, smoke  # noqa: E402  (on the path the tool set)
+
+
+def test_digest_of_a_smoke_part_is_reproducible():
+    spec = smoke(SPECS["churn"])
+    first = label_digest.digests(spec, 1, 0)
+    assert first == label_digest.digests(spec, 1, 0)
+    assert len(first) == spec.updates
+    assert {kind for kind, _ in first} == {"insert_edge", "delete_edge", "insert_node", "delete_node"}
+    assert len({digest for _, digest in first}) > 1  # the labels it hashes change
+    assert first != label_digest.digests(spec, 2, 0)
+
+
+def test_cli_prints_a_line_per_update_and_a_total(capsys, monkeypatch):
+    spec = smoke(SPECS["churn"])
+    monkeypatch.setitem(SPECS, "churn", spec)
+    label_digest.main(["--workload", "churn", "--seed", "1"])
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == spec.updates + 1
+    assert lines[-1].startswith(f"{spec.updates} updates: ")

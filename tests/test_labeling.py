@@ -14,7 +14,7 @@ from dynreach import (
     subsumes,
 )
 
-from oracles import check_label_invariants
+from oracles import check_label_invariants, dag_reach
 from samples import NODE, random_dag, sample_comps, sample_graph, sample_index
 
 # Frozen two-dimensional labeling of the sample condensation: first
@@ -88,7 +88,7 @@ def test_label_soundness_on_sample_all_pairs():
     check_label_invariants(idx)
     nodes = idx.graph.current_dag_nodes()
     hits = sum(
-        idx.dfs_dag(s, t) and s != t for s in nodes for t in nodes
+        dag_reach(idx.graph, s, t) and s != t for s in nodes for t in nodes
     )
     assert hits > 0  # the exhaustive check above actually exercised pairs
 
@@ -113,12 +113,12 @@ def test_enlarge_propagates_only_to_ancestors():
         rng = random.Random(seed)
         nodes = g.current_dag_nodes()
         ancestors_of = {
-            s: {p for p in nodes if p != s and idx.dfs_dag(p, s)} for s in nodes
+            s: {p for p in nodes if p != s and dag_reach(g, p, s)} for s in nodes
         }
         before = {s: idx.label_of(s) for s in nodes}
         while True:
             s, t = rng.sample(nodes, 2)
-            if s != t and not idx.dfs_dag(s, t) and not idx.dfs_dag(t, s):
+            if s != t and not dag_reach(g, s, t) and not dag_reach(g, t, s):
                 break
         idx.insert_edge(s, t)
         check_label_invariants(idx)
@@ -183,13 +183,16 @@ def test_full_relabel_resets_drift():
 
 
 def test_update_sequence_labels_are_pinned():
-    # Two pinned dimensions through every update kind; the expected map
-    # is the labeling of the code before the label steps were merged, so
-    # that any change to a label value shows.
+    # Two pinned dimensions through every update kind, so that any change
+    # to a label value shows.  At step 2 the merge is labelled from its
+    # representative, component 1 (size 3): its label already covers the
+    # one external child the others bring (3), so it keeps it, and only
+    # the parents the merge moved onto it (2 via D, and J) grow, then J's
+    # parent 2 and their root R.
     idx = sample_index(order="both")
     steps = [
         lambda: idx.insert_edge(NODE["M"], NODE["K"]),  # grows M, L, H and 1
-        lambda: idx.insert_edge(NODE["K"], NODE["A"]),  # merges 1, H, L, M, K; grows J and 2
+        lambda: idx.insert_edge(NODE["K"], NODE["A"]),  # merges 1, H, L, M, K; grows J, 2 and R
         lambda: idx.delete_edge(NODE["H"], NODE["L"]),  # L, M, K above {A, B, C}, H below
         lambda: idx.insert_node(19, out_edges=[NODE["I"]], in_edges=[NODE["H"]]),
         lambda: idx.delete_node(NODE["T"]),  # N, O, P, S break off
@@ -200,9 +203,9 @@ def test_update_sequence_labels_are_pinned():
     g = idx.graph
     assert idx.find(19) == 22 and idx.find(NODE["A"]) == 20
     assert {s: idx.label_of(s) for s in g.current_dag_nodes()} == {
-        7: ((0, 11), (0, 17)), 8: ((0, 9), (0, 15)), 9: ((0, 15), (0, 20)),
-        10: ((0, 14), (0, 19)), 11: ((0, 16), (0, 21)), 12: ((0, 15), (0, 20)),
+        7: ((0, 11), (0, 17)), 8: ((0, 9), (0, 15)), 9: ((0, 19), (0, 20)),
+        10: ((0, 18), (0, 19)), 11: ((0, 20), (0, 21)), 12: ((0, 19), (0, 20)),
         13: ((0, 1), (0, 1)), 14: ((1, 2), (1, 2)), 15: ((2, 3), (2, 3)),
-        16: ((0, 19), (0, 22)), 17: ((0, 5), (0, 5)), 20: ((0, 13), (0, 18)),
-        21: ((0, 18), (0, 21)), 22: ((0, 10), (0, 16)),
+        16: ((0, 21), (0, 22)), 17: ((0, 5), (0, 5)), 20: ((0, 17), (0, 18)),
+        21: ((0, 20), (0, 21)), 22: ((0, 10), (0, 16)),
     }

@@ -14,6 +14,7 @@ from dynreach import (
     LogicError,
     Query,
     ReachabilityIndex,
+    subsumes,
 )
 
 from oracles import Mirror, check_label_invariants, kosaraju_partition, reachable_pairs
@@ -77,8 +78,8 @@ def test_insert_merge_scenario():
 
 
 def test_insert_merge_label_adoption_before_propagation():
-    # Closing N -> B merges {1, H, I, L, 3}.  Component 3 has the most DAG
-    # parents (I, K, L), so it is the anchor: the merged component takes
+    # Closing N -> B merges {1, H, I, L, 3}.  Component 3 is the largest
+    # (5 nodes), so it is the representative: the merged component takes
     # its label widened over the other members' one external child, M.
     # Propagation only grows parents, so that label is still there after
     # the insert.
@@ -87,10 +88,10 @@ def test_insert_merge_label_adoption_before_propagation():
         g = idx.graph
         comps = sample_comps(g)
         members = [comps["1"], NODE["H"], NODE["I"], NODE["L"], comps["3"]]
-        assert sorted(len(g.dag_parents(m)) for m in members) == [1, 1, 1, 2, 3]
-        assert len(g.dag_parents(comps["3"])) == 3
-        anchor, m = idx.label_of(comps["3"]), idx.label_of(NODE["M"])
-        want = tuple((min(ba, bm), max(ea, em + 1)) for (ba, ea), (bm, em) in zip(anchor, m))
+        assert sorted(g.scc_size(m) for m in members) == [1, 1, 1, 3, 5]
+        assert g.scc_size(comps["3"]) == 5
+        rep_label, m = idx.label_of(comps["3"]), idx.label_of(NODE["M"])
+        want = tuple((min(br, bm), max(er, em + 1)) for (br, er), (bm, em) in zip(rep_label, m))
         idx.insert_edge(NODE["N"], NODE["B"])
         rep = idx.find(NODE["N"])
         assert rep == comps["3"]
@@ -134,9 +135,9 @@ def scc_with_fringe(position: str) -> tuple[list[tuple[int, int]], int, int]:
 
 @pytest.mark.parametrize("position", ["s", "t", "middle"])
 def test_merge_into_large_scc_pays_for_the_small_side(position):
-    # The SCC is the anchor: the merged label is its own, since the other
-    # members' external children are its children too, so none of its
-    # parents changes; and the insert runs one condensation search.
+    # The SCC is the representative: the merged label is its own, since
+    # the other members' external children are its children too, so none
+    # of its parents changes; and the insert runs one condensation search.
     edges, u, v = scc_with_fringe(position)
     n = max(map(max, edges)) + 1
     idx = ReachabilityIndex.build(edges, n, LabelerConfig(k=2, seed=3))
@@ -519,6 +520,7 @@ def test_out_edges_of_a_new_node_run_no_merge_search(k, monkeypatch):
 def test_edgeless_node_as_merge_anchor(k, child):
     # Node 10 keeps its empty label while it gains three parents, then
     # 10 -> 0 -> 1 -> 10 closes a cycle in which it has the most parents.
+    # Nodes 10, 0 and 1 are singletons, so the merge makes a fresh node.
     # With ``child``, the merged component has an external child (4).
     edges = [(0, 1), (5, 0)] + [(1, 4)] * child
     idx = ReachabilityIndex.build(edges, 6, LabelerConfig(k=k, seed=k))
@@ -542,6 +544,75 @@ def test_edgeless_node_as_merge_anchor(k, child):
     for u in nodes:
         for v in nodes:
             assert idx.reachable(u, v) == mirror.reach(u, v), (u, v)
+
+
+def hull(label, kids):
+    """``label`` widened over the labels ``kids``: per dimension, begin at
+    most each kid's begin and end above each kid's end."""
+    return tuple(
+        (min([b, *(kb for (kb, _) in ks)]), max([e, *(ke + 1 for (_, ke) in ks)]))
+        for (b, e), *ks in zip(label, *kids)
+    )
+
+
+def assert_all_pairs(idx, mirror):
+    nodes = sorted(mirror.nodes)
+    for u in nodes:
+        for v in nodes:
+            assert idx.reachable(u, v) == mirror.reach(u, v), (u, v)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_singleton_hub_merges_into_the_larger_scc(k):
+    # SCC C = {0, 1, 2} has one parent (3); the singleton hub 4 has four
+    # (C, 5, 6, 7) and two children of its own (8, 9).  Closing 4 -> 0
+    # merges the two into C, the larger: the merged label is C's, widened
+    # over the hub's external children, and the hub's parents are grown
+    # over it.
+    edges = [(0, 1), (1, 2), (2, 0), (3, 0), (2, 10), (1, 4), (5, 4), (6, 4), (7, 4), (4, 8), (4, 9)]
+    idx = ReachabilityIndex.build(edges, 11, LabelerConfig(k=k, seed=k))
+    g = idx.graph
+    c = idx.find(0)
+    assert len(g.dag_parents(4)) > len(g.dag_parents(c)) and g.scc_size(c) == 3
+    want = hull(idx.label_of(c), [idx.label_of(8), idx.label_of(9)])
+    idx.insert_edge(4, 0)
+    mirror = Mirror(edges, 11)
+    mirror.insert_edge(4, 0)
+    assert idx.find(4) == c
+    assert idx.label_of(c) == want
+    for p in (5, 6, 7):
+        assert subsumes(idx.label_of(p), want), p
+    check_label_invariants(idx)
+    assert idx.scc_partition() == mirror.partition()
+    assert_all_pairs(idx, mirror)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("child", [False, True])
+def test_cycle_of_singletons_merges_into_a_fresh_node(k, child):
+    # Closing 2 -> 0 on the path 0 -> 1 -> 2 merges three singletons into
+    # a fresh node.  Its label starts empty and widens over the members'
+    # external children (5 and 6, with ``child``); the parents 3 and 4
+    # must cover it.
+    edges = [(0, 1), (1, 2), (3, 0), (4, 1)] + [(1, 5), (2, 6)] * child
+    idx = ReachabilityIndex.build(edges, 7, LabelerConfig(k=k, seed=k))
+    g = idx.graph
+    kids = [idx.label_of(5), idx.label_of(6)] if child else []
+    idx.insert_edge(2, 0)
+    mirror = Mirror(edges, 7)
+    mirror.insert_edge(2, 0)
+    x = idx.find(0)
+    assert x >= 7 and g.node_kind(x) == "scc-current" and idx.find(2) == x
+    label = idx.label_of(x)
+    if child:
+        assert label == hull(((float("inf"), -1),) * k, kids)  # from an empty label
+    else:
+        assert all(b > e for b, e in label)
+    for p in (3, 4):
+        assert subsumes(idx.label_of(p), label), p
+    check_label_invariants(idx)
+    assert idx.scc_partition() == mirror.partition()
+    assert_all_pairs(idx, mirror)
 
 
 def test_insert_node_with_merging_in_edge():

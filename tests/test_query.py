@@ -1,14 +1,15 @@
-"""Label-pruned queries and the two baseline searches."""
+"""Label-pruned queries, checked against searches that share none of
+their code."""
 from __future__ import annotations
 
 import random
 
 import pytest
 
-from dynreach import InputError, LabelerConfig, LogicError, QueryStats, ReachabilityIndex, gen_er, gen_updates, OpRatios
+from dynreach import InputError, LabelerConfig, LogicError, QueryStats, ReachabilityIndex, gen_er, gen_updates, OpRatios, subsumes
 from dynreach.ops import DeleteEdge, DeleteNode, InsertEdge, InsertNode
 
-from oracles import Mirror, edge_reach
+from oracles import Mirror, dag_reach, edge_reach
 from samples import NODE, random_digraph, sample_comps, sample_index
 
 
@@ -33,7 +34,7 @@ def test_root_label_rejection_visits_one_node():
     ok, stats = idx.reachable_with_stats(NODE["D"], NODE["A"])
     assert not ok
     assert stats.visited == 1
-    assert not idx.labeler.covers(comps["2"], comps["1"])
+    assert not subsumes(idx.label_of(comps["2"]), idx.label_of(comps["1"]))
 
 
 def test_reachable_unknown_node():
@@ -60,18 +61,21 @@ def test_query_along_a_dag_edge_runs_no_search(k, monkeypatch):
         assert idx.reachable(0, c)
 
 
-def test_dfs_dag_examples():
+def test_reachable_examples_match_dag_reach():
     idx = sample_index(k=1)
-    comps = sample_comps(idx.graph)
-    assert idx.dfs_dag(comps["1"], comps["3"])
-    assert idx.dfs_dag(comps["3"], comps["3"])
-    assert not idx.dfs_dag(comps["3"], comps["1"])
+    g = idx.graph
+    comps = sample_comps(g)
+    cases = ((NODE["A"], NODE["N"], True), (NODE["N"], NODE["T"], True), (NODE["N"], NODE["A"], False))
+    for u, v, want in cases:
+        assert dag_reach(g, idx.find(u), idx.find(v)) == want, (u, v)
+        assert idx.reachable(u, v) == want, (u, v)
     idx.insert_edge(NODE["N"], NODE["B"])
+    assert idx.reachable(NODE["N"], NODE["A"]) and idx.find(NODE["N"]) == idx.find(NODE["A"])
     with pytest.raises(LogicError):
-        idx.dfs_dag(comps["1"], comps["3"])  # component 1 expired
+        idx.label_of(comps["1"])  # component 1 expired
 
 
-def test_dfs_dag_lifts_edge_reach():
+def test_reachable_lifts_edge_reach():
     for seed in range(50):
         n = 20
         edges = random_digraph(n, 36, seed)
@@ -79,7 +83,9 @@ def test_dfs_dag_lifts_edge_reach():
         rng = random.Random(seed)
         for _ in range(12):
             u, v = rng.randrange(n), rng.randrange(n)
-            assert idx.dfs_dag(idx.find(u), idx.find(v)) == edge_reach(edges, u, v)
+            want = edge_reach(edges, u, v)
+            assert dag_reach(idx.graph, idx.find(u), idx.find(v)) == want, (seed, u, v)
+            assert idx.reachable(u, v) == want, (seed, u, v)
 
 
 def test_pruned_children_are_truly_unreachable():
@@ -90,8 +96,8 @@ def test_pruned_children_are_truly_unreachable():
         nodes = idx.graph.current_dag_nodes()
         for s in nodes:
             for t in nodes:
-                if not idx.labeler.covers(s, t):
-                    assert not idx.dfs_dag(s, t), (order, s, t)
+                if not subsumes(idx.label_of(s), idx.label_of(t)):
+                    assert not dag_reach(idx.graph, s, t), (order, s, t)
 
 
 def test_query_agreement_on_evolving_graph():
@@ -198,4 +204,4 @@ def test_hub_on_a_query_path_is_not_scanned(position):
             found, stats = idx.reachable_with_stats(u, v)
             assert found == want, (k, u, v)
             assert stats.pruned + stats.visited <= 6, (k, u, v, stats)
-            assert idx.dfs_dag(idx.find(u), idx.find(v)) == want, (k, u, v)
+            assert dag_reach(idx.graph, idx.find(u), idx.find(v)) == want, (k, u, v)
