@@ -146,8 +146,12 @@ class DfsBaseline:
     """Index-free engine: updates mutate the edge sets, queries run DFS."""
 
     def __init__(self, edges: Sequence[tuple[int, int]], num_nodes: int) -> None:
+        if num_nodes < 0:
+            raise InputError(f"negative node count {num_nodes}")
         n = num_nodes
         for u, v in edges:
+            if u < 0 or v < 0:
+                raise InputError(f"negative node id in edge ({u}, {v})")
             if u >= n or v >= n:
                 n = max(u, v) + 1
         self._out: list[dict[int, None] | None] = [{} for _ in range(n)]

@@ -442,10 +442,9 @@ class SccGraph:
         Returns the representative, then the external children and the
         external parents of the absorbed members (all members when the
         representative is fresh): the components whose DAG edges to or
-        from the merged component are new.  The index labels the merged
-        component from the representative's own label over those
-        children, and checks those parents
-        (``IntervalLabeler.merge_label``).
+        from the merged component are new.  The index restores label
+        containment along exactly those edges, in one
+        ``IntervalLabeler.propagate``.
         """
         if len(members) < 2:
             raise LogicError("merge needs at least two components")

@@ -27,17 +27,23 @@ search (``collect_merge_list``), forward from ``t`` and backward from
 runs on until one side runs out of nodes and keeps the links that side
 followed.  The components found merge into the graph's representative
 (the largest member, or a fresh node when every member is a singleton),
-which also carries the merged label: its own label, widened over the
-external children the merge moved onto it.  Labels only need
-containment along DAG edges (GRAIL's condition), so that label is valid
-as soon as every parent covers it, and only the parents the merge moved
-onto it, plus its own when its label had to widen, can fail to.  A
-merge therefore scans the adjacency of the absorbed members once, plus
-the labels that really grow; joining a component with many parents
-does not cost its in-degree.
+which also carries the merged label.  Labels only need containment
+along DAG edges (GRAIL's condition), and the only DAG edges that can
+lack it are the ones the merge created: from the representative to the
+external children moved onto it, and from the external parents moved
+onto it to the representative.  The merge hands just those edges to
+``propagate``, as an insertion hands over its one edge, which grows the
+representative's own label over the new children and then every
+ancestor that no longer covers it.  A merge therefore scans the
+adjacency of the absorbed members once, plus the labels that really
+grow; joining a component with many parents does not cost its
+in-degree.
 
-Deleting edges inside an SCC (one edge, or every edge of a deleted node at
-once) splits it from the smaller side (``extract_components``).  An
+An edge deletion and a node deletion unlink each removed edge by one
+step (``_unlink``), which only adjusts a DAG edge's multiplicity unless
+the edge ran inside a component.  Deleting edges inside an SCC (one
+edge, or every edge of a deleted node at once) splits it from the
+smaller side (``extract_components``).  An
 anchor inside the component must still be reached from every tail of a
 removed edge and must still reach every head.  That check is complete:
 any node cut off from the anchor is cut off at the first removed edge on
@@ -198,16 +204,16 @@ class ReachabilityIndex:
 
     def _merge(self, mlist: list[int]) -> None:
         """Collapse the components of ``mlist`` into the graph's
-        representative, and label it from its own label widened over the
-        external children the merge moved onto it
-        (``IntervalLabeler.merge_label``).  Containment along DAG edges is
-        all the labels need, so that label is valid once the parents the
-        merge moved onto it cover it, and all its parents when it widened;
-        only the absorbed members' adjacency is scanned."""
+        representative ``rep`` and restore containment along the DAG
+        edges the merge gave it: from ``rep`` to each external child the
+        merge moved onto it, and from each such parent to ``rep``.  One
+        ``propagate`` over those edges grows ``rep``'s own label over the
+        children, and then every parent that no longer covers it; only
+        the absorbed members' adjacency is scanned."""
         g = self.graph
         rep, kids, parents = g.merge_components(mlist)
         self._ensure_capacity()
-        self.labeler.merge_label(g, rep, kids, parents)
+        self.labeler.propagate(g, [*((c, (rep,)) for c in kids), (rep, parents)])
 
     def collect_merge_list(self, t: int, s: int) -> list[int]:
         """Every component on some t-to-s path, with ``s`` first and ``t``
@@ -376,15 +382,24 @@ class ReachabilityIndex:
         sv = g.input_slot(v)
         if not g.has_input_edge(su, sv):
             raise InputError(f"edge ({u}, {v}) does not exist")
-        g.remove_input_edge(su, sv)
-        if su == sv:
-            return
-        s = g._find(su)
-        t = g._find(sv)
+        if self._unlink(su, sv):
+            self._split(g._find(su), (su,), (sv,))
+
+    def _unlink(self, x: int, y: int) -> bool:
+        """Remove input edge (x, y) from the graph: a self-loop leaves the
+        condensation as it is, and an edge between two components drops
+        one witness of their DAG edge.  True iff the edge ran inside one
+        component, which may now have to split."""
+        g = self.graph
+        g.remove_input_edge(x, y)
+        if x == y:
+            return False
+        s = g._find(x)
+        t = g._find(y)
         if s != t:
             g._dec_dag_edge(s, t)
-            return
-        self._split(s, (su,), (sv,))
+            return False
+        return True
 
     def _split(self, s: int, tails: Sequence[int], heads: Sequence[int]) -> None:
         """Split SCC ``s`` after the removal of internal edges with these
@@ -550,36 +565,19 @@ class ReachabilityIndex:
     def delete_node(self, u: int) -> None:
         """Remove a node with all incident edges.
 
-        Every incident edge is removed first; edges to other components
-        only lose multiplicity, and when the node sat in a multi-node
-        component that component is split once, over all the removed
-        internal edges.  The node is then a lone, edge-free piece and is
-        dropped.
+        Every incident edge, out-edges first, is unlinked as
+        ``delete_edge`` unlinks one (``_unlink``), but the component is
+        not split per edge: when the node sat in a multi-node component,
+        that component is split once, over every internal edge removed.
+        The node is then a lone, edge-free piece and is dropped.
         """
         g = self.graph
         x = g.input_slot(u)
-        s = g._find(x)
-        tails: list[int] = []
-        heads: list[int] = []
-        for y in list(g._out_i[x]):
-            g.remove_input_edge(x, y)
-            if y != x:
-                t = g._find(y)
-                if t == s:
-                    tails.append(x)
-                    heads.append(y)
-                else:
-                    g._dec_dag_edge(s, t)
-        for w in list(g._in_i[x]):
-            g.remove_input_edge(w, x)
-            t = g._find(w)
-            if t == s:
-                tails.append(w)
-                heads.append(x)
-            else:
-                g._dec_dag_edge(t, s)
-        if tails:
-            self._split(s, tails, heads)
+        inner = [(x, y) for y in list(g._out_i[x]) if self._unlink(x, y)]
+        inner += [(w, x) for w in list(g._in_i[x]) if self._unlink(w, x)]
+        if inner:
+            tails, heads = zip(*inner)
+            self._split(g._find(x), tails, heads)
         g.remove_input_node(x)
 
     # ------------------------------------------------------------------

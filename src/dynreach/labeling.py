@@ -9,15 +9,17 @@ label of ``t`` — so a failed subsumption test proves non-reachability,
 while a passing test may still be a false positive that the search
 resolves.
 
-Three steps maintain the labels: ``_post_order`` labels one randomized
+Two steps maintain the labels.  ``_post_order`` labels one randomized
 post-order, of the whole condensation on a build and of the pieces of a
-split component; ``merge_label`` widens the label of a merge's
-representative over the children the merge gave it; and ``propagate``
-restores containment above labels that are final.  A fresh slot starts
-with the empty label (``ensure_capacity``), which needs no containment
-until it gains a DAG edge, so an inserted node is labelled by the
-``propagate`` of its out-edges' insertions like any other tail, and a
-fresh merge representative by the widening over its children.
+split component.  ``propagate`` takes DAG edges that may lack
+containment, as ``(child, parents)`` pairs, and grows the parents, then
+every ancestor that no longer covers a grown label: an insertion passes
+its new edge, a merge the edges it gave its representative, and a split
+the edges into its pieces.  A fresh slot starts with the empty label
+(``ensure_capacity``), which needs no containment until it gains a DAG
+edge, so an inserted node, or a fresh merge representative, is labelled
+by the ``propagate`` of its new edges to its children like any other
+parent.
 
 ``k = 0`` disables labeling entirely: every operation is a no-op and
 subsumption is treated as always true, degenerating search to a plain
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import random
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
 from .errors import InputError, InternalError, LogicError
@@ -41,16 +43,10 @@ Label = tuple[tuple[int, int], ...]
 
 @dataclass(frozen=True)
 class LabelerConfig:
-    """Labeling parameters.  Identical (graph, k, seed) give identical labels.
-
-    ``dim_orders`` pins the traversal child order per dimension for
-    reproducing hand-worked fixtures: children are sorted by the mapped
-    weight (then id) instead of shuffled.
-    """
+    """Labeling parameters.  Identical (graph, k, seed) give identical labels."""
 
     k: int = 1
     seed: int = 0
-    dim_orders: Sequence[Mapping[int, float]] | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.k < 0:
@@ -95,10 +91,10 @@ class IntervalLabeler:
         A new slot gets the empty label ``[max_end, -1]`` in every
         dimension: every label made so far covers it, and it covers only
         empty labels, which is valid for a node without DAG edges.  Its
-        first DAG child ``c`` makes ``propagate`` grow it over the child
-        (begin at most ``b_c``, end ``e_c + 1``), as ``merge_label`` grows
-        a fresh merge representative over its children; a split
-        overwrites it.
+        first DAG children ``c``, whether an inserted node's out-edges or
+        the children a merge gives a fresh representative, make
+        ``propagate`` grow it over them (begin at most ``b_c``, end at
+        least ``e_c + 1``); a split overwrites it.
         """
         for b_col, e_col, hi in zip(self._b, self._e, self._max_end):
             if upto >= len(b_col):
@@ -107,12 +103,8 @@ class IntervalLabeler:
                 e_col.extend([-1] * extra)
 
     def _ordered(self, d: int, nodes: list[int]) -> list[int]:
-        orders = self.cfg.dim_orders
-        if orders is not None:
-            key = orders[d]
-            nodes.sort(key=lambda x: (key.get(x, 0), x))
-        else:
-            self._rngs[d].shuffle(nodes)
+        """``nodes`` in the traversal order of dimension ``d``: shuffled."""
+        self._rngs[d].shuffle(nodes)
         return nodes
 
     # ------------------------------------------------------------------
@@ -129,7 +121,8 @@ class IntervalLabeler:
         if self.k == 0:
             return
         nodes = graph.current_dag_nodes()
-        roots = [s for s in nodes if not graph.dag_parents(s)]
+        in_d = graph._in_d
+        roots = [s for s in nodes if not in_d[s]]
         self.ensure_capacity(graph.capacity - 1)
         for d in range(self.k):
             self._max_end[d] = 0
@@ -233,45 +226,26 @@ class IntervalLabeler:
         self.propagate(graph, [(w, in_d[w] or ()) for w in pieces])
 
     # ------------------------------------------------------------------
-    # merge labels and propagation
-
-    def merge_label(self, graph: SccGraph, rep: int, kids: Sequence[int], parents: Sequence[int]) -> None:
-        """Label the merged component ``rep`` and restore containment
-        above it.
-
-        ``kids`` and ``parents`` are the external children and parents
-        that the merge moved onto ``rep`` (``SccGraph.merge_components``).
-        Containment is only required along DAG edges, so any label that
-        covers ``rep``'s children and is covered by its parents is valid.
-        ``rep``'s own label already covers its own children and is covered
-        by its own parents; a fresh ``rep`` has none and starts from the
-        empty label of its slot.  That label is widened over ``kids``
-        (begin ``b <= b_c``, end ``e >= e_c + 1``), stored, and propagated
-        to ``parents``, or to all of ``rep``'s parents when it widened.
-        """
-        label = []
-        widened = False
-        for b_col, e_col in zip(self._b, self._e):
-            b, e = b_col[rep], e_col[rep]
-            for c in kids:
-                if b_col[c] < b:
-                    b = b_col[c]
-                if e_col[c] >= e:
-                    e = e_col[c] + 1
-            widened = widened or (b, e) != (b_col[rep], e_col[rep])
-            label.append((b, e))
-        self.set_label(rep, tuple(label))
-        self.propagate(graph, ((rep, (graph._in_d[rep] or ()) if widened else parents),))
+    # propagation
 
     def propagate(self, graph: SccGraph, covers: Iterable[tuple[int, Iterable[int]]]) -> None:
-        """Restore edge-wise containment above the children of ``covers``,
-        ``(child, parents)`` pairs whose child's label is final: each of
+        """Restore edge-wise containment along ``covers``, ``(child,
+        parents)`` pairs of DAG edges that may lack it: each of
         ``parents`` is grown over ``child`` (begin ``b_p <= b_c``, end
         ``e_p >= e_c + 1``), and so on up every parent chain that grows.
 
-        A plain insertion of ``(s, t)`` passes ``((t, (s,)),)``, a merge
-        ``((rep, parents),)`` (``merge_label``), and a split every piece
-        with all its parents.
+        A plain insertion of ``(s, t)`` passes ``((t, (s,)),)``, and a
+        split every piece with all its parents.  A merge passes the DAG
+        edges it gave its representative ``rep``: ``(c, (rep,))`` for each
+        external child ``c`` moved onto it, and ``(rep, parents)`` for the
+        external parents moved onto it.  ``rep`` is then a parent and a
+        child in the same call: it may grow over its new children, and
+        that growth re-checks all its parents, so a parent (and an
+        ancestor it grew) can be recomputed twice, once against ``rep``'s
+        old end and once against its grown one.  Every step only lowers a
+        begin or raises an end to what a child requires, so the result is
+        still the least labels that restore containment: ``rep`` gets the
+        hull of its old label and its new children's.
 
         Only ancestors of the children can lose containment, and only
         through a chain of labels that grew, so the cost follows the
@@ -281,7 +255,7 @@ class IntervalLabeler:
         node's parents once per time its begin grew.  End values are
         finalized in ascending order of their previous value through a
         priority queue, so every ancestor sees finished children and is
-        recomputed at most once.
+        recomputed at most once, apart from a merge's parents above.
         """
         if self.k == 0:
             return

@@ -7,6 +7,7 @@ index's search or labels), and label checks from dense numpy comparisons.
 """
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable
 
 import numpy as np
@@ -224,3 +225,21 @@ def check_label_invariants(index) -> None:
             f"label soundness broken: {nodes[i]} reaches {nodes[j]} but "
             f"{index.label_of(nodes[i])} does not subsume {index.label_of(nodes[j])}"
         )
+
+
+def assert_agrees(idx, mirror):
+    """Input edges, partition, every DAG edge with its multiplicity, and
+    label containment against the mirror."""
+    assert set(idx.graph.input_edges()) == set(mirror.edge_list())
+    assert idx.scc_partition() == mirror.partition()
+    g = idx.graph
+    counts: Counter[tuple[int, int]] = Counter()
+    for u, v in mirror.edge_list():
+        s, t = idx.find(u), idx.find(v)
+        if s != t:
+            counts[s, t] += 1
+    nodes = g.current_dag_nodes()
+    stored = {(s, t): g.edge_multiplicity(s, t) for s in nodes for t in g.dag_children(s)}
+    assert stored == dict(counts)
+    assert {(p, s) for s in nodes for p in g.dag_parents(s)} == set(counts)
+    check_label_invariants(idx)

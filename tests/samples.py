@@ -48,6 +48,21 @@ def visual_ranks(comps: dict[str, int]) -> dict[int, int]:
     }
 
 
+class PinnedLabeler(IntervalLabeler):
+    """A labeler whose traversal order is pinned per dimension: children
+    are sorted by the mapped weight (0 when unmapped), then by id,
+    instead of shuffled."""
+
+    def __init__(self, cfg: LabelerConfig, orders: list[dict[int, int]]) -> None:
+        super().__init__(cfg)
+        self.orders = orders
+
+    def _ordered(self, d: int, nodes: list[int]) -> list[int]:
+        key = self.orders[d]
+        nodes.sort(key=lambda x: (key.get(x, 0), x))
+        return nodes
+
+
 def sample_index(k: int = 1, seed: int = 0, order: str | None = "reversed") -> ReachabilityIndex:
     """Sample graph with pinned traversal order.
 
@@ -60,17 +75,18 @@ def sample_index(k: int = 1, seed: int = 0, order: str | None = "reversed") -> R
     lr = visual_ranks(comps)
     rl = {x: -r for x, r in lr.items()}
     if order == "ltr":
-        dim_orders = [lr] * max(k, 1)
+        orders = [lr] * max(k, 1)
     elif order == "reversed":
-        dim_orders = [rl] * max(k, 1)
+        orders = [rl] * max(k, 1)
     elif order == "both":
         k = 2
-        dim_orders = [lr, rl]
+        orders = [lr, rl]
     elif order is None:
-        dim_orders = None
+        orders = None
     else:
         raise ValueError(order)
-    lab = IntervalLabeler(LabelerConfig(k=k, seed=seed, dim_orders=dim_orders))
+    cfg = LabelerConfig(k=k, seed=seed)
+    lab = IntervalLabeler(cfg) if orders is None else PinnedLabeler(cfg, orders)
     lab.initial_labels(g)
     return ReachabilityIndex(g, lab)
 

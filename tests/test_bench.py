@@ -108,3 +108,13 @@ def test_dfs_baseline_rejects_a_negative_node_id():
         base.insert_node(-1)
     with pytest.raises(InputError):
         base.reachable(0, 2)
+    # A negative id in the input, or a negative node count, is refused as
+    # the index refuses it, instead of wrapping to the last slot.
+    with pytest.raises(InputError):
+        DfsBaseline([(-1, 0)], 3)
+    with pytest.raises(InputError):
+        DfsBaseline([(0, -2)], 3)
+    with pytest.raises(InputError):
+        DfsBaseline([], -1)
+    with pytest.raises(InputError):
+        run_bench([(-1, 0)], 3, [], BenchConfig(variant="dfs"))

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import random
 import sys
-from collections import Counter
 
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
@@ -32,26 +31,8 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, pr
 
 from dynreach import DeleteEdge, InputError, InsertEdge, LabelerConfig, QueryStats, ReachabilityIndex
 
-from oracles import Mirror, check_label_invariants, dag_reach, reachable_pairs
+from oracles import Mirror, assert_agrees, dag_reach, reachable_pairs
 from samples import random_strongly_connected
-
-
-def assert_agrees(idx, mirror):
-    """Input edges, partition, every DAG edge with its multiplicity, and
-    label containment against the mirror."""
-    assert set(idx.graph.input_edges()) == set(mirror.edge_list())
-    assert idx.scc_partition() == mirror.partition()
-    g = idx.graph
-    counts: Counter[tuple[int, int]] = Counter()
-    for u, v in mirror.edge_list():
-        s, t = idx.find(u), idx.find(v)
-        if s != t:
-            counts[s, t] += 1
-    nodes = g.current_dag_nodes()
-    stored = {(s, t): g.edge_multiplicity(s, t) for s in nodes for t in g.dag_children(s)}
-    assert stored == dict(counts)
-    assert {(p, s) for s in nodes for p in g.dag_parents(s)} == set(counts)
-    check_label_invariants(idx)
 
 
 def assert_queries(idx, mirror, rng, sources: int = 3) -> None:

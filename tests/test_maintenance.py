@@ -14,12 +14,14 @@ from dynreach import (
     LogicError,
     Query,
     ReachabilityIndex,
+    SccGraph,
     subsumes,
 )
 
-from oracles import Mirror, check_label_invariants, kosaraju_partition, reachable_pairs
+from oracles import Mirror, assert_agrees, check_label_invariants, kosaraju_partition, reachable_pairs
 from samples import (
     NODE,
+    PinnedLabeler,
     SAMPLE_EDGES,
     random_dag,
     random_digraph,
@@ -97,6 +99,43 @@ def test_insert_merge_label_adoption_before_propagation():
         assert rep == comps["3"]
         assert idx.label_of(rep) == want
         check_label_invariants(idx)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_merge_gives_the_least_label_over_new_children_and_parents(k):
+    # Inserting (1, 0) closes 0 -> R -> 1 with R = {5, 6, 7}, the
+    # representative.  The merge gives R the children 2 and 3 of 0, which
+    # R's label does not cover, and the parent 4 of 1, whose end lies
+    # below R's: R must grow to exactly the hull of its old label and its
+    # new children's, and 4 then over R.
+    edges = [(5, 6), (6, 7), (7, 5), (0, 5), (7, 1), (0, 2), (0, 3), (4, 1), (4, 2)]
+    g = SccGraph.build(edges, 8)
+    r = g.find_scc(5)
+    # Roots 4 then 0; 4 labels 2 before 1, and 0 labels R before 3.
+    order = {4: -2, 2: -1, r: -1}
+    lab = PinnedLabeler(LabelerConfig(k=k), [order] * k)
+    lab.initial_labels(g)
+    idx = ReachabilityIndex(g, lab)
+    old = idx.label_of(r)
+    kids = [idx.label_of(2), idx.label_of(3)]
+    want = tuple(
+        (min(b, *(kid[d][0] for kid in kids)), max(e, *(kid[d][1] + 1 for kid in kids)))
+        for d, (b, e) in enumerate(old)
+    )
+    for d in range(k):
+        assert want[d][0] < old[d][0] and want[d][1] > old[d][1]
+        assert idx.label_of(4)[d][1] < old[d][1]
+    idx.insert_edge(1, 0)
+    assert idx.find(0) == idx.find(1) == r
+    assert idx.label_of(r) == want
+    for p in idx.graph.dag_parents(r):
+        assert subsumes(idx.label_of(p), want), p
+    mirror = Mirror(edges, 8)
+    mirror.insert_edge(1, 0)
+    assert_agrees(idx, mirror)
+    for u in range(8):
+        for v in range(8):
+            assert idx.reachable(u, v) == mirror.reach(u, v), (u, v)
 
 
 def test_insert_replay_against_dual_oracles():
@@ -392,24 +431,33 @@ def test_split_moves_only_what_breaks_off(shape, detached):
 
 
 def test_delete_node_in_large_scc_extracts_once():
+    # x sits in a 200-node SCC with internal edges both ways and a
+    # self-loop, and has two edges to the SCC {200, 201} below it and two
+    # from the SCC {202, 203} above it, which other members share.  Every
+    # edge is unlinked as an edge deletion unlinks it, and the SCC is
+    # split once.
     edges = random_strongly_connected(200, 100, seed=3)
     x = max(range(200), key=lambda w: sum(a == w for a, _ in edges))
     assert sum(a == x for a, _ in edges) > 1
-    idx = ReachabilityIndex.build(edges, 200, LabelerConfig(k=1, seed=0))
-    calls = []
-    extract = idx.extract_components
+    y = (x + 100) % 200
+    edges += [(x, x), (200, 201), (201, 200), (202, 203), (203, 202)]
+    edges += [(x, 200), (x, 201), (y, 200), (202, x), (203, x), (203, y)]
+    for k in (0, 1, 2):
+        idx = ReachabilityIndex.build(edges, 204, LabelerConfig(k=k, seed=0))
+        assert idx.graph.edge_multiplicity(idx.find(x), idx.find(200)) == 3
+        calls = []
+        extract = idx.extract_components
 
-    def counting(*args):
-        calls.append(args)
-        return extract(*args)
+        def counting(*args):
+            calls.append(args)
+            return extract(*args)
 
-    idx.extract_components = counting
-    idx.delete_node(x)
-    mirror = Mirror(edges, 200)
-    mirror.delete_node(x)
-    assert len(calls) == 1
-    assert idx.scc_partition() == mirror.partition()
-    check_label_invariants(idx)
+        idx.extract_components = counting
+        idx.delete_node(x)
+        mirror = Mirror(edges, 204)
+        mirror.delete_node(x)
+        assert len(calls) == 1, k
+        assert_agrees(idx, mirror)
 
 
 def test_merge_then_delete_restores_partition():
