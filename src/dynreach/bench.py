@@ -286,64 +286,38 @@ def run_bench(
     sums = {kind: 0.0 for kind in ("q", "ei", "ed", "ni", "nd")}
     counts = {kind: 0 for kind in ("q", "ei", "ed", "ni", "nd")}
     answers = bytearray()
-    hits = 0
     perf = time.perf_counter
 
-    def record(kind: str, dt: float) -> None:
-        counts[kind] += 1
-        sums[kind] += dt
+    def timed(kind: str, call, *args):
+        t = perf()
+        res = call(*args)
+        dt = perf() - t
+        if hot:
+            counts[kind] += 1
+            sums[kind] += dt
+        return res
 
     t_start = perf()
     for i, op in enumerate(workload):
         hot = i >= cfg.warmup
         try:
+            if isinstance(op, Query):
+                answers.append(timed("q", engine.reachable, op.u, op.v))
+                continue
             if isinstance(op, InsertEdge):
-                t = perf()
-                engine.insert_edge(op.u, op.v)
-                dt = perf() - t
-                if hot:
-                    record("ei", dt)
+                timed("ei", engine.insert_edge, op.u, op.v)
             elif isinstance(op, DeleteEdge):
-                t = perf()
-                engine.delete_edge(op.u, op.v)
-                dt = perf() - t
-                if hot:
-                    record("ed", dt)
+                timed("ed", engine.delete_edge, op.u, op.v)
             elif isinstance(op, InsertNode):
-                t = perf()
-                engine.insert_node(op.u, op.out_edges, op.in_edges)
-                dt = perf() - t
+                timed("ni", engine.insert_node, op.u, op.out_edges, op.in_edges)
                 alive.add(op.u)
-                if hot:
-                    record("ni", dt)
             elif isinstance(op, DeleteNode):
-                t = perf()
-                engine.delete_node(op.u)
-                dt = perf() - t
+                timed("nd", engine.delete_node, op.u)
                 alive.remove(op.u)
-                if hot:
-                    record("nd", dt)
-            elif isinstance(op, Query):
-                t = perf()
-                ans = engine.reachable(op.u, op.v)
-                dt = perf() - t
-                answers.append(ans)
-                hits += ans
-                if hot:
-                    record("q", dt)
             else:
                 raise InputError(f"unsupported op {op!r}")
-            if not isinstance(op, Query):
-                for _ in range(cfg.qpu):
-                    qu = alive.sample(rng)
-                    qv = alive.sample(rng)
-                    t = perf()
-                    ans = engine.reachable(qu, qv)
-                    dt = perf() - t
-                    answers.append(ans)
-                    hits += ans
-                    if hot:
-                        record("q", dt)
+            for _ in range(cfg.qpu):
+                answers.append(timed("q", engine.reachable, alive.sample(rng), alive.sample(rng)))
         except InputError as exc:
             raise InputError(f"op {i} ({op!r}) failed: {exc}") from exc
     total_s = perf() - t_start
@@ -357,7 +331,7 @@ def run_bench(
         ops=len(workload),
         counts=counts,
         mean_ms={k: (sums[k] * 1000.0 / counts[k] if counts[k] else 0.0) for k in counts},
-        query_hits=hits,
+        query_hits=sum(answers),
         answers_hash=hashlib.sha256(bytes(answers)).hexdigest(),
         build_s=build_s,
         total_s=total_s,

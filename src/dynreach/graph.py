@@ -13,7 +13,8 @@ A single-node SCC is represented by the input node itself; a condensation
 node is allocated only for components of two or more nodes.  Every DAG
 edge, between singletons too, is stored in one adjacency (``_out_d`` and
 its mirror ``_in_d``) with its multiplicity, so walks over the
-condensation never consult the input layer.
+condensation never consult the input layer.  Only ``_add_dag_edge``,
+``_dec_dag_edge`` and ``_move_dag_edges`` write that adjacency.
 
 Every node lives in a slot of one dense internal id space.  Callers name
 input nodes by external ids, which the graph maps to slots in exactly one
@@ -26,7 +27,7 @@ method takes and returns slots.
 from __future__ import annotations
 
 import sys
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Container, Iterable, Iterator, Sequence
 
 from .errors import InputError, InternalError, LogicError
 
@@ -205,8 +206,6 @@ class SccGraph:
         self._kind[s] = SCC_CURRENT
         self._parent[s] = _NONE
         self._size[s] = size
-        self._out_d[s] = {}
-        self._in_d[s] = {}
         return s
 
     def add_input_node(self, u: int) -> int:
@@ -240,7 +239,6 @@ class SccGraph:
             raise LogicError(f"slot {x} is still inside a component")
         self._kind[x] = DEAD
         self._out_i[x] = self._in_i[x] = None
-        self._out_d[x] = self._in_d[x] = None
         del self._slot[self._ext[x]]
         self._ext[x] = -1
         self._num_input -= 1
@@ -436,8 +434,9 @@ class SccGraph:
         representative; when every member is a lone input node a fresh SCC
         node is allocated instead.  Absorbed SCC nodes expire, absorbed
         singletons simply gain a containment link, and the representative
-        inherits the union of everyone's external DAG edges.  The cost
-        follows the degrees of the members other than the representative.
+        inherits the union of everyone's external DAG edges
+        (``_move_dag_edges``), so the cost follows the degrees of the
+        members other than the representative.
 
         Returns the representative, then the external children and the
         external parents of the absorbed members (all members when the
@@ -448,8 +447,7 @@ class SccGraph:
         """
         if len(members) < 2:
             raise LogicError("merge needs at least two components")
-        kind = self._kind
-        size = self._size
+        kind, size = self._kind, self._size
         for m in members:
             self._check_current(m)
         merge_set = set(members)
@@ -458,58 +456,42 @@ class SccGraph:
         rep = min(members, key=lambda m: (-size[m], m))
         if kind[rep] == INPUT:
             rep = self._alloc_scc(0)
-        out_d, in_d = self._out_d, self._in_d
-        out_rep = out_d[rep]
-        in_rep = in_d[rep]
-        # Internal edges between the representative and absorbed members
-        # disappear; a pre-existing representative keeps the rest of its
-        # adjacency in place, so the cost stays proportional to the
-        # absorbed members' degrees.
+        size[rep] = sum(size[m] for m in members)
+        kids: dict[int, None] = {}
+        parents: dict[int, None] = {}
         for m in members:
             if m != rep:
-                out_rep.pop(m, None)
-                in_rep.pop(m, None)
-        add_out: dict[int, int] = {}
-        add_in: dict[int, int] = {}
-        total = 0
-        # Phase 1: gather the absorbed members' external adjacency.  A fresh
-        # representative has no edges yet, so every internal edge points
-        # into ``merge_set``.
-        for m in members:
-            total += size[m]
-            if m == rep:
-                continue
-            for t, mu in (out_d[m] or {}).items():
-                if t not in merge_set:
-                    add_out[t] = add_out.get(t, 0) + mu
-                    del in_d[t][m]
-            for src, mu in (in_d[m] or {}).items():
-                if src not in merge_set:
-                    add_in[src] = add_in.get(src, 0) + mu
-                    del out_d[src][m]
-            out_d[m] = in_d[m] = None
-        # Phase 2: relink and expire the absorbed components.
-        for m in members:
-            if m != rep:
+                self._move_dag_edges(m, rep, merge_set, kids, parents)
                 self._parent[m] = rep
                 if kind[m] == SCC_CURRENT:
                     kind[m] = SCC_EXPIRED
-        for t, mu in add_out.items():
-            nt = out_rep.get(t, 0) + mu
-            out_rep[t] = nt
-            idd = in_d[t]
-            if idd is None:
-                idd = in_d[t] = {}
-            idd[rep] = nt
-        for src, mu in add_in.items():
-            ns = in_rep.get(src, 0) + mu
-            in_rep[src] = ns
-            od = out_d[src]
-            if od is None:
-                od = out_d[src] = {}
-            od[rep] = ns
-        size[rep] = total
-        return rep, list(add_out), list(add_in)
+        return rep, list(kids), list(parents)
+
+    def _move_dag_edges(
+        self, m: int, rep: int, inside: Container[int], kids: dict[int, None], parents: dict[int, None]
+    ) -> None:
+        """Hand every DAG edge of ``m`` to ``rep`` with its multiplicity,
+        dropping those to or from ``inside``, record the far ends moved in
+        ``kids`` and ``parents``, and leave ``m`` without DAG edges.
+
+        Every edge also leaves the far end's mirror, so when a merge moves
+        its members in turn, a member's edges to members already absorbed
+        were dropped when those moved, and no internal edge survives.  The
+        cost follows the degree of ``m``, so a merge's follows the
+        absorbed members' degrees, never the representative's.
+        """
+        out_d, in_d = self._out_d, self._in_d
+        for t, mu in (out_d[m] or {}).items():
+            del in_d[t][m]
+            if t not in inside:
+                self._add_dag_edge(rep, t, mu)
+                kids[t] = None
+        for src, mu in (in_d[m] or {}).items():
+            del out_d[src][m]
+            if src not in inside:
+                self._add_dag_edge(src, rep, mu)
+                parents[src] = None
+        out_d[m] = in_d[m] = None
 
     # ------------------------------------------------------------------
     # split
@@ -558,34 +540,21 @@ class SccGraph:
         for members, cid in zip(comps, new_ids):
             for x in members:
                 for y in out_i[x]:
-                    if y == x:
-                        continue
                     fy = find(y)
-                    if y in detached:
-                        if fy != cid:
-                            self._add_dag_edge(cid, fy, 1)
-                        continue
-                    if fy not in split_ids:  # external: the old (s, fy) edge loses one witness
-                        self._dec_dag_edge(s, fy)
-                    self._add_dag_edge(cid, fy, 1)
+                    if fy != cid:
+                        if fy not in split_ids:  # external: the old (s, fy) edge loses one witness
+                            self._dec_dag_edge(s, fy)
+                        self._add_dag_edge(cid, fy, 1)
                 for w in in_i[x]:
-                    if w == x or w in detached:
+                    if w in detached:  # x itself too; the tail's out-edges add it
                         continue
                     fw = find(w)
                     if fw not in split_ids:
                         self._dec_dag_edge(fw, s)
                     self._add_dag_edge(fw, cid, 1)
 
-        if remnant != s:
-            # The component dissolved to the single node ``keep``: hand
-            # the leftover DAG edges to it.
-            for t, mu in (self._out_d[s] or {}).items():
-                del self._in_d[t][s]
-                self._add_dag_edge(keep, t, mu)
-            for src, mu in (self._in_d[s] or {}).items():
-                del self._out_d[src][s]
-                self._add_dag_edge(src, keep, mu)
-            self._out_d[s] = self._in_d[s] = None
+        if remnant != s:  # dissolved to the single node ``keep``
+            self._move_dag_edges(s, keep, (), {}, {})
             kind[s] = SCC_EXPIRED
         new_ids.append(remnant)
         return new_ids

@@ -170,7 +170,7 @@ class ReachabilityIndex:
         k >= 1."""
         if t in (self.graph._out_d[s] or ()):
             return True, 1, 0
-        dry, visited, pruned, _ = self._two_way(s, t, self.labeler.k, False)
+        dry, visited, pruned, _ = self._two_way(s, t, False)
         return dry < 0, visited, pruned
 
     # ------------------------------------------------------------------
@@ -226,17 +226,17 @@ class ReachabilityIndex:
         there is one.  The merge set is then read off the links that side
         recorded, from the far endpoint back to its start.
         """
-        dry, _, _, links = self._two_way(t, s, self.k, keep=True)
-        return self._read_off(links, (t, s)[dry], (s, t)[dry], t, s)
+        dry, _, _, links = self._two_way(t, s, keep=True)
+        return self._read_off(links, (s, t)[dry], t, s)
 
-    def _two_way(self, a: int, b: int, k: int, keep: bool) -> tuple[int, int, int, dict | None]:
+    def _two_way(self, a: int, b: int, keep: bool) -> tuple[int, int, int, dict | None]:
         """Search the condensation forward from ``a`` and backward from
-        ``b``, skipping every node whose label, in one of its first ``k``
-        dimensions, is not inside ``a``'s or does not hold ``b``'s; no
-        node on an a-to-b path fails.  Forward, only the test against
-        ``b`` can fail, and backward only the one against ``a``.  When
-        ``a``'s label does not hold ``b``'s, no search is set up: the
-        forward side runs dry at ``a``.  A node that passes but has no
+        ``b``, skipping every node whose label, in one of its dimensions,
+        is not inside ``a``'s or does not hold ``b``'s; no node on an
+        a-to-b path fails.  Forward, only the test against ``b`` can
+        fail, and backward only the one against ``a``.  When ``a``'s label
+        does not hold ``b``'s, no search is set up: the forward side runs
+        dry at ``a``.  A node that passes but has no
         edge onward on that side is skipped unmarked: it is not the goal,
         which is marked from the start, so no a-to-b path passes it.  In a
         BA graph most parents of the giant component are sources, so the
@@ -272,13 +272,13 @@ class ReachabilityIndex:
         # nothing is set up.  Per dimension: the columns, then the bounds
         # of b and e between the labels of a and b; one dimension is set
         # up and tested inline.
-        k1 = k == 1
+        k1 = lab.k == 1
         if k1:
             b0, e0 = lab._b[0], lab._e[0]
             b_lo, b_hi, e_lo, e_hi = b0[a], b0[b], e0[b], e0[a]
             ok = b_lo <= b_hi and e_lo <= e_hi
         else:
-            for d in range(k):
+            for d in range(lab.k):
                 if lab._b[d][a] > lab._b[d][b] or lab._e[d][b] > lab._e[d][a]:
                     ok = False
                     break
@@ -286,7 +286,7 @@ class ReachabilityIndex:
                 ok = True
                 dims = [
                     (bcol, ecol, bcol[a], bcol[b], ecol[b], ecol[a])
-                    for bcol, ecol in zip(lab._b[:k], lab._e[:k])
+                    for bcol, ecol in zip(lab._b, lab._e)
                 ]
         if not ok:
             return 0, 1, 0, {a: []} if keep else None
@@ -354,12 +354,13 @@ class ReachabilityIndex:
                 left[side] += len(adj[c] or ())
 
     @staticmethod
-    def _read_off(found: dict[int, list[int]], root: int, goal: int, t: int, s: int) -> list[int]:
-        """The nodes on a root-to-goal path among ``found``, walking the
-        recorded links back from ``goal``; ordered ``s`` first, ``t`` last."""
+    def _read_off(found: dict[int, list[int]], goal: int, t: int, s: int) -> list[int]:
+        """The nodes on a t-to-s path among ``found``, walking the links
+        recorded by the side that started at the other end back from
+        ``goal`` (``s`` or ``t``); ordered ``s`` first, ``t`` last."""
         if goal not in found:
             return []
-        seen = {root, goal}
+        seen = {s, t}
         middle: list[int] = []
         stack = [goal]
         while stack:

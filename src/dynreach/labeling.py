@@ -254,8 +254,9 @@ class IntervalLabeler:
         Begin values are min-propagated with a worklist, which takes a
         node's parents once per time its begin grew.  End values are
         finalized in ascending order of their previous value through a
-        priority queue, so every ancestor sees finished children and is
-        recomputed at most once, apart from a merge's parents above.
+        priority queue, and a node's floors pop largest first, so every
+        ancestor sees finished children and is raised at most once, apart
+        from a merge's parents above.
         """
         if self.k == 0:
             return
@@ -275,19 +276,20 @@ class IntervalLabeler:
                 if changed:
                     stack.append((p, in_d[p] or ()))
         # End phase, one dimension at a time.  Entries are relaxations
-        # (old end, node, required floor): because a parent's old end
-        # exceeds its children's, every floor a node receives is final
-        # before any of its parents pop, so one pass settles the cone
-        # without rescanning child lists.
+        # (old end, node, minus the required floor): because a parent's
+        # old end exceeds its children's, every floor a node receives is
+        # queued before any of them pops, the largest pops first and the
+        # rest are skipped, so one pass settles the cone.
         for d in range(self.k):
             e_col = self._e[d]
             heap = [
-                (e_col[p], p, e_col[w] + 1) for w, parents in covers for p in parents if e_col[p] <= e_col[w]
+                (e_col[p], p, -1 - e_col[w]) for w, parents in covers for p in parents if e_col[p] <= e_col[w]
             ]
             heapify(heap)
             hi = self._max_end[d]
             while heap:
                 _, p, floor = heappop(heap)
+                floor = -floor
                 if e_col[p] >= floor:
                     continue
                 e_col[p] = floor
@@ -298,5 +300,5 @@ class IntervalLabeler:
                 if idd:
                     for q in idd:
                         if e_col[q] < up:
-                            heappush(heap, (e_col[q], q, up))
+                            heappush(heap, (e_col[q], q, -up))
             self._max_end[d] = hi

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -198,15 +199,35 @@ def test_multiplicity_matches_recount():
 
 
 def test_size_conservation_after_merges():
-    rng = random.Random(3)
-    g = SccGraph.build(random_digraph(30, 45, 11), num_nodes=30)
-    for _ in range(6):
-        nodes = g.current_dag_nodes()
-        if len(nodes) < 2:
-            break
-        picks = rng.sample(nodes, 2)
-        g.merge_components(picks)
-        assert sum(g.scc_size(s) for s in g.current_dag_nodes()) == 30
+    # Merges of 2-4 arbitrary current components: sizes add up, every DAG
+    # multiplicity matches a recount from the input layer, and the merge
+    # returns the absorbed members' external children and parents once
+    # each, in the order their edges were stored.
+    for seed in range(10):
+        rng = random.Random(seed)
+        g = SccGraph.build(random_digraph(30, 45, 11 + seed), num_nodes=30)
+        for _ in range(6):
+            nodes = g.current_dag_nodes()
+            if len(nodes) < 2:
+                break
+            picks = rng.sample(nodes, min(len(nodes), rng.randint(2, 4)))
+            kids_of = {m: g.dag_children(m) for m in picks}
+            parents_of = {m: g.dag_parents(m) for m in picks}
+            rep, kids, parents = g.merge_components(picks)
+            absorbed = [m for m in picks if m != rep]
+            assert kids == list(dict.fromkeys(t for m in absorbed for t in kids_of[m] if t not in picks))
+            assert parents == list(
+                dict.fromkeys(p for m in absorbed for p in parents_of[m] if p not in picks)
+            )
+            assert sum(g.scc_size(s) for s in g.current_dag_nodes()) == 30
+            counts = Counter()
+            for u, v in g.input_edges():
+                s, t = g.find_scc(u), g.find_scc(v)
+                if s != t:
+                    counts[s, t] += 1
+            nodes = g.current_dag_nodes()
+            assert {(s, t): g.edge_multiplicity(s, t) for s in nodes for t in g.dag_children(s)} == counts
+            assert {(p, s) for s in nodes for p in g.dag_parents(s)} == set(counts)
 
 
 def test_node_lifecycle():

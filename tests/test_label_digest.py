@@ -1,4 +1,5 @@
-"""The label digest tool replays a benchmark part deterministically."""
+"""The label digest tool replays a benchmark part deterministically and
+hashes labels and DAG adjacency."""
 from __future__ import annotations
 
 import importlib.util
@@ -29,3 +30,16 @@ def test_cli_prints_a_line_per_update_and_a_total(capsys, monkeypatch):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == spec.updates + 1
     assert lines[-1].startswith(f"{spec.updates} updates: ")
+
+
+def test_hash_covers_dag_multiplicities_and_their_order():
+    idx = label_digest.ReachabilityIndex.build([(0, 1), (0, 2), (3, 1)], 4)
+    g = idx.graph
+    before = label_digest.label_hash(idx)
+    g._add_dag_edge(0, 1, 1)  # a multiplicity changes, no label does
+    assert label_digest.label_hash(idx) != before
+    g._dec_dag_edge(0, 1)
+    assert label_digest.label_hash(idx) == before
+    od = g._out_d[0]
+    od[1] = od.pop(1)  # the same children, stored in the other order
+    assert label_digest.label_hash(idx) != before

@@ -1,6 +1,7 @@
 """Interval label assignment, subsumption, enlargement, and split redistribution."""
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -14,7 +15,7 @@ from dynreach import (
     subsumes,
 )
 
-from oracles import check_label_invariants, dag_reach
+from oracles import Mirror, assert_agrees, check_label_invariants, dag_reach
 from samples import NODE, random_dag, sample_comps, sample_graph, sample_index
 
 # Frozen two-dimensional labeling of the sample condensation: first
@@ -127,16 +128,26 @@ def test_enlarge_propagates_only_to_ancestors():
 
 
 def test_split_two_cycle_keeps_containment():
-    for seed in range(10):
+    # The two-cycle {0, 1} has the children 2 (of both ends, multiplicity
+    # 2) and 3, and the parents 6 (of both ends) and 7; the other edges
+    # run downhill, so no child reaches a parent.  Deleting (0, 1)
+    # detaches {0}, and the remnant dissolves to 1 and takes over the
+    # component's remaining DAG edges.
+    for k, seed in itertools.product((0, 1, 2), range(10)):
         rng = random.Random(seed)
         u, v = 0, 1
         extra = [(rng.randrange(2, 8), rng.randrange(2, 8)) for _ in range(6)]
-        edges = [(u, v), (v, u)] + [(a, b) for a, b in extra if a != b]
-        idx = ReachabilityIndex.build(edges, 8, LabelerConfig(k=2, seed=seed))
-        assert idx.find(u) == idx.find(v)
+        edges = [(u, v), (v, u), (u, 2), (v, 2), (v, 3), (6, u), (6, v), (7, v)]
+        edges += [(a, b) for a, b in extra if a > b]
+        idx = ReachabilityIndex.build(edges, 8, LabelerConfig(k=k, seed=seed))
+        s = idx.find(u)
+        assert s == idx.find(v) and idx.graph.edge_multiplicity(s, 2) == 2
         idx.delete_edge(u, v)
-        assert idx.find(u) != idx.find(v)
-        check_label_invariants(idx)
+        mirror = Mirror(edges, 8)
+        mirror.delete_edge(u, v)
+        assert idx.find(u) == u and idx.find(v) == v
+        assert idx.graph.node_kind(s) == "scc-expired"
+        assert_agrees(idx, mirror)
         # the component of u still reaches v's side through the kept edge
         assert idx.reachable(v, u)
 

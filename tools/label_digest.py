@@ -1,4 +1,4 @@
-"""Digest every label after each update of one part of a benchmark workload.
+"""Digest every label and DAG edge after each update of one benchmark part.
 
     python3 tools/label_digest.py --workload churn --seed 1 --part 0
 
@@ -7,12 +7,14 @@ Draws part ``--part`` of the workload for ``--seed`` with
 this file sits in from its initial graph with the benchmark's labeler
 settings, and applies its updates in order, mapping node ids as the
 replay does.  After each update it hashes the id and the label of every
-current component.  It prints one line per update (its number, its kind
-and the first hex digits of that hash), then one line with the hash of
-them all.  Queries are skipped: they change no label.
+current component, and its DAG children and parents with their
+multiplicities, in stored order.  It prints one line per update (its
+number, its kind and the first hex digits of that hash), then one line
+with the hash of them all.  Queries are skipped: they change neither.
 
-Two checkouts that print the same lines kept the same components and
-labels after every update, which is how a change meant to leave labels
+Two checkouts that print the same lines kept the same components,
+labels and DAG adjacency after every update, down to the order the
+labelling shuffles, which is how a change meant to leave labels
 bit-identical is checked against its parent:
 
     diff <(python3 A/tools/label_digest.py ...) <(python3 B/tools/label_digest.py ...)
@@ -34,11 +36,22 @@ from workloads import DE, IE, IN, QUERY, PROBE, SPECS, Spec, generate  # noqa: E
 
 
 def label_hash(idx: ReachabilityIndex) -> bytes:
-    """Hash of the current components' ids and labels, in slot order."""
-    nodes = idx.graph.current_dag_nodes()
+    """Hash of the current components' ids and labels, then of each one's
+    DAG children and parents as (degree, then node and multiplicity per
+    edge) in stored order, in slot order."""
+    g = idx.graph
+    nodes = g.current_dag_nodes()
     h = hashlib.sha256(array("q", nodes).tobytes())
     for col in (*idx.labeler._b, *idx.labeler._e):
         h.update(array("q", [col[x] for x in nodes]).tobytes())
+    adj = array("q")
+    for x in nodes:
+        for d in (g._out_d[x] or {}, g._in_d[x] or {}):
+            adj.append(len(d))
+            for y, mu in d.items():
+                adj.append(y)
+                adj.append(mu)
+    h.update(adj.tobytes())
     return h.digest()
 
 
