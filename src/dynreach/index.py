@@ -25,19 +25,23 @@ An edge (s, t) closes a cycle when ``t`` reaches ``s``; the same two-way
 search (``collect_merge_list``), forward from ``t`` and backward from
 ``s``, both detects that and finds the components on a t-to-s path: it
 runs on until one side runs out of nodes and keeps the links that side
-followed.  The components found merge into the graph's representative
-(the largest member, or a fresh node when every member is a singleton),
-which also carries the merged label.  Labels only need containment
-along DAG edges (GRAIL's condition), and the only DAG edges that can
-lack it are the ones the merge created: from the representative to the
-external children moved onto it, and from the external parents moved
-onto it to the representative.  The merge hands just those edges to
+followed.  A component that both sides have found lies on such a
+path.  The first one that a side is about to expand before the other side
+has becomes the search's one hub, which neither side expands; both sides
+then run dry, and the merge set is read off the links of both.  The giant
+component in the middle of a small merge set is so passed without a scan
+of its adjacency.  The components found merge into the graph's
+representative (the largest member, or a fresh node when every member is
+a singleton), which also carries the merged label.  Labels only need
+containment along DAG edges (GRAIL's condition), and the only DAG edges
+that can lack it are the ones the merge created: from the representative
+to the external children moved onto it, and from the external parents
+moved onto it to the representative.  The merge hands just those edges to
 ``propagate``, as an insertion hands over its one edge, which grows the
-representative's own label over the new children and then every
-ancestor that no longer covers it.  A merge therefore scans the
-adjacency of the absorbed members once, plus the labels that really
-grow; joining a component with many parents does not cost its
-in-degree.
+representative's own label over the new children and then every ancestor
+that no longer covers it.  A merge therefore scans the adjacency of the
+absorbed members once, plus the labels that really grow; joining a
+component with many parents does not cost its in-degree.
 
 An edge deletion and a node deletion unlink each removed edge by one
 step (``_unlink``), which only adjusts a DAG edge's multiplicity unless
@@ -220,16 +224,20 @@ class ReachabilityIndex:
         last; empty when ``t`` does not reach ``s``.
 
         One two-way search (``_two_way``, forward from ``t`` and backward
-        from ``s``) both detects the cycle and finds the merge set.  It
-        runs until one side runs out of nodes: that side has found
-        everything on a t-to-s path, and it has met the far endpoint iff
-        there is one.  The merge set is then read off the links that side
-        recorded, from the far endpoint back to its start.
+        from ``s``) both detects the cycle and finds the merge set.
+        Without a hub it runs until one side runs out of nodes: that side
+        has found everything on a t-to-s path, and it has met the far
+        endpoint iff there is one; the merge set is read off the links
+        that side recorded, from the far endpoint back to its start.  With
+        a hub ``H`` both sides run dry, and the merge set is read off the
+        links of both, back from ``s``, ``t`` and ``H``: the forward links
+        lead back from ``s`` and ``H`` to ``t``, the backward ones from ``t``
+        and ``H`` to ``s``.
         """
-        dry, _, _, links = self._two_way(t, s, keep=True)
-        return self._read_off(links, (s, t)[dry], t, s)
+        _, _, _, (links, starts) = self._two_way(t, s, keep=True)
+        return self._read_off(links, starts, t, s)
 
-    def _two_way(self, a: int, b: int, keep: bool) -> tuple[int, int, int, dict | None]:
+    def _two_way(self, a: int, b: int, keep: bool) -> tuple[int, int, int, tuple | None]:
         """Search the condensation forward from ``a`` and backward from
         ``b``, skipping every node whose label, in one of its dimensions,
         is not inside ``a``'s or does not hold ``b``'s; no node on an
@@ -243,29 +251,54 @@ class ReachabilityIndex:
         side that expands the giant finds only the few that lead on.
 
         Without ``keep`` the search stops when one side reaches a node the
-        other has found, which certifies a path.  With ``keep`` each side
-        finds the other's nodes as its own and records, per found node,
-        the found nodes it was reached from; the other side's start is
-        recorded but never expanded, since nothing past it lies on an
-        a-to-b path.  Either way the search stops when one side runs out
-        of nodes, and that side's found set holds every node on an a-to-b
-        path that it can reach.
+        other has found, which certifies a path, or when one side runs out
+        of nodes.  With ``keep`` each side finds the other's nodes as its
+        own and records, per found node, the found nodes it was reached
+        from; the other side's start is recorded but never expanded, since
+        nothing past it lies on an a-to-b path.
+
+        The hub, under ``keep``.  A node that both sides have found lies on
+        an a-to-b path.  When a side is about to expand such a node that is
+        not a start and that the other side has not expanded, the node
+        becomes the search's one hub ``H``, and neither side expands
+        it.  Without a hub the search stops when one side runs out of
+        nodes, and that side's found set holds every node on an a-to-b
+        path.  Once there is a hub the search runs until both sides run
+        out, and the a-to-b nodes are read off both sides' links back from
+        ``b``, ``a`` and ``H`` (``_read_off``).  That is complete.  Take any
+        a-to-b path.  If it avoids ``H``, the forward side expands all of
+        it but ``b``, since only ``H`` is skipped, so the forward links
+        lead back along it from ``b``.  If it passes ``H``, the segment
+        a..H is found forward and the segment H..b backward, so the links
+        lead back from ``H`` along both.  The giant component in the middle
+        of a small merge set is so found by both sides and scanned by
+        neither.  Skipping more than one node on both sides is unsound:
+        take a -> z -> Y -> z' -> b, z -> q -> b and a -> r -> z'.  Both
+        sides find z (backward through q) and z' (forward through r), and
+        if neither side expanded either, ``Y`` would be found by neither.
 
         The sides are balanced by edges.  The side with fewer edges known
         to be left (those of its found, unexpanded nodes) expands next,
         unless its edges scanned plus left exceed twice the other side's.
-        A hub at either end is so expanded only when the other side has as
-        much left, and a hub in the middle, which both sides must pass,
-        usually once: the side that expanded it has little left and
-        finishes or meets the other first.  A side's scanned plus left
-        edges never exceed what it needs to run dry, so the search scans
-        at most about three times the edges of the cheaper one-way
-        search, plus one node's degree.
+        A node of high degree at either end is so expanded only when the
+        other side has as much left.  Without ``keep``, one in the middle,
+        which both sides must pass, is usually expanded once: the side that
+        expanded it has little left and finishes or meets the other first;
+        with ``keep`` it is usually the hub.  Until a side
+        runs dry, its scanned plus left edges never exceed what it needs
+        to run dry, so the search scans at most about three times the
+        edges of the cheaper one-way search, plus one node's degree; once
+        there is a hub, each side scans at most its own one-way search
+        that stops at ``H``.
 
-        Returns (dry, visited, pruned, links): the side that ran out of
-        nodes (0 forward, 1 backward; -1 when the sides met), one plus the
-        nodes either side found other than ``a`` and ``b``, the failed
-        label tests, and the dry side's links (None without ``keep``).
+        Returns (dry, visited, pruned, read): the side that ran out of
+        nodes (0 forward, 1 backward, 2 both after a hub; -1 when the
+        sides met), one plus the nodes either side found other than ``a``
+        and ``b``, the failed label tests, and under ``keep`` the links to
+        read the a-to-b nodes off and the nodes to read them from (None
+        without ``keep``).  Those are the dry side's links and the far
+        endpoint, or no node when that side did not reach it; after a hub,
+        both sides' links and ``b``, ``a`` and ``H``.
         """
         lab = self.labeler
         # The ends first: unless a's label holds b's in every dimension,
@@ -289,7 +322,7 @@ class ReachabilityIndex:
                     for bcol, ecol in zip(lab._b, lab._e)
                 ]
         if not ok:
-            return 0, 1, 0, {a: []} if keep else None
+            return 0, 1, 0, ((), ()) if keep else None
         g = self.graph
         vis = self._vis
         base = self._stamp  # marks above base belong to this search
@@ -303,23 +336,40 @@ class ReachabilityIndex:
             ([a], g._out_d, base + 1, base + 2, b, {a: []} if keep else None),
             ([b], g._in_d, base + 2, base + 1, a, {b: []} if keep else None),
         )
+        found_a, found_b = sides[0][0], sides[1][0]
         pos = [0, 0]
         cost = [0, 0]  # edges and nodes scanned
         left = [len(g._out_d[a] or ()), len(g._in_d[b] or ())]  # edges of found, unexpanded nodes
         pruned = 0
+        hub = None
+        done: set[int] = set()  # nodes expanded by either side, under keep
         while True:
-            for side in (0, 1):
-                if pos[side] == len(sides[side][0]):
-                    return side, len(sides[0][0]) + len(sides[1][0]) - 1, pruned, sides[side][5]
-            side = 0 if left[0] <= left[1] else 1
-            if cost[side] + left[side] > 2 * (cost[1 - side] + left[1 - side]):
-                side = 1 - side
+            if pos[0] == len(found_a) or pos[1] == len(found_b):
+                dry = 0 if pos[0] == len(found_a) else 1
+                visited = len(found_a) + len(found_b) - 1
+                if hub is None:
+                    if not keep:
+                        return dry, visited, pruned, None
+                    goal, links = sides[dry][4:]
+                    return dry, visited, pruned, ((links,), (goal,) if goal in links else ())
+                if dry == 0 and pos[1] == len(found_b):
+                    return 2, visited, pruned, ((sides[0][5], sides[1][5]), (b, a, hub))
+                side = 1 - dry
+            else:
+                side = 0 if left[0] <= left[1] else 1
+                if cost[side] + left[side] > 2 * (cost[1 - side] + left[1 - side]):
+                    side = 1 - side
             found, adj, own, other, goal, links = sides[side]
             w = found[pos[side]]
             pos[side] += 1
             nbrs = adj[w] or ()
-            cost[side] += len(nbrs) + 1
             left[side] -= len(nbrs)
+            if keep:
+                if w == hub or (hub is None and vis[w] == both and w != found[0] and w not in done):
+                    hub = w
+                    continue
+                done.add(w)
+            cost[side] += len(nbrs) + 1
             for c in nbrs:
                 m = vis[c]
                 if m <= base:
@@ -344,7 +394,7 @@ class ReachabilityIndex:
                         links[c].append(w)
                     continue
                 elif not keep:
-                    return -1, len(sides[0][0]) + len(sides[1][0]) - 1, pruned, None
+                    return -1, len(found_a) + len(found_b) - 1, pruned, None
                 else:
                     vis[c] = both
                     links[c] = [w]
@@ -354,21 +404,29 @@ class ReachabilityIndex:
                 left[side] += len(adj[c] or ())
 
     @staticmethod
-    def _read_off(found: dict[int, list[int]], goal: int, t: int, s: int) -> list[int]:
-        """The nodes on a t-to-s path among ``found``, walking the links
-        recorded by the side that started at the other end back from
-        ``goal`` (``s`` or ``t``); ordered ``s`` first, ``t`` last."""
-        if goal not in found:
+    def _read_off(
+        links: Sequence[dict[int, list[int]]], starts: Sequence[int], t: int, s: int
+    ) -> list[int]:
+        """The nodes on a t-to-s path, walking back from ``starts`` along
+        the links of every dict in ``links`` (``_two_way``'s read); ordered
+        ``s`` first, ``t`` last, and empty without a start.
+
+        Every step stays on a t-to-s path: a forward link leads from a
+        node on one to a node that ``t`` reaches and that reaches it, and a
+        backward link to a node that it reaches and that reaches ``s``."""
+        if not starts:
             return []
-        seen = {s, t}
-        middle: list[int] = []
-        stack = [goal]
+        seen = {s, t, *starts}
+        middle = [x for x in starts if x != s and x != t]
+        stack = list(starts)
         while stack:
-            for y in found[stack.pop()]:
-                if y not in seen:
-                    seen.add(y)
-                    middle.append(y)
-                    stack.append(y)
+            x = stack.pop()
+            for found in links:
+                for y in found.get(x, ()):
+                    if y not in seen:
+                        seen.add(y)
+                        middle.append(y)
+                        stack.append(y)
         return [s, *middle, t]
 
     # ------------------------------------------------------------------

@@ -183,7 +183,11 @@ class Mirror:
 
 def check_label_invariants(index) -> None:
     """Edge-wise containment on every DAG edge plus exhaustive label
-    soundness (reachability implies subsumption) over all component pairs."""
+    soundness (reachability implies subsumption) over all component pairs.
+
+    Reachability is a bitset per component, built over the stored child
+    lists in reverse topological order (Kahn's), which also checks that
+    the condensation is acyclic; pairs are compared in blocks of rows."""
     g = index.graph
     k = index.k
     if k == 0:
@@ -192,39 +196,52 @@ def check_label_invariants(index) -> None:
     nodes = g.current_dag_nodes()
     pos = {s: i for i, s in enumerate(nodes)}
     n = len(nodes)
-    adj = np.zeros((n, n), dtype=bool)
+    kids: list[list[int]] = []
     for s in nodes:
-        i = pos[s]
         bs, es = [], []
         for d in range(k):
             bs.append(lab._b[d][s])
             es.append(lab._e[d][s])
+        kids.append([pos[t] for t in g.dag_children(s)])
         for t in g.dag_children(s):
-            adj[i, pos[t]] = True
             for d in range(k):
                 bt, et = lab._b[d][t], lab._e[d][t]
                 assert bs[d] <= bt and es[d] >= et + 1, (
                     f"containment broken on edge ({s}, {t}) dim {d}: "
                     f"[{bs[d]}, {es[d]}] vs [{bt}, {et}]"
                 )
-    if n == 0:
-        return
-    closure = adj.copy()
-    while True:
-        grown = closure | ((closure.astype(np.uint8) @ closure.astype(np.uint8)) > 0)
-        if (grown == closure).all():
-            break
-        closure = grown
+    indeg = [0] * n
+    for ks in kids:
+        for j in ks:
+            indeg[j] += 1
+    order = [i for i in range(n) if not indeg[i]]
+    for i in order:
+        for j in kids[i]:
+            indeg[j] -= 1
+            if not indeg[j]:
+                order.append(j)
+    assert len(order) == n, "the condensation has a cycle"
+    reach = [0] * n  # bit j of reach[i]: nodes[i] reaches nodes[j]
+    for i in reversed(order):
+        r = 0
+        for j in kids[i]:
+            r |= reach[j] | (1 << j)
+        reach[i] = r
     b = np.array([[lab._b[d][s] for s in nodes] for d in range(k)], dtype=np.int64)
     e = np.array([[lab._e[d][s] for s in nodes] for d in range(k)], dtype=np.int64)
-    covers = ((b[:, :, None] <= b[:, None, :]) & (e[:, None, :] <= e[:, :, None])).all(axis=0)
-    bad = closure & ~covers
-    if bad.any():
-        i, j = map(int, np.argwhere(bad)[0])
-        raise AssertionError(
-            f"label soundness broken: {nodes[i]} reaches {nodes[j]} but "
-            f"{index.label_of(nodes[i])} does not subsume {index.label_of(nodes[j])}"
-        )
+    width = (n + 7) // 8
+    for lo in range(0, n, 256):
+        hi = min(n, lo + 256)
+        rows = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in reach[lo:hi]), np.uint8)
+        closure = np.unpackbits(rows.reshape(hi - lo, width), axis=1, bitorder="little")[:, :n].astype(bool)
+        covers = ((b[:, lo:hi, None] <= b[:, None, :]) & (e[:, None, :] <= e[:, lo:hi, None])).all(axis=0)
+        bad = closure & ~covers
+        if bad.any():
+            i, j = map(int, np.argwhere(bad)[0])
+            raise AssertionError(
+                f"label soundness broken: {nodes[lo + i]} reaches {nodes[j]} but "
+                f"{index.label_of(nodes[lo + i])} does not subsume {index.label_of(nodes[j])}"
+            )
 
 
 def assert_agrees(idx, mirror):

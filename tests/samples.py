@@ -96,8 +96,10 @@ def random_digraph(n: int, m: int, seed: int) -> list[tuple[int, int]]:
     return [(rng.randrange(n), rng.randrange(n)) for _ in range(m)]
 
 
-def random_dag(n: int, m: int, seed: int) -> list[tuple[int, int]]:
-    """Random acyclic digraph: edges respect a hidden permutation order."""
+def random_dag(n: int, m: int, seed: int, hubs: int = 0) -> list[tuple[int, int]]:
+    """Random acyclic digraph: edges respect a hidden permutation order.
+    Then ``hubs`` random nodes each gain, with probability one half, an
+    edge to or from every other node, in the same order."""
     rng = random.Random(seed)
     perm = list(range(n))
     rng.shuffle(perm)
@@ -109,6 +111,10 @@ def random_dag(n: int, m: int, seed: int) -> list[tuple[int, int]]:
         if perm[i] > perm[j]:
             i, j = j, i
         edges.add((i, j))
+    for h in rng.sample(range(n), hubs):
+        for x in range(n):
+            if x != h and rng.random() < 0.5:
+                edges.add((x, h) if perm[x] < perm[h] else (h, x))
     return sorted(edges)
 
 

@@ -203,63 +203,121 @@ def test_merge_into_large_scc_pays_for_the_small_side(position):
     assert searches == [True]  # one merge search, and no query search
 
 
-def test_merge_search_expands_a_middle_hub_once():
-    # t = 201 -> 0 -> s = 202, also through 1, 2 and 3, and the hub 0 has
-    # 100 children and 100 parents.  Both sides reach the hub; the one
-    # that expands it first has little left and runs dry, so the other
-    # never label-tests the hub's edges.
-    edges = [(0, c) for c in range(1, 101)] + [(p, 0) for p in range(101, 201)]
-    edges += [(201, 0), (0, 202), (1, 202), (2, 202), (3, 202)]
-    idx = ReachabilityIndex.build(edges, 203, LabelerConfig(k=1, seed=4))
+class CountingDict(dict):
+    """A DAG adjacency dict that counts the loops over it."""
+
+    loops = 0
+
+    def __iter__(self):
+        self.loops += 1
+        return super().__iter__()
+
+
+def spy_merge_search(idx, hub):
+    """Record each ``_two_way`` result of ``idx``, with the loops it made
+    over ``hub``'s DAG children and parents."""
+    g = idx.graph
+    g._out_d[hub] = CountingDict(g._out_d[hub])
+    g._in_d[hub] = CountingDict(g._in_d[hub])
+    adjacency = (g._out_d[hub], g._in_d[hub])
     searches = []
     two_way = idx._two_way
 
     def counting(*args, **kwargs):
         result = two_way(*args, **kwargs)
-        searches.append(result)
+        searches.append((result, sum(d.loops for d in adjacency)))
         return result
 
     idx._two_way = counting
+    return searches
+
+
+def test_merge_search_never_expands_a_middle_hub():
+    # t = 201 -> 0 -> s = 202, also through 1, 2 and 3, and the hub 0 has
+    # 100 children and 100 parents.  Both sides find the hub before either
+    # expands it, so it is the search's hub: neither side label-tests its
+    # edges, and the backward side alone finds 1, 2 and 3.
+    edges = [(0, c) for c in range(1, 101)] + [(p, 0) for p in range(101, 201)]
+    edges += [(201, 0), (0, 202), (1, 202), (2, 202), (3, 202)]
+    idx = ReachabilityIndex.build(edges, 203, LabelerConfig(k=1, seed=4))
+    searches = spy_merge_search(idx, 0)
     idx.insert_edge(202, 201)
     mirror = Mirror(edges, 203)
     mirror.insert_edge(202, 201)
-    assert idx.scc_partition() == mirror.partition()
-    check_label_invariants(idx)
+    assert_agrees(idx, mirror)
     assert idx.graph.scc_size(idx.find(0)) == 6
-    # Label tests are the nodes found plus the tests failed: one side of
-    # the hub makes about 100.
-    ((_, visited, pruned, _),) = searches
-    assert visited + pruned < 120
+    (((dry, visited, pruned, (_, starts)), loops),) = searches
+    assert dry == 2 and starts == (202, 201, 0)  # both sides ran dry past the hub 0
+    assert loops == 0
+    assert (visited, pruned) == (6, 0)  # one plus 0 forward, and 0, 1, 2 and 3 backward
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_merge_search_skips_dead_ends_at_a_hub(k):
     # t = 251 -> 0 -> s = 252, and the hub 0 has 150 sink children and
-    # 100 source parents.  Both sides reach the hub, and the backward side,
-    # with fewer edges left, expands it.  The parents whose labels t's
-    # covers have no edge onward and are not t, so none is entered: the
-    # search finds the hub alone, from both ends.
+    # 100 source parents.  Both sides find the hub from their start, so it
+    # is the search's hub: neither side expands it, and both run dry with
+    # the hub alone found, from both ends.
     edges = [(0, c) for c in range(1, 151)] + [(p, 0) for p in range(151, 251)]
     edges += [(251, 0), (0, 252)]
     idx = ReachabilityIndex.build(edges, 253, LabelerConfig(k=k, seed=4))
-    searches = []
-    two_way = idx._two_way
-
-    def counting(*args, **kwargs):
-        result = two_way(*args, **kwargs)
-        searches.append(result)
-        return result
-
-    idx._two_way = counting
+    searches = spy_merge_search(idx, 0)
     idx.insert_edge(252, 251)
     mirror = Mirror(edges, 253)
     mirror.insert_edge(252, 251)
-    assert idx.scc_partition() == mirror.partition()
-    check_label_invariants(idx)
+    assert_agrees(idx, mirror)
     assert idx.graph.scc_size(idx.find(0)) == 3
-    ((dry, visited, _, _),) = searches
-    assert dry == 1  # the backward side expanded the hub and ran dry
-    assert visited == 3  # one plus the hub, counted once per side
+    (((dry, visited, pruned, (_, starts)), loops),) = searches
+    assert dry == 2 and starts == (252, 251, 0)
+    assert loops == 0
+    assert (visited, pruned) == (3, 0)  # one plus the hub, counted once per side
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_merge_search_passes_a_large_hub_in_the_middle_of_the_merge_set(k):
+    # t = 0 -> 1 -> X = 2 -> 3 -> s = 4, and X has 3,000 children and 3,000
+    # parents, none of them a dead end: every child leads on to the sink
+    # 6005, and the source 6006 leads to every parent.  Expanding X would
+    # find or prune thousands of them on either side; the merge search
+    # finds X from both sides and expands it on neither.
+    n = 6007
+    edges = [(0, 1), (1, 2), (2, 3), (3, 4)]
+    edges += [(2, c) for c in range(5, 3005)] + [(c, 6005) for c in range(5, 3005)]
+    edges += [(p, 2) for p in range(3005, 6005)] + [(6006, p) for p in range(3005, 6005)]
+    idx = ReachabilityIndex.build(edges, n, LabelerConfig(k=k, seed=k))
+    searches = spy_merge_search(idx, 2)
+    idx.insert_edge(4, 0)
+    mirror = Mirror(edges, n)
+    mirror.insert_edge(4, 0)
+    assert_agrees(idx, mirror)
+    assert idx.graph.scc_size(idx.find(2)) == 5
+    (((_, visited, pruned, _), loops),) = searches
+    assert visited + pruned < 50
+    assert loops == 0
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_merge_search_skips_only_one_hub(k):
+    # t = 0 -> z = 1 -> Y = 2 -> z' = 4 -> s = 5, with z -> q = 3 -> s and
+    # t -> r = 6 -> z', and z' also leads to the sink 7.  The forward side
+    # expands t, then r, which finds z' after the backward side found it;
+    # z' has more edges left than q, so the backward side expands q,
+    # which finds z, and then takes z': z' becomes the hub.  z, too, was
+    # found by both sides before either expanded it, but it is not
+    # skipped: the forward side expands it and finds Y.  Were every such
+    # node skipped, neither side would find Y.
+    edges = [(0, 6), (0, 1), (1, 2), (2, 4), (3, 5), (4, 5), (1, 3), (6, 4), (4, 7)]
+    idx = ReachabilityIndex.build(edges, 8, LabelerConfig(k=k, seed=k))
+    dry, _, _, ((forward, backward), starts) = idx._two_way(0, 5, keep=True)
+    assert dry == 2 and starts == (5, 0, 4)  # z' is the hub
+    assert 1 in forward and 1 in backward  # z was found by both sides too
+    assert 2 in forward and 2 not in backward  # Y, through z alone
+    assert sorted(idx.collect_merge_list(0, 5)) == [0, 1, 2, 3, 4, 5, 6]
+    idx.insert_edge(5, 0)
+    mirror = Mirror(edges, 8)
+    mirror.insert_edge(5, 0)
+    assert_agrees(idx, mirror)
+    assert idx.find(2) == idx.find(0)
 
 
 # ----------------------------------------------------------------------
@@ -280,25 +338,31 @@ def test_merge_list_requires_reachability():
 
 
 def test_merge_list_equals_path_intersection_oracle():
-    for seed in range(12):
-        edges = random_dag(28, 56, seed)
-        idx = ReachabilityIndex.build(edges, 28, LabelerConfig(k=1, seed=seed))
+    # Random DAGs with 1-3 planted hubs and every (t, s) pair, at k 0, 1
+    # and 2: the merge list is exactly the nodes that t reaches and that
+    # reach s, and some searches pass a hub.
+    hubbed = 0
+    for seed in range(10):
+        edges = random_dag(28, 56, seed, hubs=1 + seed % 3)
         out = {u: set() for u in range(28)}
         for u, v in edges:
             out[u].add(v)
         reach = reachable_pairs(list(range(28)), out)
-        pairs = [
-            (t, s)
-            for t in range(28)
-            for s in range(28)
-            if t != s and s in reach[t]
-        ]
-        rng = random.Random(seed)
-        for t, s in rng.sample(pairs, min(5, len(pairs))):
-            got = idx.collect_merge_list(t, s)
-            want = {w for w in range(28) if w in reach[t] and s in reach[w]} | {s}
-            assert set(got) == want
-            assert got[0] == s and got[-1] == t
+        for k in (0, 1, 2):
+            idx = ReachabilityIndex.build(edges, 28, LabelerConfig(k=k, seed=seed))
+            for t in range(28):
+                for s in range(28):
+                    if t == s:
+                        continue
+                    got = idx.collect_merge_list(t, s)
+                    if s not in reach[t]:
+                        assert got == [], (seed, k, t, s)
+                        continue
+                    want = {w for w in range(28) if w in reach[t] and s in reach[w]} | {s}
+                    assert sorted(got) == sorted(want), (seed, k, t, s)
+                    assert got[0] == s and got[-1] == t
+                    hubbed += idx._two_way(t, s, keep=True)[0] == 2
+    assert hubbed
 
 
 # ----------------------------------------------------------------------
