@@ -7,11 +7,14 @@ takes a fresh slot, whose label starts empty, and each of its edges runs
 through the edge insertion; a batch of edge updates runs through the same
 edge insertion and deletion.
 
-A query from ``s`` to ``t`` is true at once when both lie in one
-component or a stored DAG edge leads from ``s``'s to ``t``'s (such an
-edge joins current components), and false when ``s``'s label fails to
-cover ``t``'s; the edge goes first, as more queries end there.  Any
-other query searches the condensation from both ends (``_two_way``):
+A query from ``s`` to ``t`` tests, in this order and in ``reachable``'s
+own frame: both lie in one component (true), a stored DAG edge leads
+from ``s``'s to ``t``'s (true: such an edge joins current components),
+and ``s``'s label fails to cover ``t``'s (false, by
+``IntervalLabeler.covers``, the one test of two ends, which the merge
+search's entry also uses); the edge goes before the labels, as more
+queries end there.  Only a query that none of the three settles
+calls a search, which runs the condensation from both ends (``_two_way``):
 forward from ``s`` into children whose labels still cover ``t``'s, and
 backward from ``t`` into parents whose labels ``s``'s still covers.  A
 dead end, a component with no edge onward on that side, is not
@@ -151,31 +154,64 @@ class ReachabilityIndex:
     # queries
 
     def reachable(self, u: int, v: int) -> bool:
-        """Does input node ``u`` reach input node ``v``?"""
+        """Does input node ``u`` reach input node ``v``?
+
+        The ids and components are looked up in this frame: a slot with no
+        containment link (-1) is its component, one whose link leads to a
+        slot without one needs no ``_find`` call, and a deeper one goes
+        through ``_find``, which compresses its path."""
         g = self.graph
-        s = g._find(g.input_slot(u))
-        t = g._find(g.input_slot(v))
+        try:
+            s = g._slot[u]
+            t = g._slot[v]
+        except KeyError:
+            g.input_slot(u)  # raises InputError naming the unknown id
+            g.input_slot(v)
+            raise
+        parent = g._parent
+        p = parent[s]
+        if p != -1:
+            s = p if parent[p] == -1 else g._find(s)
+        p = parent[t]
+        if p != -1:
+            t = p if parent[p] == -1 else g._find(t)
         if s == t:
             return True
-        return self._search_dag(s, t)[0]
+        od = g._out_d[s]
+        if od is not None and t in od:
+            return True
+        if not self.labeler.covers(s, t):
+            return False
+        return self._two_way(s, t, False)[0] < 0
 
     def reachable_with_stats(self, u: int, v: int) -> tuple[bool, QueryStats]:
+        """``reachable``, by the same steps in the same order, with the
+        search's ``QueryStats``: (1, 0) for every answer given without a
+        search."""
         g = self.graph
-        s = g._find(g.input_slot(u))
-        t = g._find(g.input_slot(v))
+        try:
+            s = g._slot[u]
+            t = g._slot[v]
+        except KeyError:
+            g.input_slot(u)
+            g.input_slot(v)
+            raise
+        parent = g._parent
+        p = parent[s]
+        if p != -1:
+            s = p if parent[p] == -1 else g._find(s)
+        p = parent[t]
+        if p != -1:
+            t = p if parent[p] == -1 else g._find(t)
         if s == t:
             return True, QueryStats(1, 0)
-        found, visited, pruned = self._search_dag(s, t)
-        return found, QueryStats(visited, pruned)
-
-    def _search_dag(self, s: int, t: int) -> tuple[bool, int, int]:
-        """Does component ``s`` reach ``t``?  Returns (found, visited,
-        pruned), as ``QueryStats`` counts them; the labels prune when
-        k >= 1."""
-        if t in (self.graph._out_d[s] or ()):
-            return True, 1, 0
+        od = g._out_d[s]
+        if od is not None and t in od:
+            return True, QueryStats(1, 0)
+        if not self.labeler.covers(s, t):
+            return False, QueryStats(1, 0)
         dry, visited, pruned, _ = self._two_way(s, t, False)
-        return dry < 0, visited, pruned
+        return dry < 0, QueryStats(visited, pruned)
 
     # ------------------------------------------------------------------
     # edge insertion
@@ -198,8 +234,9 @@ class ReachabilityIndex:
         if od is not None and t in od:
             g._add_dag_edge(s, t, 1)
             return
-        # A cycle through (s, t) needs a DAG parent of s to return through.
-        mlist = self.collect_merge_list(t, s) if g._in_d[s] else None
+        # A cycle through (s, t) needs a DAG parent of s to return through,
+        # and t's label to hold s's.
+        mlist = self.collect_merge_list(t, s) if g._in_d[s] and self.labeler.covers(t, s) else None
         if mlist:
             self._merge(mlist)
         else:
@@ -224,7 +261,8 @@ class ReachabilityIndex:
         last; empty when ``t`` does not reach ``s``.
 
         One two-way search (``_two_way``, forward from ``t`` and backward
-        from ``s``) both detects the cycle and finds the merge set.
+        from ``s``) both detects the cycle and finds the merge set; the
+        caller has seen ``t``'s label hold ``s``'s.
         Without a hub it runs until one side runs out of nodes: that side
         has found everything on a t-to-s path, and it has met the far
         endpoint iff there is one; the merge set is read off the links
@@ -242,11 +280,12 @@ class ReachabilityIndex:
         ``b``, skipping every node whose label, in one of its dimensions,
         is not inside ``a``'s or does not hold ``b``'s; no node on an
         a-to-b path fails.  Forward, only the test against ``b`` can
-        fail, and backward only the one against ``a``.  When ``a``'s label
-        does not hold ``b``'s, no search is set up: the forward side runs
-        dry at ``a``.  A node that passes but has no
-        edge onward on that side is skipped unmarked: it is not the goal,
-        which is marked from the start, so no a-to-b path passes it.  In a
+        fail, and backward only the one against ``a``.  The caller has
+        tested the ends already (``IntervalLabeler.covers``): ``a``'s
+        label holds ``b``'s, or there would be nothing to search.  A node
+        that passes but has no edge onward on that side is skipped
+        unmarked: it is not the goal, which is marked from the start, so
+        no a-to-b path passes it.  In a
         BA graph most parents of the giant component are sources, so the
         side that expands the giant finds only the few that lead on.
 
@@ -301,28 +340,14 @@ class ReachabilityIndex:
         both sides' links and ``b``, ``a`` and ``H``.
         """
         lab = self.labeler
-        # The ends first: unless a's label holds b's in every dimension,
-        # nothing is set up.  Per dimension: the columns, then the bounds
-        # of b and e between the labels of a and b; one dimension is set
-        # up and tested inline.
+        # Per dimension: the columns, then the bounds of b and e between
+        # the labels of a and b; one dimension is set up and tested inline.
         k1 = lab.k == 1
         if k1:
             b0, e0 = lab._b[0], lab._e[0]
             b_lo, b_hi, e_lo, e_hi = b0[a], b0[b], e0[b], e0[a]
-            ok = b_lo <= b_hi and e_lo <= e_hi
         else:
-            for d in range(lab.k):
-                if lab._b[d][a] > lab._b[d][b] or lab._e[d][b] > lab._e[d][a]:
-                    ok = False
-                    break
-            else:
-                ok = True
-                dims = [
-                    (bcol, ecol, bcol[a], bcol[b], ecol[b], ecol[a])
-                    for bcol, ecol in zip(lab._b, lab._e)
-                ]
-        if not ok:
-            return 0, 1, 0, ((), ()) if keep else None
+            dims = [(bcol, ecol, bcol[a], bcol[b], ecol[b], ecol[a]) for bcol, ecol in lab._cols]
         g = self.graph
         vis = self._vis
         base = self._stamp  # marks above base belong to this search

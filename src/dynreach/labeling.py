@@ -68,12 +68,22 @@ class IntervalLabeler:
         self.k = cfg.k
         self._b: list[list[int]] = [[] for _ in range(cfg.k)]
         self._e: list[list[int]] = [[] for _ in range(cfg.k)]
+        # (begin, end) columns per dimension; the columns only grow in place.
+        self._cols = tuple(zip(self._b, self._e))
         # One generator per dimension, consumed across the index lifetime.
         self._rngs = [random.Random(cfg.seed * 1_000_003 + d) for d in range(cfg.k)]
         self._max_end = [0] * cfg.k
 
     # ------------------------------------------------------------------
     # access
+
+    def covers(self, s: int, t: int) -> bool:
+        """Does ``s``'s label hold ``t``'s in every dimension?  False
+        proves that ``s`` does not reach ``t``; always true at k 0."""
+        for b_col, e_col in self._cols:
+            if b_col[s] > b_col[t] or e_col[t] > e_col[s]:
+                return False
+        return True
 
     def label_of(self, s: int) -> Label:
         return tuple((self._b[d][s], self._e[d][s]) for d in range(self.k))
@@ -256,7 +266,10 @@ class IntervalLabeler:
         finalized in ascending order of their previous value through a
         priority queue, and a node's floors pop largest first, so every
         ancestor sees finished children and is raised at most once, apart
-        from a merge's parents above.
+        from a merge's parents above, which are raised at most twice.  Only
+        a cycle in the condensation raises more ends than twice the slots
+        in one dimension, and then ``InternalError`` is raised instead of
+        raising the ends around the cycle forever.
         """
         if self.k == 0:
             return
@@ -287,11 +300,15 @@ class IntervalLabeler:
             ]
             heapify(heap)
             hi = self._max_end[d]
+            raises = 2 * len(e_col)  # every slot raised twice; only a cycle exceeds it
             while heap:
                 _, p, floor = heappop(heap)
                 floor = -floor
                 if e_col[p] >= floor:
                     continue
+                raises -= 1
+                if raises < 0:
+                    raise InternalError(f"cycle through node {p} in the condensation: its end keeps rising")
                 e_col[p] = floor
                 if floor > hi:
                     hi = floor

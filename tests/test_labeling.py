@@ -3,11 +3,13 @@ from __future__ import annotations
 
 import itertools
 import random
+import signal
 
 import pytest
 
 from dynreach import (
     IntervalLabeler,
+    InternalError,
     LabelerConfig,
     LogicError,
     ReachabilityIndex,
@@ -125,6 +127,28 @@ def test_enlarge_propagates_only_to_ancestors():
         check_label_invariants(idx)
         changed = {x for x in nodes if idx.label_of(x) != before[x]}
         assert changed <= ancestors_of[s] | {s}, (seed, changed)
+
+
+def test_propagate_around_a_cycle_raises():
+    # A 2-cycle 0 <-> 1 put into the condensation by hand: growing 0 over
+    # 1 grows 1 over 0 and so on, so only a bound stops the end phase.
+    # The alarm turns a hang into a failure.
+    idx = ReachabilityIndex.build([(0, 1), (2, 3)], 4, LabelerConfig(k=1, seed=0))
+    g = idx.graph
+    g._add_dag_edge(1, 0, 1)
+    assert idx.label_of(0) != idx.label_of(1)
+
+    def hang(signum, frame):
+        raise AssertionError("propagate kept raising the ends around the cycle")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(10)
+    try:
+        with pytest.raises(InternalError, match="cycle"):
+            idx.labeler.propagate(g, ((0, (1,)),))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_split_two_cycle_keeps_containment():

@@ -38,12 +38,15 @@ def test_root_label_rejection_visits_one_node():
 
 
 def test_reachable_unknown_node():
-    # Never inserted (1234) or removed by delete_node (R), on either end.
+    # Never inserted (1234) or removed by delete_node (R), on either end;
+    # the error names the unknown id, the source's when both are unknown.
     idx = sample_index(k=1)
     idx.delete_node(NODE["R"])
-    for u, v in ((0, 1234), (1234, 0), (NODE["R"], 0), (0, NODE["R"])):
+    cases = ((0, 1234, 1234), (1234, 0, 1234), (NODE["R"], 0, NODE["R"]), (0, NODE["R"], NODE["R"]))
+    cases += ((1234, NODE["R"], 1234), (NODE["R"], 1234, NODE["R"]))
+    for u, v, unknown in cases:
         for query in (idx.reachable, idx.reachable_with_stats):
-            with pytest.raises(InputError):
+            with pytest.raises(InputError, match=rf"^unknown input node {unknown}$"):
                 query(u, v)
 
 
@@ -59,6 +62,48 @@ def test_query_along_a_dag_edge_runs_no_search(k, monkeypatch):
     for c in (1, 250, 500):
         assert idx.reachable_with_stats(0, c) == (True, QueryStats(1, 0))
         assert idx.reachable(0, c)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_query_with_failing_labels_runs_no_search(k, monkeypatch):
+    # Two disjoint chains: the labels of one hold none of the other's,
+    # and a sink's label does not hold its source's.
+    idx = ReachabilityIndex.build([(0, 1), (2, 3)], 4, LabelerConfig(k=k, seed=k))
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr(idx, "_two_way", no_search)
+    for u, v in ((0, 3), (3, 0), (2, 1), (1, 0), (3, 2)):
+        if k == 0:
+            with pytest.raises(AssertionError, match="searched"):
+                idx.reachable(u, v)
+            continue
+        assert not subsumes(idx.label_of(u), idx.label_of(v)), (u, v)
+        assert not idx.reachable(u, v)
+        assert idx.reachable_with_stats(u, v) == (False, QueryStats(1, 0))
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_query_of_a_deep_member_compresses_its_link(k):
+    # {0, 1, 7} is one SCC and {2, 3, 4, 8} a larger one; the edge 1 -> 2
+    # merges the first into the second, so 0, 1 and 7 link to the second
+    # through the first: the query looks them up by _find, not by one hop.
+    edges = [(0, 1), (1, 7), (7, 0), (2, 3), (3, 4), (4, 8), (8, 2), (4, 0), (5, 2), (7, 6)]
+    for query in ("reachable", "reachable_with_stats"):
+        idx = ReachabilityIndex.build(edges, 9, LabelerConfig(k=k, seed=k))
+        mirror = Mirror(edges, 9)
+        idx.insert_edge(1, 2)
+        mirror.insert_edge(1, 2)
+        g = idx.graph
+        assert [g.containment_depth(g.input_slot(x)) for x in (0, 1, 7)] == [2, 2, 2]
+        ask = getattr(idx, query)
+        for u, v in ((0, 6), (0, 5), (5, 1), (6, 1), (7, 7)):
+            found = ask(u, v)
+            if query == "reachable_with_stats":
+                found = found[0]
+            assert found == mirror.reach(u, v), (query, u, v)
+        assert [g.containment_depth(g.input_slot(x)) for x in (0, 1, 7)] == [1, 1, 1]
 
 
 def test_reachable_examples_match_dag_reach():
