@@ -10,11 +10,16 @@ edge insertion and deletion.
 A query from ``s`` to ``t`` tests, in this order and in ``reachable``'s
 own frame: both lie in one component (true), a stored DAG edge leads
 from ``s``'s to ``t``'s (true: such an edge joins current components),
-and ``s``'s label fails to cover ``t``'s (false, by
+``s``'s label fails to cover ``t``'s (false, by
 ``IntervalLabeler.covers``, the one test of two ends, which the merge
-search's entry also uses); the edge goes before the labels, as more
-queries end there.  Only a query that none of the three settles
-calls a search, which runs the condensation from both ends (``_two_way``):
+search's entry also uses), ``s``'s component has no DAG child or
+``t``'s no DAG parent (false: no path leaves or enters it), and a
+component is a DAG child of ``s``'s and a DAG parent of ``t``'s (true:
+a path of two edges).  The edge goes before the labels, as more queries
+end there, and the labels before the adjacency, so that the queries the
+three earlier tests settle pay nothing more.  Only a query that none of
+the five settles calls a search, which runs the condensation from both
+ends (``_two_way``):
 forward from ``s`` into children whose labels still cover ``t``'s, and
 backward from ``t`` into parents whose labels ``s``'s still covers.  A
 dead end, a component with no edge onward on that side, is not
@@ -99,11 +104,12 @@ class QueryStats:
     search found from either end, the two ends and the dead ends it
     skipped not counted; ``pruned`` is the label tests failed on both
     sides.  A query answered without a search (same component, a DAG
-    edge from ``s``'s to ``t``'s, or the ends' labels fail) has (1, 0), so
-    a negative answer with ``visited > 1`` is a label false positive.  A
-    query into a node that has never had a DAG edge mostly passes the
-    first label test (its label starts empty, inside every label made
-    before it), but the backward side runs dry at once, so it has (1, 0)
+    edge from ``s``'s to ``t``'s, the ends' labels fail, either end has no
+    DAG edge on its side, or the ends share a DAG neighbour) has (1, 0),
+    so a negative answer with ``visited > 1`` is a label false positive.
+    A query into a node that has never had a DAG edge mostly passes the
+    label test (its label starts empty, inside every label made before
+    it), but it has no DAG parent, so no search runs and it has (1, 0)
     too."""
 
     visited: int
@@ -159,7 +165,12 @@ class ReachabilityIndex:
         The ids and components are looked up in this frame: a slot with no
         containment link (-1) is its component, one whose link leads to a
         slot without one needs no ``_find`` call, and a deeper one goes
-        through ``_find``, which compresses its path."""
+        through ``_find``, which compresses its path.  Then, as the module
+        docstring sets out: one component, a DAG edge, the ends' labels,
+        an end with no DAG edge on its side (an adjacency that lost its
+        last edge is empty, not None), and a shared DAG neighbour, which
+        ``isdisjoint`` finds by a loop over the smaller of the two
+        adjacencies.  Only then does ``_two_way`` search."""
         g = self.graph
         try:
             s = g._slot[u]
@@ -182,6 +193,11 @@ class ReachabilityIndex:
             return True
         if not self.labeler.covers(s, t):
             return False
+        idd = g._in_d[t]
+        if not od or not idd:
+            return False
+        if not od.keys().isdisjoint(idd.keys()):
+            return True
         return self._two_way(s, t, False)[0] < 0
 
     def reachable_with_stats(self, u: int, v: int) -> tuple[bool, QueryStats]:
@@ -210,6 +226,11 @@ class ReachabilityIndex:
             return True, QueryStats(1, 0)
         if not self.labeler.covers(s, t):
             return False, QueryStats(1, 0)
+        idd = g._in_d[t]
+        if not od or not idd:
+            return False, QueryStats(1, 0)
+        if not od.keys().isdisjoint(idd.keys()):
+            return True, QueryStats(1, 0)
         dry, visited, pruned, _ = self._two_way(s, t, False)
         return dry < 0, QueryStats(visited, pruned)
 
@@ -282,7 +303,12 @@ class ReachabilityIndex:
         a-to-b path fails.  Forward, only the test against ``b`` can
         fail, and backward only the one against ``a``.  The caller has
         tested the ends already (``IntervalLabeler.covers``): ``a``'s
-        label holds ``b``'s, or there would be nothing to search.  A node
+        label holds ``b``'s, or there would be nothing to search.  Without
+        ``keep`` (a query) the caller has also seen that ``a`` has a DAG
+        child and ``b`` a DAG parent, and that no child of ``a`` is a
+        parent of ``b``, so every a-to-b path has three edges or more; the
+        search stays correct without that, and the merge search does not
+        test it.  A node
         that passes but has no edge onward on that side is skipped
         unmarked: it is not the goal, which is marked from the start, so
         no a-to-b path passes it.  In a

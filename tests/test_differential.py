@@ -11,7 +11,8 @@ containment must agree with the mirror.
 ``replay_random_history`` does the same with a plain seeded generator,
 and after every step also checks queries from a few random sources: to
 their own component, to a component they reach, to a node they do not
-reach and to a DAG child of their component.
+reach, to a DAG child of their component and to a child's child, and from
+a DAG sink or into a DAG source.
 It starts from one SCC in which most members have in- or out-degree 1
 (a cycle plus a few chords), so deletions break pieces off both ends of
 a removed edge and move the split's anchor.  Its insert-heavy variant
@@ -39,30 +40,42 @@ def assert_queries(idx, mirror, rng, sources: int = 3) -> None:
     """``reachable``, ``reachable_with_stats`` and ``dag_reach`` over the
     condensation against the mirror from a few random sources, each to a
     member of its own component, to a node it reaches in another
-    component, and to a node it does not reach; and to a member of a DAG
-    child of its component, when it has one, so that the direct-edge
-    answer is checked too (that node is picked without ``rng``, which
-    also draws the history)."""
+    component, and to a node it does not reach.  Each source also asks
+    three pairs that a query answers without a search, with
+    ``QueryStats(1, 0)``: to a member of a DAG child of its component,
+    to one of a child's child that is not a child, and either from its
+    component, when that is a DAG sink, to another, or else into a DAG
+    source.  Those nodes are picked without ``rng``, which also draws the
+    history."""
+    g = idx.graph
     nodes = sorted(mirror.nodes)
+    comp = {v: idx.find(v) for v in nodes}
     for u in rng.sample(nodes, min(sources, len(nodes))):
         reach = reachable_pairs([u], mirror.out)[u]
-        s = idx.find(u)
-        same = [v for v in nodes if idx.find(v) == s]
-        children = set(idx.graph.dag_children(s))
-        child = [v for v in nodes if idx.find(v) in children]
-        if child:
-            v = child[u % len(child)]
-            assert v in reach, (u, v)
-            assert idx.reachable(u, v), (u, v)
-            assert idx.reachable_with_stats(u, v) == (True, QueryStats(1, 0)), (u, v)
-            assert dag_reach(idx.graph, s, idx.find(v)), (u, v)
+        s = comp[u]
+        same = [v for v in nodes if comp[v] == s]
+        children = set(g.dag_children(s))
+        grandchildren = {x for c in children for x in g.dag_children(c)}.difference(children)
+        child = [v for v in nodes if comp[v] in children]
+        grandchild = [v for v in nodes if comp[v] in grandchildren]
+        if children:
+            apart = [v for v in nodes if comp[v] != s and not g.dag_parents(comp[v])]
+        else:
+            apart = [v for v in nodes if comp[v] != s]
+        for group, want in ((child, True), (grandchild, True), (apart, False)):
+            if group:
+                v = group[u % len(group)]
+                assert (v in reach) == want, (u, v)
+                assert idx.reachable(u, v) == want, (u, v)
+                assert idx.reachable_with_stats(u, v) == (want, QueryStats(1, 0)), (u, v)
+                assert dag_reach(g, s, comp[v]) == want, (u, v)
         for group in (same, sorted(reach.difference(same)), [v for v in nodes if v not in reach]):
             if group:
                 v = rng.choice(group)
                 want = v in reach
                 assert idx.reachable(u, v) == want, (u, v)
                 assert idx.reachable_with_stats(u, v)[0] == want, (u, v)
-                assert dag_reach(idx.graph, s, idx.find(v)) == want, (u, v)
+                assert dag_reach(g, s, comp[v]) == want, (u, v)
 
 
 def replay_random_history(seed: int, n: int, k: int, steps: int, fringe: int = 0) -> None:

@@ -13,6 +13,11 @@ from oracles import Mirror, dag_reach, edge_reach
 from samples import NODE, random_digraph, sample_comps, sample_index
 
 
+def no_search(*args, **kwargs):
+    """Stands in for ``_two_way`` where a query must not search."""
+    raise AssertionError("searched")
+
+
 def test_reachable_examples_on_sample():
     idx = sample_index(k=1)
     assert idx.reachable(NODE["R"], NODE["N"])
@@ -54,10 +59,6 @@ def test_reachable_unknown_node():
 def test_query_along_a_dag_edge_runs_no_search(k, monkeypatch):
     # A hub with 500 children: the stored DAG edge answers hub -> child.
     idx = ReachabilityIndex.build([(0, c) for c in range(1, 501)], 501, LabelerConfig(k=k, seed=k))
-
-    def no_search(*args, **kwargs):
-        raise AssertionError("searched")
-
     monkeypatch.setattr(idx, "_two_way", no_search)
     for c in (1, 250, 500):
         assert idx.reachable_with_stats(0, c) == (True, QueryStats(1, 0))
@@ -67,21 +68,69 @@ def test_query_along_a_dag_edge_runs_no_search(k, monkeypatch):
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_query_with_failing_labels_runs_no_search(k, monkeypatch):
     # Two disjoint chains: the labels of one hold none of the other's,
-    # and a sink's label does not hold its source's.
+    # and a sink's label does not hold its source's.  At k 0 every label
+    # test passes: a query from a sink (1 or 3) ends as the source has no
+    # DAG child, and the other two search.
     idx = ReachabilityIndex.build([(0, 1), (2, 3)], 4, LabelerConfig(k=k, seed=k))
-
-    def no_search(*args, **kwargs):
-        raise AssertionError("searched")
-
     monkeypatch.setattr(idx, "_two_way", no_search)
     for u, v in ((0, 3), (3, 0), (2, 1), (1, 0), (3, 2)):
-        if k == 0:
-            with pytest.raises(AssertionError, match="searched"):
-                idx.reachable(u, v)
+        if k == 0 and u in (0, 2):
+            for query in (idx.reachable, idx.reachable_with_stats):
+                with pytest.raises(AssertionError, match="searched"):
+                    query(u, v)
             continue
-        assert not subsumes(idx.label_of(u), idx.label_of(v)), (u, v)
+        if k > 0:
+            assert not subsumes(idx.label_of(u), idx.label_of(v)), (u, v)
         assert not idx.reachable(u, v)
         assert idx.reachable_with_stats(u, v) == (False, QueryStats(1, 0))
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_query_two_dag_steps_away_runs_no_search(k, monkeypatch):
+    # A node that both ends are adjacent to answers the query: the chain
+    # 0 -> 1 -> 2 -> 3, and s -> H -> t where the hub H has 500 other
+    # children and 500 other parents.  Three steps, 0 to 3, still search.
+    chain = [(0, 1), (1, 2), (2, 3)]
+    hub_edges, s, t, _, _ = hub_graph("middle")
+    for edges, pairs in ((chain, ((0, 2), (1, 3))), (hub_edges, ((s, t),))):
+        idx = ReachabilityIndex.build(edges, max(map(max, edges)) + 1, LabelerConfig(k=k, seed=k))
+        monkeypatch.setattr(idx, "_two_way", no_search)
+        for u, v in pairs:
+            assert idx.reachable(u, v), (u, v)
+            assert idx.reachable_with_stats(u, v) == (True, QueryStats(1, 0)), (u, v)
+    idx = ReachabilityIndex.build(chain, 4, LabelerConfig(k=k, seed=k))
+    mirror = Mirror(chain, 4)
+    searches = []
+    two_way = idx._two_way
+
+    def counted(*args):
+        searches.append(args)
+        return two_way(*args)
+
+    monkeypatch.setattr(idx, "_two_way", counted)
+    assert idx.reachable(0, 3) == mirror.reach(0, 3) == idx.reachable_with_stats(0, 3)[0]
+    assert len(searches) == 2
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_query_from_an_emptied_side_runs_no_search(k, monkeypatch):
+    # Deleting the last DAG edge out of 1 leaves its out-adjacency {},
+    # not None, and the last one into 2 its in-adjacency {}.  At k 0 every
+    # label test passes, so only the emptied side can end 1 -> 4 (4 has a
+    # parent) and 3 -> 2 or 0 -> 2 (3 and 0 have a child) without a search.
+    edges = [(0, 1), (1, 2), (3, 2), (3, 4)]
+    idx = ReachabilityIndex.build(edges, 5, LabelerConfig(k=k, seed=k))
+    mirror = Mirror(edges, 5)
+    for u, v in ((1, 2), (3, 2)):
+        idx.delete_edge(u, v)
+        mirror.delete_edge(u, v)
+    g = idx.graph
+    assert g._out_d[idx.find(1)] == {} and g._in_d[idx.find(2)] == {}
+    monkeypatch.setattr(idx, "_two_way", no_search)
+    for u, v in ((1, 4), (1, 3), (3, 2), (0, 2)):
+        assert not mirror.reach(u, v), (u, v)
+        assert not idx.reachable(u, v), (k, u, v)
+        assert idx.reachable_with_stats(u, v) == (False, QueryStats(1, 0)), (k, u, v)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
