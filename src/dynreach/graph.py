@@ -22,7 +22,8 @@ place: ``build`` gives input ``u`` slot ``u``, and every later input and
 every SCC node takes the next fresh slot, so slots are never reused.  Only
 ``input_slot``, ``is_input_node``, ``add_input_node``, ``external_id``,
 ``input_node_ids`` and ``input_edges`` speak external ids; every other
-method takes and returns slots.
+method takes and returns slots.  ``ReachabilityIndex.reachable`` also
+reads ``_slot`` directly, so that a query stays in one frame.
 """
 from __future__ import annotations
 

@@ -106,11 +106,7 @@ class QueryStats:
     sides.  A query answered without a search (same component, a DAG
     edge from ``s``'s to ``t``'s, the ends' labels fail, either end has no
     DAG edge on its side, or the ends share a DAG neighbour) has (1, 0),
-    so a negative answer with ``visited > 1`` is a label false positive.
-    A query into a node that has never had a DAG edge mostly passes the
-    label test (its label starts empty, inside every label made before
-    it), but it has no DAG parent, so no search runs and it has (1, 0)
-    too."""
+    so a negative answer with ``visited > 1`` is a label false positive."""
 
     visited: int
     pruned: int
@@ -127,6 +123,8 @@ class ReachabilityIndex:
         # the current search iff it holds that search's stamp.
         self._vis: list[int] = [0] * graph.capacity
         self._stamp = 0
+        # (visited, pruned) of the last query's search.
+        self._searched = 1, 0
 
     @property
     def k(self) -> int:
@@ -170,7 +168,9 @@ class ReachabilityIndex:
         an end with no DAG edge on its side (an adjacency that lost its
         last edge is empty, not None), and a shared DAG neighbour, which
         ``isdisjoint`` finds by a loop over the smaller of the two
-        adjacencies.  Only then does ``_two_way`` search."""
+        adjacencies.  Only then does ``_two_way`` search; it leaves its
+        ``visited`` and ``pruned`` counts in ``_searched``, where
+        ``reachable_with_stats`` reads them."""
         g = self.graph
         try:
             s = g._slot[u]
@@ -198,41 +198,21 @@ class ReachabilityIndex:
             return False
         if not od.keys().isdisjoint(idd.keys()):
             return True
-        return self._two_way(s, t, False)[0] < 0
+        dry, visited, pruned, _ = self._two_way(s, t, False)
+        self._searched = visited, pruned
+        return dry < 0
+
+    # Called by ``reachable_with_stats`` under this name: a tracer that
+    # wraps the public methods would otherwise give every query a second,
+    # nested span.
+    _reachable = reachable
 
     def reachable_with_stats(self, u: int, v: int) -> tuple[bool, QueryStats]:
-        """``reachable``, by the same steps in the same order, with the
-        search's ``QueryStats``: (1, 0) for every answer given without a
-        search."""
-        g = self.graph
-        try:
-            s = g._slot[u]
-            t = g._slot[v]
-        except KeyError:
-            g.input_slot(u)
-            g.input_slot(v)
-            raise
-        parent = g._parent
-        p = parent[s]
-        if p != -1:
-            s = p if parent[p] == -1 else g._find(s)
-        p = parent[t]
-        if p != -1:
-            t = p if parent[p] == -1 else g._find(t)
-        if s == t:
-            return True, QueryStats(1, 0)
-        od = g._out_d[s]
-        if od is not None and t in od:
-            return True, QueryStats(1, 0)
-        if not self.labeler.covers(s, t):
-            return False, QueryStats(1, 0)
-        idd = g._in_d[t]
-        if not od or not idd:
-            return False, QueryStats(1, 0)
-        if not od.keys().isdisjoint(idd.keys()):
-            return True, QueryStats(1, 0)
-        dry, visited, pruned, _ = self._two_way(s, t, False)
-        return dry < 0, QueryStats(visited, pruned)
+        """``reachable``, with the search's ``QueryStats``: (1, 0) for an
+        answer given without a search."""
+        self._searched = 1, 0
+        found = self._reachable(u, v)
+        return found, QueryStats(*self._searched)
 
     # ------------------------------------------------------------------
     # edge insertion

@@ -134,6 +134,24 @@ def test_query_from_an_emptied_side_runs_no_search(k, monkeypatch):
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
+def test_search_counts_never_leak_into_a_later_answer(k):
+    # 0 -> 3 on the chain 0 -> 1 -> 2 -> 3 searches; {4, 5} is one SCC.
+    # The answers without a search that follow it read (1, 0), whichever
+    # query method ran the search.
+    edges = [(0, 1), (1, 2), (2, 3), (4, 5), (5, 4), (5, 6)]
+    for first in ("reachable_with_stats", "reachable"):
+        idx = ReachabilityIndex.build(edges, 7, LabelerConfig(k=k, seed=k))
+        dry, visited, pruned, _ = idx._two_way(idx.find(0), idx.find(3), False)
+        assert dry < 0 and visited > 1
+        if first == "reachable":
+            assert idx.reachable(0, 3)
+        else:
+            assert idx.reachable_with_stats(0, 3) == (True, QueryStats(visited, pruned))
+        for u, v in ((4, 5), (0, 1), (0, 2)):
+            assert idx.reachable_with_stats(u, v) == (True, QueryStats(1, 0)), (first, u, v)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
 def test_query_of_a_deep_member_compresses_its_link(k):
     # {0, 1, 7} is one SCC and {2, 3, 4, 8} a larger one; the edge 1 -> 2
     # merges the first into the second, so 0, 1 and 7 link to the second
