@@ -5,9 +5,12 @@ baseline (no index, updates cost only the edge-set mutation) or the
 condensation index with k interval dimensions — interleaving ``qpu``
 random reachability queries after every update.  Per-kind mean latencies
 and the total elapsed time feed the queries-per-update comparison.
+Automatic garbage collection is off while the engine is built and the
+ops run, and every op is timed: there is no warm-up.
 """
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import re
@@ -35,7 +38,6 @@ CSV_COLUMNS = (
     "variant",
     "qpu",
     "seed",
-    "warmup",
     "ops",
     "q_count",
     "q_mean_ms",
@@ -68,23 +70,16 @@ def parse_variant(variant: str) -> int | None:
 
 @dataclass(frozen=True)
 class BenchConfig:
-    """One replay: engine variant, queries per update, seed, warmup ops."""
+    """One replay: engine variant, queries per update, seed."""
 
     variant: str = "dg1"
     qpu: int = 0
     seed: int = 0
-    warmup: int = 0
 
     def __post_init__(self) -> None:
         parse_variant(self.variant)
         if self.qpu < 0:
             raise InputError(f"qpu must be >= 0, got {self.qpu}")
-        if self.warmup < 0:
-            raise InputError(f"warmup must be >= 0, got {self.warmup}")
-
-    @property
-    def k(self) -> int | None:
-        return parse_variant(self.variant)
 
 
 @dataclass
@@ -95,7 +90,6 @@ class BenchReport:
     variant: str
     qpu: int
     seed: int
-    warmup: int
     ops: int
     counts: dict[str, int] = field(default_factory=dict)
     mean_ms: dict[str, float] = field(default_factory=dict)
@@ -114,7 +108,6 @@ class BenchReport:
             "variant": self.variant,
             "qpu": self.qpu,
             "seed": self.seed,
-            "warmup": self.warmup,
             "ops": self.ops,
             "query_hits": self.query_hits,
             "answers_hash": self.answers_hash,
@@ -273,14 +266,12 @@ def run_bench(
 
     After each update the harness issues ``cfg.qpu`` queries with both
     endpoints drawn uniformly from the current nodes (seeded, identical
-    across variants); explicit Query ops in the workload run too.  The
-    first ``cfg.warmup`` workload ops are excluded from the per-kind
-    stats.  Any failing op aborts with its index in the message.
+    across variants), or none if no node is left; explicit Query ops in
+    the workload run too.  After one untimed ``gc.collect()``, automatic
+    collection is off for the build and the replay, so no op is charged
+    for a scan that others' allocations set off; the caller's setting is
+    then restored.  Any failing op aborts with its index in the message.
     """
-    t0 = time.perf_counter()
-    engine = build_engine(cfg.variant, edges, num_nodes, cfg.seed)
-    build_s = time.perf_counter() - t0
-
     alive = _AliveNodes(num_nodes)
     rng = random.Random(cfg.seed)
     sums = {kind: 0.0 for kind in ("q", "ei", "ed", "ni", "nd")}
@@ -291,43 +282,51 @@ def run_bench(
     def timed(kind: str, call, *args):
         t = perf()
         res = call(*args)
-        dt = perf() - t
-        if hot:
-            counts[kind] += 1
-            sums[kind] += dt
+        sums[kind] += perf() - t
+        counts[kind] += 1
         return res
 
-    t_start = perf()
-    for i, op in enumerate(workload):
-        hot = i >= cfg.warmup
-        try:
-            if isinstance(op, Query):
-                answers.append(timed("q", engine.reachable, op.u, op.v))
-                continue
-            if isinstance(op, InsertEdge):
-                timed("ei", engine.insert_edge, op.u, op.v)
-            elif isinstance(op, DeleteEdge):
-                timed("ed", engine.delete_edge, op.u, op.v)
-            elif isinstance(op, InsertNode):
-                timed("ni", engine.insert_node, op.u, op.out_edges, op.in_edges)
-                alive.add(op.u)
-            elif isinstance(op, DeleteNode):
-                timed("nd", engine.delete_node, op.u)
-                alive.remove(op.u)
-            else:
-                raise InputError(f"unsupported op {op!r}")
-            for _ in range(cfg.qpu):
-                answers.append(timed("q", engine.reachable, alive.sample(rng), alive.sample(rng)))
-        except InputError as exc:
-            raise InputError(f"op {i} ({op!r}) failed: {exc}") from exc
-    total_s = perf() - t_start
+    gc.collect()
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        t0 = perf()
+        engine = build_engine(cfg.variant, edges, num_nodes, cfg.seed)
+        build_s = perf() - t0
+        t_start = perf()
+        for i, op in enumerate(workload):
+            try:
+                if isinstance(op, Query):
+                    answers.append(timed("q", engine.reachable, op.u, op.v))
+                    continue
+                if isinstance(op, InsertEdge):
+                    timed("ei", engine.insert_edge, op.u, op.v)
+                elif isinstance(op, DeleteEdge):
+                    timed("ed", engine.delete_edge, op.u, op.v)
+                elif isinstance(op, InsertNode):
+                    timed("ni", engine.insert_node, op.u, op.out_edges, op.in_edges)
+                    alive.add(op.u)
+                elif isinstance(op, DeleteNode):
+                    timed("nd", engine.delete_node, op.u)
+                    alive.remove(op.u)
+                else:
+                    raise InputError(f"unsupported op {op!r}")
+                if not alive.items:
+                    continue
+                for _ in range(cfg.qpu):
+                    answers.append(timed("q", engine.reachable, alive.sample(rng), alive.sample(rng)))
+            except InputError as exc:
+                raise InputError(f"op {i} ({op!r}) failed: {exc}") from exc
+        total_s = perf() - t_start
+    finally:
+        if collecting:
+            gc.enable()
 
     report = BenchReport(
         dataset=dataset,
         variant=cfg.variant,
         qpu=cfg.qpu,
         seed=cfg.seed,
-        warmup=cfg.warmup,
         ops=len(workload),
         counts=counts,
         mean_ms={k: (sums[k] * 1000.0 / counts[k] if counts[k] else 0.0) for k in counts},

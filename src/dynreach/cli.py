@@ -59,7 +59,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", default="dg1", help="dfs or dg<k>")
     p.add_argument("--qpu", type=int, default=0, help="random queries per update")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--warmup", type=int, default=0)
     p.add_argument("--report", choices=("json", "csv"), default="json")
     p.add_argument("--out", help="write the report here instead of stdout")
     return parser
@@ -112,7 +111,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     edges, n = parse_graph(args.graph)
     workload = parse_workload(args.workload)
-    cfg = BenchConfig(variant=args.variant, qpu=args.qpu, seed=args.seed, warmup=args.warmup)
+    cfg = BenchConfig(variant=args.variant, qpu=args.qpu, seed=args.seed)
     report = run_bench(edges, n, workload, cfg, dataset=args.graph)
     if args.report == "json":
         text = report.to_json() + "\n"

@@ -1,11 +1,18 @@
 """Workload replay harness: reports, variants, and cross-variant agreement."""
 from __future__ import annotations
 
+import gc
+import json
+from collections import Counter
+
 import pytest
 
 from dynreach import BenchConfig, InputError, LabelerConfig, ReachabilityIndex, gen_er, gen_updates, OpRatios, run_bench
-from dynreach.bench import DfsBaseline, parse_variant
-from dynreach.ops import DeleteEdge, InsertEdge, Query
+from dynreach import bench
+from dynreach.bench import TIMING_FIELDS, DfsBaseline, parse_variant
+from dynreach.cli import main
+from dynreach.io import parse_workload
+from dynreach.ops import DeleteEdge, DeleteNode, InsertEdge, InsertNode, Query
 
 from samples import NODE, SAMPLE_EDGES
 
@@ -55,14 +62,6 @@ def test_report_conservation():
     report = run_bench(edges, 200, ops, cfg)
     assert sum(report.counts.values()) == 100 + 1 + 100 * 3
     assert report.ops == 101
-
-
-def test_warmup_excluded_from_stats():
-    ops = [Query(0, 1)] * 10
-    report = run_bench([(0, 1)], 2, ops, BenchConfig(variant="dfs", qpu=0, warmup=4))
-    assert report.counts["q"] == 6
-    # answers are still collected for every query
-    assert report.query_hits == 10
 
 
 def test_cross_variant_answer_agreement():
@@ -118,3 +117,77 @@ def test_dfs_baseline_rejects_a_negative_node_id():
         DfsBaseline([], -1)
     with pytest.raises(InputError):
         run_bench([(-1, 0)], 3, [], BenchConfig(variant="dfs"))
+
+
+def test_collection_is_off_for_every_timed_call(monkeypatch):
+    real_build = bench.build_engine
+    seen = []
+
+    def recording(call):
+        def wrapper(*args):
+            seen.append(gc.isenabled())
+            return call(*args)
+
+        return wrapper
+
+    def build_engine(*args):
+        engine = recording(real_build)(*args)
+        for name in ("insert_edge", "delete_edge", "insert_node", "delete_node", "reachable"):
+            setattr(engine, name, recording(getattr(engine, name)))
+        return engine
+
+    monkeypatch.setattr(bench, "build_engine", build_engine)
+    assert gc.isenabled()
+    run_bench(SAMPLE_EDGES, 19, THREE_OP_SCRIPT, BenchConfig(variant="dg1", qpu=1))
+    # The build, three updates and three queries.
+    assert seen == [False] * 7
+    assert gc.isenabled()
+    with pytest.raises(InputError, match="op 1"):
+        run_bench([(0, 1)], 2, [Query(0, 1), DeleteEdge(1, 0)], BenchConfig(variant="dg1"))
+    assert seen[7:] == [False] * 3 and gc.isenabled()
+    # A caller that had collection off keeps it off.
+    gc.disable()
+    try:
+        run_bench(SAMPLE_EDGES, 19, THREE_OP_SCRIPT, BenchConfig(variant="dfs", qpu=1))
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+    assert seen[10:] == [False] * 7
+
+
+def _cli_bench(capsys, graph, workload, variant, qpu):
+    assert main(["bench", "--graph", str(graph), "--workload", str(workload),
+                 "--variant", variant, "--qpu", str(qpu), "--seed", "3"]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_replay_goes_on_after_the_last_node_is_deleted(tmp_path, capsys):
+    g, w = tmp_path / "g.txt", tmp_path / "w.txt"
+    g.write_text("#nodes 2\n0 1\n")
+    assert main(["gen-updates", "--graph", str(g), "--count", "2", "--ratios", "0,0,0,1",
+                 "--seed", "1", "--out", str(w)]) == 0
+    assert parse_workload(w) == [DeleteNode(0), DeleteNode(1)]
+    dfs, dg1 = (_cli_bench(capsys, g, w, variant, qpu=1) for variant in ("dfs", "dg1"))
+    # One query after the first deletion, none once no node is left.
+    assert dg1["q_count"] == 1 and dg1["nd_count"] == 2 and dg1["final_nodes"] == 0
+    assert (dg1["final_dag_nodes"], dg1["final_largest_scc"]) == (0, 0)
+    # The baseline keeps no condensation, so it has no census of one.
+    index_only = TIMING_FIELDS | {"variant", "final_dag_nodes", "final_largest_scc"}
+    assert {k: v for k, v in dfs.items() if k not in index_only} == {
+        k: v for k, v in dg1.items() if k not in index_only
+    }
+
+
+def test_cli_replay_at_2000_nodes_times_every_update_kind(tmp_path, capsys):
+    g, w = tmp_path / "ba.txt", tmp_path / "w.txt"
+    assert main(["gen-graph", "--model", "ba", "--n", "2000", "--d", "2", "--seed", "1", "--out", str(g)]) == 0
+    assert main(["gen-updates", "--graph", str(g), "--count", "40", "--seed", "2", "--out", str(w)]) == 0
+    ops = Counter(type(op) for op in parse_workload(w))
+    assert sum(ops.values()) == 40
+    dg1 = _cli_bench(capsys, g, w, "dg1", qpu=2)
+    for kind, op in (("ei", InsertEdge), ("ed", DeleteEdge), ("ni", InsertNode), ("nd", DeleteNode)):
+        assert dg1[f"{kind}_count"] == ops[op] > 0
+        assert dg1[f"{kind}_mean_ms"] > 0
+    assert dg1["q_count"] == 2 * 40 and dg1["q_mean_ms"] > 0
+    assert 0 < dg1["final_largest_scc"] < dg1["final_nodes"]
+    assert _cli_bench(capsys, g, w, "dfs", qpu=2)["answers_hash"] == dg1["answers_hash"]
