@@ -33,33 +33,6 @@ TIMING_FIELDS = frozenset(
     | {f"{kind}_mean_ms" for kind in ("q", "ei", "ed", "ni", "nd")}
 )
 
-CSV_COLUMNS = (
-    "dataset",
-    "variant",
-    "qpu",
-    "seed",
-    "ops",
-    "q_count",
-    "q_mean_ms",
-    "ei_count",
-    "ei_mean_ms",
-    "ed_count",
-    "ed_mean_ms",
-    "ni_count",
-    "ni_mean_ms",
-    "nd_count",
-    "nd_mean_ms",
-    "query_hits",
-    "answers_hash",
-    "final_nodes",
-    "final_edges",
-    "final_dag_nodes",
-    "final_largest_scc",
-    "build_s",
-    "total_s",
-)
-
-
 def parse_variant(variant: str) -> int | None:
     """Map a variant name to its label dimension count (None = baseline)."""
     m = _VARIANT_RE.match(variant)
@@ -125,14 +98,6 @@ class BenchReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
-
-    def csv_row(self) -> str:
-        row = self.to_dict()
-        return ",".join(str(row[col]) for col in CSV_COLUMNS)
-
-    @staticmethod
-    def csv_header() -> str:
-        return ",".join(CSV_COLUMNS)
 
 
 class DfsBaseline:

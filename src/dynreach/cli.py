@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from .bench import BenchConfig, BenchReport, run_bench
+from .bench import BenchConfig, run_bench
 from .errors import InputError, InternalError, LogicError
 from .index import ReachabilityIndex
 from .io import parse_graph, parse_workload, write_graph, write_workload
@@ -59,7 +59,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", default="dg1", help="dfs or dg<k>")
     p.add_argument("--qpu", type=int, default=0, help="random queries per update")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--report", choices=("json", "csv"), default="json")
     p.add_argument("--out", help="write the report here instead of stdout")
     return parser
 
@@ -113,10 +112,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     workload = parse_workload(args.workload)
     cfg = BenchConfig(variant=args.variant, qpu=args.qpu, seed=args.seed)
     report = run_bench(edges, n, workload, cfg, dataset=args.graph)
-    if args.report == "json":
-        text = report.to_json() + "\n"
-    else:
-        text = BenchReport.csv_header() + "\n" + report.csv_row() + "\n"
+    text = report.to_json() + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -225,12 +225,10 @@ class ReachabilityIndex:
         sv = g.input_slot(v)
         if not g.add_input_edge(su, sv):
             return
-        if su == sv:
-            return  # self-loops never alter the condensation
         s = g._find(su)
         t = g._find(sv)
         if s == t:
-            return
+            return  # self-loops and edges inside a component never alter the condensation
         od = g._out_d[s]
         if od is not None and t in od:
             g._add_dag_edge(s, t, 1)
@@ -345,15 +343,10 @@ class ReachabilityIndex:
         endpoint, or no node when that side did not reach it; after a hub,
         both sides' links and ``b``, ``a`` and ``H``.
         """
-        lab = self.labeler
         # Per dimension: the columns, then the bounds of b and e between
-        # the labels of a and b; one dimension is set up and tested inline.
-        k1 = lab.k == 1
-        if k1:
-            b0, e0 = lab._b[0], lab._e[0]
-            b_lo, b_hi, e_lo, e_hi = b0[a], b0[b], e0[b], e0[a]
-        else:
-            dims = [(bcol, ecol, bcol[a], bcol[b], ecol[b], ecol[a]) for bcol, ecol in lab._cols]
+        # the labels of a and b.  One loop below tests them at every k
+        # (none at k 0).
+        dims = [(bcol, ecol, bcol[a], bcol[b], ecol[b], ecol[a]) for bcol, ecol in self.labeler._cols]
         g = self.graph
         vis = self._vis
         base = self._stamp  # marks above base belong to this search
@@ -404,14 +397,11 @@ class ReachabilityIndex:
             for c in nbrs:
                 m = vis[c]
                 if m <= base:
-                    if k1:
-                        ok = b_lo <= b0[c] <= b_hi and e_lo <= e0[c] <= e_hi
-                    else:
-                        ok = True
-                        for bcol, ecol, bd_lo, bd_hi, ed_lo, ed_hi in dims:
-                            if not (bd_lo <= bcol[c] <= bd_hi and ed_lo <= ecol[c] <= ed_hi):
-                                ok = False
-                                break
+                    ok = True
+                    for bcol, ecol, bd_lo, bd_hi, ed_lo, ed_hi in dims:
+                        if not (bd_lo <= bcol[c] <= bd_hi and ed_lo <= ecol[c] <= ed_hi):
+                            ok = False
+                            break
                     if not ok:
                         pruned += 1
                         continue

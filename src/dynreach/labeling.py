@@ -64,7 +64,6 @@ class IntervalLabeler:
     """Owns the label arrays for one index instance."""
 
     def __init__(self, cfg: LabelerConfig) -> None:
-        self.cfg = cfg
         self.k = cfg.k
         self._b: list[list[int]] = [[] for _ in range(cfg.k)]
         self._e: list[list[int]] = [[] for _ in range(cfg.k)]

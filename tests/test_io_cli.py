@@ -146,29 +146,25 @@ def test_cli_bench_reports_and_determinism(tmp_path, capsys):
     g = _write_sample(tmp_path)
     w = tmp_path / "w.txt"
     w.write_text("IE 13 1\nDE 11 15\nDE 13 1\nQ 16 17\n")
+    argv = ["bench", "--graph", str(g), "--workload", str(w),
+            "--variant", "dg1", "--qpu", "2", "--seed", "42"]
     runs = []
     for _ in range(2):
-        code = main(["bench", "--graph", str(g), "--workload", str(w),
-                     "--variant", "dg1", "--qpu", "2", "--seed", "42"])
-        assert code == 0
+        assert main(argv) == 0
         runs.append(json.loads(capsys.readouterr().out))
+    out = tmp_path / "report.json"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    runs.append(json.loads(out.read_text()))
     for report in runs:
         for field in TIMING_FIELDS:
             report.pop(field)
-    assert runs[0] == runs[1]
+    assert runs[0] == runs[1] == runs[2]
     assert runs[0]["final_dag_nodes"] == 10
-
-
-def test_cli_bench_csv(tmp_path):
-    g = _write_sample(tmp_path)
-    w = tmp_path / "w.txt"
-    w.write_text("Q 0 1\n")
-    out = tmp_path / "report.csv"
-    assert main(["bench", "--graph", str(g), "--workload", str(w),
-                 "--variant", "dfs", "--report", "csv", "--out", str(out)]) == 0
-    header, row = out.read_text().strip().splitlines()
-    assert header.startswith("dataset,variant,qpu,seed")
-    assert len(row.split(",")) == len(header.split(","))
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--report", "json"])
+    assert exc.value.code == 2
+    assert "--report" in capsys.readouterr().err
 
 
 def test_cli_bad_variant_exits_one(tmp_path, capsys):

@@ -263,8 +263,11 @@ def test_pruning_is_monotone_in_dimensions():
     assert visited[2] <= visited[0]
 
 
-def test_query_stats_counts_pruned_children():
-    idx = sample_index(order="both")
+@pytest.mark.parametrize("order", ["both", "reversed"])
+def test_query_stats_counts_pruned_children(order):
+    # k 2 with one pinned order per dimension, and k 1 reversed: queries
+    # and merge searches both prune at either k.
+    idx = sample_index(order=order)
     pruned_total = 0
     for u in range(19):
         for v in range(19):
@@ -272,6 +275,14 @@ def test_query_stats_counts_pruned_children():
             assert stats.visited >= 1
             pruned_total += stats.pruned
     assert pruned_total > 0
+    comps = {idx.find(u) for u in range(19)}
+    merge_pruned = sum(
+        idx._two_way(t, s, keep=True)[2]
+        for s in comps
+        for t in comps
+        if s != t and idx.labeler.covers(t, s)
+    )
+    assert merge_pruned > 0
 
 
 def hub_graph(position: str) -> tuple[list[tuple[int, int]], int, int, list[int], list[int]]:
