@@ -3,9 +3,10 @@
 The index composes the layered graph with the interval labeler and keeps
 both consistent through the four update operations (edge/node insertion
 and deletion).  A node insertion is the node plus its edges: the node
-takes a fresh slot, whose label starts empty, and each of its edges runs
-through the edge insertion; a batch of edge updates runs through the same
-edge insertion and deletion.
+takes a fresh slot, whose label starts empty, joins a component that
+holds one of its in- and one of its out-neighbours, and each of its
+edges runs through the edge insertion; a batch of edge updates runs
+through the same edge insertion and deletion.
 
 A query from ``s`` to ``t`` tests, in this order and in ``reachable``'s
 own frame: both lie in one component (true), a stored DAG edge leads
@@ -45,11 +46,17 @@ containment along DAG edges (GRAIL's condition), and the only DAG edges
 that can lack it are the ones the merge created: from the representative
 to the external children moved onto it, and from the external parents
 moved onto it to the representative.  The merge hands just those edges to
-``propagate``, as an insertion hands over its one edge, which grows the
-representative's own label over the new children and then every ancestor
-that no longer covers it.  A merge therefore scans the adjacency of the
-absorbed members once, plus the labels that really grow; joining a
-component with many parents does not cost its in-degree.
+``propagate``, as an insertion hands over its one edge.  That repairs each
+edge from its cheaper side: it lowers a new child's end, and the ends
+below it, when the representative has more DAG parents than the child
+has DAG children and the lowering stays within a small budget, and
+otherwise raises the representative over the child, or a new parent over
+the representative, and then every ancestor that no longer covers it.  A
+merge therefore scans the adjacency of the absorbed members once, plus
+the labels that really change; joining a component with many parents
+costs neither its in-degree nor its ancestry.  A node insertion whose
+node has an in- and an out-neighbour in one component joins it before
+any edge, with no search; a multi-node component keeps its label.
 
 An edge deletion and a node deletion unlink each removed edge by one
 step (``_unlink``), which only adjusts a DAG edge's multiplicity unless
@@ -247,9 +254,10 @@ class ReachabilityIndex:
         representative ``rep`` and restore containment along the DAG
         edges the merge gave it: from ``rep`` to each external child the
         merge moved onto it, and from each such parent to ``rep``.  One
-        ``propagate`` over those edges grows ``rep``'s own label over the
-        children, and then every parent that no longer covers it; only
-        the absorbed members' adjacency is scanned."""
+        ``propagate`` over those edges lowers a child below ``rep`` or
+        raises ``rep`` over it, and lowers ``rep`` below a parent or raises
+        the parent and its ancestry over ``rep``; only the absorbed
+        members' adjacency is scanned."""
         g = self.graph
         rep, kids, parents = g.merge_components(mlist)
         self._ensure_capacity()
@@ -625,18 +633,28 @@ class ReachabilityIndex:
         """Add a fresh node with its incident edges.
 
         The node starts as its own singleton component, in a fresh slot
-        with the empty label (``IntervalLabeler.ensure_capacity``).  Each
-        out-edge, then each in-edge, runs through ``insert_edge``.  The
-        out-edges close no cycle, since the node has no in-edge yet, and
-        their propagation grows its label to the out-neighbors' hull; the
-        in-edges may merge.
+        with the empty label (``IntervalLabeler.ensure_capacity``).  A
+        component that holds both an in- and an out-neighbour lies on a
+        cycle through the node, so the node first joins the largest such
+        component ``C`` (``_merge``), before any edge.  The node has no
+        edge yet, so the merge moves nothing and runs no search, and ``C``
+        keeps its label (a lone input node ``C`` gets a fresh component,
+        which the merge's ``propagate`` labels).  Only one component joins
+        this way: two of them may have a path between them through
+        components that the node's edges do not touch.  Then each
+        out-edge, then each in-edge, runs through ``insert_edge``; those
+        into ``C`` change nothing, and the rest may change labels or merge.
         """
         g = self.graph
         for w in (*out_edges, *in_edges):
             if w != u:
                 g.input_slot(w)  # reject unknown endpoints before any change
-        g.add_input_node(u)
+        x = g.add_input_node(u)
         self._ensure_capacity()
+        heads = {g._find(g._slot[w]) for w in out_edges if w != u}
+        joint = [c for c in (g._find(g._slot[w]) for w in in_edges if w != u) if c in heads]
+        if joint:
+            self._merge([max(joint, key=g._size.__getitem__), x])
         for w in out_edges:
             self.insert_edge(u, w)
         for w in in_edges:

@@ -12,14 +12,22 @@ resolves.
 Two steps maintain the labels.  ``_post_order`` labels one randomized
 post-order, of the whole condensation on a build and of the pieces of a
 split component.  ``propagate`` takes DAG edges that may lack
-containment, as ``(child, parents)`` pairs, and grows the parents, then
-every ancestor that no longer covers a grown label: an insertion passes
-its new edge, a merge the edges it gave its representative, and a split
-the edges into its pieces.  A fresh slot starts with the empty label
-(``ensure_capacity``), which needs no containment until it gains a DAG
-edge, so an inserted node, or a fresh merge representative, is labelled
-by the ``propagate`` of its new edges to its children like any other
-parent.
+containment, as ``(child, parents)`` pairs: an insertion passes its new
+edge, a merge the edges it gave its representative, and a split the
+edges into its pieces.  It repairs each end from the cheaper side.  When
+the parent has more DAG parents than the child has DAG children, it first
+lowers the child's end, cascading down the child's cone, within a budget
+of ``_LOWER_BUDGET`` ends and a floor of 0; otherwise, or when the
+lowering would pass either, it raises the parent's end, then every
+ancestor that no longer covers a raised label.  A lowering so costs at
+most the budget, and a raise the part of the parent's ancestry that has
+to grow.  Begins only ever fall, up the parents' ancestry.  A fresh slot
+starts with the empty label (``ensure_capacity``), which needs no
+containment until it gains a DAG edge, so an inserted node, or a fresh
+merge representative, is labelled by the ``propagate`` of its new edges
+to its children like any other parent.  Since ends move both ways, labels are sound but not the least
+that hold containment: a lowered end lies below the one a fresh traversal
+would give.
 
 ``k = 0`` disables labeling entirely: every operation is a no-op and
 subsumption is treated as always true, degenerating search to a plain
@@ -39,6 +47,10 @@ from .graph import SccGraph
 #: has never had a DAG child may hold the empty interval its slot started
 #: with (``b > e``).
 Label = tuple[tuple[int, int], ...]
+
+#: The most ends one downward repair in ``propagate`` may lower before it
+#: is undone and the parent is raised instead.
+_LOWER_BUDGET = 64
 
 
 @dataclass(frozen=True)
@@ -206,8 +218,9 @@ class IntervalLabeler:
         anywhere below it) labels the pieces (``_post_order``), the
         counter starting at the old begin and passing over the remnant.
         Pieces above the remnant so cover it, and pieces below it normally
-        fall inside its label; propagating from the pieces restores
-        containment wherever a label had to grow, the remnant's included.
+        fall inside its label; propagating over the edges into the pieces
+        restores containment where it lacks, by lowering a piece or raising
+        a parent, the remnant among them.
         The remnant's own edges are never scanned, so the cost follows the
         pieces' degrees.
         """
@@ -240,40 +253,58 @@ class IntervalLabeler:
     def propagate(self, graph: SccGraph, covers: Iterable[tuple[int, Iterable[int]]]) -> None:
         """Restore edge-wise containment along ``covers``, ``(child,
         parents)`` pairs of DAG edges that may lack it: each of
-        ``parents`` is grown over ``child`` (begin ``b_p <= b_c``, end
-        ``e_p >= e_c + 1``), and so on up every parent chain that grows.
+        ``parents`` gets a begin ``b_p <= b_c`` and an end ``e_p >= e_c +
+        1`` over ``child``.
 
         A plain insertion of ``(s, t)`` passes ``((t, (s,)),)``, and a
         split every piece with all its parents.  A merge passes the DAG
         edges it gave its representative ``rep``: ``(c, (rep,))`` for each
         external child ``c`` moved onto it, and ``(rep, parents)`` for the
-        external parents moved onto it.  ``rep`` is then a parent and a
-        child in the same call: it may grow over its new children, and
-        that growth re-checks all its parents, so a parent (and an
-        ancestor it grew) can be recomputed twice, once against ``rep``'s
-        old end and once against its grown one.  Every step only lowers a
-        begin or raises an end to what a child requires, so the result is
-        still the least labels that restore containment: ``rep`` gets the
-        hull of its old label and its new children's.
+        external parents moved onto it.
 
-        Only ancestors of the children can lose containment, and only
-        through a chain of labels that grew, so the cost follows the
-        parents given and the part of their ancestry that has to grow.
+        Begins are min-propagated up every parent chain with a worklist,
+        which takes a node's parents once per time its begin fell.
 
-        Begin values are min-propagated with a worklist, which takes a
-        node's parents once per time its begin grew.  End values are
-        finalized in ascending order of their previous value through a
-        priority queue, and a node's floors pop largest first, so every
-        ancestor sees finished children and is raised at most once, apart
-        from a merge's parents above, which are raised at most twice.  Only
-        a cycle in the condensation raises more ends than twice the slots
-        in one dimension, and then ``InternalError`` is raised instead of
-        raising the ends around the cycle forever.
+        Ends are repaired one dimension at a time, from whichever side is
+        cheaper.  Each edge ``(p, w)`` that lacks ``e_p >= e_w + 1`` is
+        taken in turn.  When ``p`` has more DAG parents than ``w`` has DAG
+        children, ``w``'s end is first lowered to ``e_p - 1`` (``_lower``):
+        lowering an end keeps every edge into the node, and the lowering
+        cascades down ``w``'s cone into every child that no longer ends
+        below its parent.  It is undone, and ``p`` is raised instead, when
+        it would change more than ``_LOWER_BUDGET`` ends or take an end
+        below 0, the floor that keeps every label apart from the empty
+        label's end of -1.  A lowering so costs at most the budget, and
+        keeps a parent with many ancestors, such as a parent of the giant
+        component, from raising all of them.  The edges still lacking
+        containment once every lowering is done are repaired upward: each
+        parent is raised, and so on up every parent chain that grows.  The
+        result holds containment but need not be the least labels that
+        do: a lowered end lies below the end a fresh traversal gives.
+
+        A merge's ``rep`` is a parent and a child in one call.  Its new
+        children come first: each is lowered below ``rep``, or ``rep`` is
+        queued to be raised over it.  Then each parent that ends too low
+        is raised over ``rep``, or ``rep`` is lowered below it, cascading
+        into its children, the new ones included.  Whatever order the
+        lowerings take, none breaks an edge, and the raise pass starts
+        from the edges that still lack containment after all of them, at
+        the ends they left.
+
+        The raise pass finalizes ends in ascending order of their
+        previous value through a priority queue, and a node's floors pop
+        largest first, so every ancestor sees finished children and is
+        raised at most once, apart from ``rep``'s parents, which are
+        raised at most twice: once against ``rep``'s old end and once
+        against its raised one.  Only a cycle in the condensation raises
+        more ends than twice the slots in one dimension, and then
+        ``InternalError`` is raised instead of raising the ends around the
+        cycle forever.
         """
         if self.k == 0:
             return
         covers = list(covers)
-        in_d = graph._in_d
+        in_d, out_d = graph._in_d, graph._out_d
         b_cols = self._b
         # Begin phase: push the (monotone) min up every parent chain.
         stack = list(covers)
@@ -287,16 +318,23 @@ class IntervalLabeler:
                         changed = True
                 if changed:
                     stack.append((p, in_d[p] or ()))
-        # End phase, one dimension at a time.  Entries are relaxations
-        # (old end, node, minus the required floor): because a parent's
+        # End phase, one dimension at a time: first the lowerings, then
+        # the raise pass over the edges still short of containment.  Its
+        # entries are relaxations (old end, node, minus the required
+        # floor): because every other edge holds containment, a parent's
         # old end exceeds its children's, every floor a node receives is
         # queued before any of them pops, the largest pops first and the
         # rest are skipped, so one pass settles the cone.
         for d in range(self.k):
             e_col = self._e[d]
-            heap = [
-                (e_col[p], p, -1 - e_col[w]) for w, parents in covers for p in parents if e_col[p] <= e_col[w]
-            ]
+            short = []
+            for w, parents in covers:
+                for p in parents:
+                    if e_col[p] <= e_col[w] and not (
+                        len(in_d[p] or ()) > len(out_d[w] or ()) and _lower(e_col, out_d, w, e_col[p] - 1)
+                    ):
+                        short.append((w, p))
+            heap = [(e_col[p], p, -1 - e_col[w]) for w, p in short if e_col[p] <= e_col[w]]
             heapify(heap)
             hi = self._max_end[d]
             raises = 2 * len(e_col)  # every slot raised twice; only a cycle exceeds it
@@ -318,3 +356,28 @@ class IntervalLabeler:
                         if e_col[q] < up:
                             heappush(heap, (e_col[q], q, -up))
             self._max_end[d] = hi
+
+
+def _lower(e_col: list[int], out_d: Sequence, w: int, end: int) -> bool:
+    """Lower ``w``'s end in ``e_col`` to ``end`` and then, down its cone,
+    every child's end that no longer lies below its parent's to the
+    parent's end minus 1.  True when done; false, with every end as it
+    was, when that would take more than ``_LOWER_BUDGET`` lowerings (a
+    node reached again by a longer path is lowered again, and counts
+    again) or an end below 0."""
+    undo: list[tuple[int, int]] = []
+    stack = [(w, end)]
+    while stack:
+        n, end = stack.pop()
+        if e_col[n] <= end:
+            continue
+        if end < 0 or len(undo) == _LOWER_BUDGET:
+            for n, old in reversed(undo):
+                e_col[n] = old
+            return False
+        undo.append((n, e_col[n]))
+        e_col[n] = end
+        for c in out_d[n] or ():
+            if e_col[c] >= end:
+                stack.append((c, end - 1))
+    return True

@@ -25,15 +25,19 @@ from __future__ import annotations
 
 import random
 import sys
+from pathlib import Path
 
-from hypothesis import HealthCheck, settings
-from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
+if __name__ == "__main__":  # run as a script: this checkout's package first
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from dynreach import DeleteEdge, InputError, InsertEdge, LabelerConfig, QueryStats, ReachabilityIndex
+from hypothesis import HealthCheck, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule  # noqa: E402
 
-from oracles import Mirror, assert_agrees, dag_reach, reachable_pairs
-from samples import random_strongly_connected
+from dynreach import DeleteEdge, InputError, InsertEdge, LabelerConfig, QueryStats, ReachabilityIndex  # noqa: E402
+
+from oracles import Mirror, assert_agrees, dag_reach, reachable_pairs  # noqa: E402
+from samples import random_strongly_connected  # noqa: E402
 
 
 def assert_queries(idx, mirror, rng, sources: int = 3) -> None:

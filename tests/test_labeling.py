@@ -17,6 +17,8 @@ from dynreach import (
     subsumes,
 )
 
+from dynreach.labeling import _LOWER_BUDGET
+
 from oracles import Mirror, assert_agrees, check_label_invariants, dag_reach
 from samples import NODE, random_dag, sample_comps, sample_graph, sample_index
 
@@ -109,24 +111,93 @@ def test_enlarge_noop_when_already_covering():
 
 
 def test_enlarge_propagates_only_to_ancestors():
+    # Inserting (s, t) lowers begins and raises ends only at s and its
+    # ancestors, and lowers ends only at t and its descendants: no other
+    # label changes.  Over the seeds, both repairs occur.
+    raised = lowered = 0
     for seed in range(8):
         edges = random_dag(26, 48, seed)
         idx = ReachabilityIndex.build(edges, 26, LabelerConfig(k=2, seed=seed))
         g = idx.graph
         rng = random.Random(seed)
         nodes = g.current_dag_nodes()
-        ancestors_of = {
-            s: {p for p in nodes if p != s and dag_reach(g, p, s)} for s in nodes
-        }
         before = {s: idx.label_of(s) for s in nodes}
         while True:
             s, t = rng.sample(nodes, 2)
             if s != t and not dag_reach(g, s, t) and not dag_reach(g, t, s):
                 break
+        up = {p for p in nodes if p == s or dag_reach(g, p, s)}
+        down = {c for c in nodes if c == t or dag_reach(g, t, c)}
         idx.insert_edge(s, t)
         check_label_invariants(idx)
-        changed = {x for x in nodes if idx.label_of(x) != before[x]}
-        assert changed <= ancestors_of[s] | {s}, (seed, changed)
+        for x in nodes:
+            for (b0, e0), (b1, e1) in zip(before[x], idx.label_of(x)):
+                assert b1 == b0 or (b1 < b0 and x in up), (seed, x)
+                assert e1 == e0 or (e1 > e0 and x in up) or (e1 < e0 and x in down), (seed, x)
+                raised += e1 > e0
+                lowered += e1 < e0
+    assert raised and lowered
+
+
+def chain_below_a_busy_node(length: int, s_end: int, k: int) -> ReachabilityIndex:
+    """The chain 0 -> 1 -> ... -> length - 1, node i ending at ``1000 -
+    i``, and apart from it the node ``s = length`` ending at ``s_end``,
+    with the two parents ``length + 1`` and ``length + 2`` ending one
+    above it; every begin is 0."""
+    edges = [(i, i + 1) for i in range(length - 1)] + [(length + 1, length), (length + 2, length)]
+    g = SccGraph.build(edges, length + 3)
+    lab = IntervalLabeler(LabelerConfig(k=k))
+    lab.initial_labels(g)
+    for i in range(length):
+        lab.set_label(i, ((0, 1000 - i),) * k)
+    lab.set_label(length, ((0, s_end),) * k)
+    for p in (length + 1, length + 2):
+        lab.set_label(p, ((0, s_end + 1),) * k)
+    idx = ReachabilityIndex(g, lab)
+    check_label_invariants(idx)
+    return idx
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("extra", [0, 1])
+def test_lowering_past_the_budget_raises_instead(k, extra):
+    # Inserting (s, 0): s has more DAG parents (2) than 0 has DAG children
+    # (1), so 0's end is lowered to one below s's, and the lowering runs
+    # down the whole chain.  A chain of the budget's length is lowered and
+    # s keeps its label; one node more and every end is restored, and s
+    # and its parents are raised over 0 instead.
+    length = _LOWER_BUDGET + extra
+    idx = chain_below_a_busy_node(length, 500, k)
+    idx.insert_edge(length, 0)
+    check_label_invariants(idx)
+    chain = [idx.label_of(i) for i in range(length)]
+    if extra:
+        assert chain == [((0, 1000 - i),) * k for i in range(length)]
+        assert idx.label_of(length) == ((0, 1001),) * k
+        assert idx.label_of(length + 1) == idx.label_of(length + 2) == ((0, 1002),) * k
+    else:
+        assert chain == [((0, 499 - i),) * k for i in range(length)]
+        assert idx.label_of(length) == ((0, 500),) * k
+        assert idx.label_of(length + 1) == idx.label_of(length + 2) == ((0, 501),) * k
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("s_end", [2, 3])
+def test_lowering_below_zero_raises_instead(k, s_end):
+    # The same insert over a chain of three: from s's end 3 the chain is
+    # lowered to ends 2, 1 and 0; from 2 its last end would fall to -1,
+    # the empty label's, so every end is restored and s is raised.
+    idx = chain_below_a_busy_node(3, s_end, k)
+    idx.insert_edge(3, 0)
+    check_label_invariants(idx)
+    chain = [idx.label_of(i) for i in range(3)]
+    if s_end == 3:
+        assert chain == [((0, 2 - i),) * k for i in range(3)]
+        assert idx.label_of(3) == ((0, 3),) * k
+    else:
+        assert chain == [((0, 1000 - i),) * k for i in range(3)]
+        assert idx.label_of(3) == ((0, 1001),) * k
+        assert idx.label_of(4) == idx.label_of(5) == ((0, 1002),) * k
 
 
 def test_propagate_around_a_cycle_raises():

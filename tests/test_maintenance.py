@@ -10,6 +10,7 @@ from dynreach import (
     InputError,
     InsertEdge,
     InsertNode,
+    IntervalLabeler,
     LabelerConfig,
     LogicError,
     Query,
@@ -81,10 +82,10 @@ def test_insert_merge_scenario():
 
 def test_insert_merge_label_adoption_before_propagation():
     # Closing N -> B merges {1, H, I, L, 3}.  Component 3 is the largest
-    # (5 nodes), so it is the representative: the merged component takes
-    # its label widened over the other members' one external child, M.
-    # Propagation only grows parents, so that label is still there after
-    # the insert.
+    # (5 nodes), so it is the representative and keeps its label.  Its one
+    # new external child, M, ends above it; 3 has more DAG parents (3)
+    # than M has DAG children (0), so M's end is lowered to one below 3's.
+    # No other label changes.
     for order in ("reversed", "ltr", "both"):
         idx = sample_index(k=1, order=order)
         g = idx.graph
@@ -92,22 +93,31 @@ def test_insert_merge_label_adoption_before_propagation():
         members = [comps["1"], NODE["H"], NODE["I"], NODE["L"], comps["3"]]
         assert sorted(g.scc_size(m) for m in members) == [1, 1, 1, 3, 5]
         assert g.scc_size(comps["3"]) == 5
-        rep_label, m = idx.label_of(comps["3"]), idx.label_of(NODE["M"])
-        want = tuple((min(br, bm), max(er, em + 1)) for (br, er), (bm, em) in zip(rep_label, m))
+        before = {s: idx.label_of(s) for s in g.current_dag_nodes()}
+        rep_label, m = before[comps["3"]], before[NODE["M"]]
+        assert all(em >= er for (_, er), (_, em) in zip(rep_label, m))
         idx.insert_edge(NODE["N"], NODE["B"])
         rep = idx.find(NODE["N"])
         assert rep == comps["3"]
-        assert idx.label_of(rep) == want
+        assert g.dag_children(rep) == [NODE["M"]] and len(g.dag_parents(rep)) == 3
+        assert idx.label_of(rep) == rep_label
+        assert idx.label_of(NODE["M"]) == tuple((bm, er - 1) for (_, er), (bm, _) in zip(rep_label, m))
+        for s in g.current_dag_nodes():
+            if s not in (rep, NODE["M"]):
+                assert idx.label_of(s) == before[s], s
         check_label_invariants(idx)
 
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_merge_gives_the_least_label_over_new_children_and_parents(k):
     # Inserting (1, 0) closes 0 -> R -> 1 with R = {5, 6, 7}, the
-    # representative.  The merge gives R the children 2 and 3 of 0, which
-    # R's label does not cover, and the parent 4 of 1, whose end lies
-    # below R's: R must grow to exactly the hull of its old label and its
-    # new children's, and 4 then over R.
+    # representative.  The merge gives R the children 2 and 3 of 0 and
+    # the parent 4 of 1.  R's begin falls to the least of its new
+    # children's, and its end stays: child 3 ends above it, and R has more
+    # DAG parents (1) than 3 has DAG children (0), so 3's end is lowered
+    # to one below R's, while 2 already ends below.  Parent 4 ends below R
+    # and has fewer DAG parents (0) than R has DAG children (2), so 4 is
+    # raised to one above R's end, and its begin falls to R's.
     edges = [(5, 6), (6, 7), (7, 5), (0, 5), (7, 1), (0, 2), (0, 3), (4, 1), (4, 2)]
     g = SccGraph.build(edges, 8)
     r = g.find_scc(5)
@@ -118,23 +128,58 @@ def test_merge_gives_the_least_label_over_new_children_and_parents(k):
     idx = ReachabilityIndex(g, lab)
     old = idx.label_of(r)
     kids = [idx.label_of(2), idx.label_of(3)]
-    want = tuple(
-        (min(b, *(kid[d][0] for kid in kids)), max(e, *(kid[d][1] + 1 for kid in kids)))
-        for d, (b, e) in enumerate(old)
-    )
+    old4 = idx.label_of(4)
+    want = tuple((min(b, *(kid[d][0] for kid in kids)), e) for d, (b, e) in enumerate(old))
     for d in range(k):
-        assert want[d][0] < old[d][0] and want[d][1] > old[d][1]
-        assert idx.label_of(4)[d][1] < old[d][1]
+        assert want[d][0] < old[d][0]
+        assert kids[0][d][1] < old[d][1] <= kids[1][d][1]
+        assert old4[d][1] < old[d][1]
     idx.insert_edge(1, 0)
     assert idx.find(0) == idx.find(1) == r
+    assert sorted(g.dag_children(r)) == [2, 3] and g.dag_parents(r) == [4]
     assert idx.label_of(r) == want
-    for p in idx.graph.dag_parents(r):
-        assert subsumes(idx.label_of(p), want), p
+    assert idx.label_of(2) == kids[0]
+    assert idx.label_of(3) == tuple((b, e - 1) for (b, _), (_, e) in zip(kids[1], old))
+    assert idx.label_of(4) == tuple((min(b4, b), e + 1) for (b4, _), (b, e) in zip(old4, want))
     mirror = Mirror(edges, 8)
     mirror.insert_edge(1, 0)
     assert_agrees(idx, mirror)
     for u in range(8):
         for v in range(8):
+            assert idx.reachable(u, v) == mirror.reach(u, v), (u, v)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_merge_lowers_a_representative_that_is_parent_and_child(k):
+    # Inserting (1, 0) closes 0 -> R -> 1 with R = {5, 6, 7}, the
+    # representative, which is then a child and a parent in the merge's
+    # one propagate.  Its new child 8 (of 0) ends above it, but has more
+    # DAG children (3) than R has DAG parents (1), so R is queued to be
+    # raised over 8.  Its new parent 2 (of 1) ends below it and has more
+    # DAG parents (2) than R has DAG children (1), so R is lowered below
+    # 2, and the lowering takes 8 below R.  Then nothing is left to raise:
+    # only R's and 8's ends change.
+    edges = [(5, 6), (6, 7), (7, 5), (0, 5), (7, 1), (0, 8), (8, 9), (8, 10), (8, 11), (2, 1), (3, 2), (4, 2)]
+    g = SccGraph.build(edges, 12)
+    r = g.find_scc(5)
+    lab = IntervalLabeler(LabelerConfig(k=k))
+    lab.initial_labels(g)
+    ends = {9: 1, 10: 2, 11: 3, 1: 4, 2: 6, 3: 7, 4: 7, r: 8, 8: 10, 0: 11}
+    for x, e in ends.items():
+        lab.set_label(x, ((0, e),) * k)
+    idx = ReachabilityIndex(g, lab)
+    check_label_invariants(idx)
+    idx.insert_edge(1, 0)
+    assert idx.find(0) == idx.find(1) == r
+    assert g.dag_children(r) == [8] and g.dag_parents(r) == [2]
+    want = {**ends, r: 5, 8: 4}
+    del want[0], want[1]
+    assert {x: idx.label_of(x) for x in g.current_dag_nodes()} == {x: ((0, e),) * k for x, e in want.items()}
+    mirror = Mirror(edges, 12)
+    mirror.insert_edge(1, 0)
+    assert_agrees(idx, mirror)
+    for u in range(12):
+        for v in range(12):
             assert idx.reachable(u, v) == mirror.reach(u, v), (u, v)
 
 
@@ -605,8 +650,12 @@ def test_insert_node_sends_every_edge_through_insert_edge(monkeypatch):
 
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_out_edges_of_a_new_node_run_no_merge_search(k, monkeypatch):
-    # A tail without a DAG parent closes no cycle: of 9's edges, only the
-    # in-edge 2 -> 9 searches, and it closes 9 -> 0 -> 1 -> 2 -> 9.
+    # 9 has the in-neighbour 2 and the out-neighbour 2, so it first joins
+    # {2}, in a fresh component X, with no search.  Its out-edges then
+    # leave X, which has the DAG parent 1: (9, 0) closes 0 -> 1 -> X and
+    # searches from 0, which merges 0 and 1 into X, and (9, 3) closes
+    # 3 -> X and searches from 3.  The rest run inside X.  A new node that
+    # joins nothing has no DAG parent, so its out-edges search nothing.
     edges = [(0, 1), (1, 2), (3, 1)]
     idx = ReachabilityIndex.build(edges, 4, LabelerConfig(k=k, seed=k))
     calls = []
@@ -620,11 +669,80 @@ def test_out_edges_of_a_new_node_run_no_merge_search(k, monkeypatch):
     outs, ins = [0, 1, 2, 3], [2]
     idx.insert_node(9, out_edges=outs, in_edges=ins)
     g = idx.graph
-    assert calls == [(g.input_slot(9), g.input_slot(2))]
+    x = idx.find(9)
+    assert g.node_kind(x) == "scc-current" and g.scc_size(x) == 5
+    assert calls == [(g.input_slot(0), x), (g.input_slot(3), x)]
+    idx.insert_node(8, out_edges=[0, 9])
+    assert len(calls) == 2
     mirror = Mirror(edges, 4)
     mirror.insert_node(9, outs, ins)
+    mirror.insert_node(8, [0, 9], [])
     assert idx.scc_partition() == mirror.partition()
     check_label_invariants(idx)
+
+
+FRINGED_SCC = [(i, (i + 1) % 6) for i in range(6)] + [(0, 3), (6, 0), (7, 2), (1, 8), (4, 9), (10, 6), (9, 11)]
+"""The 6-node SCC C = {0..5} (a cycle with a chord), with the parents 6
+and 7 and the children 8 and 9; 10 -> 6 and 9 -> 11 lengthen the
+fringe."""
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_new_node_with_both_ends_in_a_component_joins_it_without_search(k, monkeypatch):
+    # 20 has the in-neighbours 1 and 7 and the out-neighbours 3 and 8.
+    # It joins C before any edge, and then its edges into C change
+    # nothing and those from 7 and to 8 add to C's DAG edges: no merge
+    # search runs, and C keeps its label.
+    idx = ReachabilityIndex.build(FRINGED_SCC, 12, LabelerConfig(k=k, seed=k))
+    g = idx.graph
+    c = idx.find(0)
+    label = idx.label_of(c)
+    calls = []
+    collect = idx.collect_merge_list
+
+    def spy(t, s):
+        calls.append((t, s))
+        return collect(t, s)
+
+    monkeypatch.setattr(idx, "collect_merge_list", spy)
+    outs, ins = [3, 8], [1, 7]
+    idx.insert_node(20, out_edges=outs, in_edges=ins)
+    assert calls == []
+    assert idx.find(20) == c and g.scc_size(c) == 7
+    assert idx.label_of(c) == label
+    assert g.edge_multiplicity(c, 8) == g.edge_multiplicity(7, c) == 2
+    mirror = Mirror(FRINGED_SCC, 12)
+    mirror.insert_node(20, outs, ins)
+    assert_agrees(idx, mirror)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+@pytest.mark.parametrize(
+    "outs, ins",
+    [
+        ([3, 6], [1]),  # joins C, then 6 reaches C: 6 merges in
+        ([3], [1, 9]),  # joins C, then C reaches 9: 9 merges in
+        ([3, 10], [1, 11]),  # joins C, then 10 and 11 close cycles through C
+        ([3, 8], [1, 8]),  # C and 8 are both joint; C, the larger, joins first
+        ([10, 11], [10, 11]),  # 10 and 11 are both joint, with 6, C and 9 between them
+    ],
+    ids=["parent", "child", "both-fringes", "two-joint-adjacent", "two-joint-apart"],
+)
+def test_new_node_joins_a_component_then_merges_the_rest(k, outs, ins):
+    # 20 first joins the largest component that holds an in- and an
+    # out-neighbour.  Its other edges lead to components that reach that
+    # one or that it reaches, and close cycles through them.  Joining two
+    # joint components at once would be wrong: in the last case the path
+    # 10 -> 6 -> C -> 9 -> 11 between them touches none of 20's edges.
+    idx = ReachabilityIndex.build(FRINGED_SCC, 12, LabelerConfig(k=k, seed=k))
+    mirror = Mirror(FRINGED_SCC, 12)
+    idx.insert_node(20, out_edges=outs, in_edges=ins)
+    mirror.insert_node(20, outs, ins)
+    assert_agrees(idx, mirror)
+    nodes = [*range(12), 20]
+    for u in nodes:
+        for v in nodes:
+            assert idx.reachable(u, v) == mirror.reach(u, v), (u, v)
 
 
 @pytest.mark.parametrize("k", [1, 2])
