@@ -6,7 +6,7 @@ reachability queries with label-pruned search, and ships generators plus
 a benchmark CLI for replaying intermixed update/query workloads.
 """
 
-from .bench import BenchConfig, BenchReport, DfsBaseline, run_bench
+from .bench import DfsBaseline, run_bench
 from .errors import DynReachError, InputError, InternalError, LogicError
 from .graph import SccGraph
 from .index import QueryStats, ReachabilityIndex
@@ -15,8 +15,6 @@ from .ops import DeleteEdge, DeleteNode, InsertEdge, InsertNode, Query, UpdateOp
 from .workload import OpRatios, gen_ba_directed, gen_er, gen_updates
 
 __all__ = [
-    "BenchConfig",
-    "BenchReport",
     "DeleteEdge",
     "DeleteNode",
     "DfsBaseline",

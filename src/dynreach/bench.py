@@ -7,15 +7,28 @@ random reachability queries after every update.  Per-kind mean latencies
 and the total elapsed time feed the queries-per-update comparison.
 Automatic garbage collection is off while the engine is built and the
 ops run, and every op is timed: there is no warm-up.
+
+``run_bench`` returns one flat report dict:
+
+* ``dataset``, ``variant``, ``qpu``, ``seed``: the run's inputs;
+* ``ops``: the workload's length, Query ops included;
+* ``<kind>_count`` and ``<kind>_mean_ms`` for each op kind ``q``
+  (queries), ``ei``/``ed`` (edge insert/delete) and ``ni``/``nd`` (node
+  insert/delete): calls, and mean milliseconds per call (0.0 for none);
+* ``query_hits``: queries answered true;
+* ``answers_hash``: SHA-256 hex of every answer in order, one byte each;
+* ``final_nodes``, ``final_edges``: input nodes and edges after the run;
+* ``final_dag_nodes``, ``final_largest_scc``: components after the run
+  and the largest one's node count, -1 for ``dfs``;
+* ``build_s``, ``total_s``: seconds to build the engine and to replay.
 """
 from __future__ import annotations
 
 import gc
 import hashlib
-import json
+import random
 import re
 import time
-from dataclasses import dataclass, field
 from collections.abc import Sequence
 
 from .errors import InputError
@@ -23,15 +36,12 @@ from .index import ReachabilityIndex
 from .labeling import LabelerConfig
 from .ops import DeleteEdge, DeleteNode, InsertEdge, InsertNode, Query, UpdateOp
 
-import random
-
 _VARIANT_RE = re.compile(r"^(dfs|dg(\d+))$")
+_KINDS = ("q", "ei", "ed", "ni", "nd")
 
 #: Report keys that depend on the wall clock (ignored when diffing runs).
-TIMING_FIELDS = frozenset(
-    {"total_s", "build_s"}
-    | {f"{kind}_mean_ms" for kind in ("q", "ei", "ed", "ni", "nd")}
-)
+TIMING_FIELDS = frozenset({"total_s", "build_s"} | {f"{kind}_mean_ms" for kind in _KINDS})
+
 
 def parse_variant(variant: str) -> int | None:
     """Map a variant name to its label dimension count (None = baseline)."""
@@ -39,65 +49,6 @@ def parse_variant(variant: str) -> int | None:
     if not m:
         raise InputError(f"unknown variant {variant!r} (expected dfs or dg<k>)")
     return None if m.group(1) == "dfs" else int(m.group(2))
-
-
-@dataclass(frozen=True)
-class BenchConfig:
-    """One replay: engine variant, queries per update, seed."""
-
-    variant: str = "dg1"
-    qpu: int = 0
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        parse_variant(self.variant)
-        if self.qpu < 0:
-            raise InputError(f"qpu must be >= 0, got {self.qpu}")
-
-
-@dataclass
-class BenchReport:
-    """Per-kind counts and mean latencies for one replayed workload."""
-
-    dataset: str
-    variant: str
-    qpu: int
-    seed: int
-    ops: int
-    counts: dict[str, int] = field(default_factory=dict)
-    mean_ms: dict[str, float] = field(default_factory=dict)
-    query_hits: int = 0
-    answers_hash: str = ""
-    final_nodes: int = 0
-    final_edges: int = 0
-    final_dag_nodes: int = -1
-    final_largest_scc: int = -1
-    build_s: float = 0.0
-    total_s: float = 0.0
-
-    def to_dict(self) -> dict:
-        row: dict = {
-            "dataset": self.dataset,
-            "variant": self.variant,
-            "qpu": self.qpu,
-            "seed": self.seed,
-            "ops": self.ops,
-            "query_hits": self.query_hits,
-            "answers_hash": self.answers_hash,
-            "final_nodes": self.final_nodes,
-            "final_edges": self.final_edges,
-            "final_dag_nodes": self.final_dag_nodes,
-            "final_largest_scc": self.final_largest_scc,
-            "build_s": self.build_s,
-            "total_s": self.total_s,
-        }
-        for kind in ("q", "ei", "ed", "ni", "nd"):
-            row[f"{kind}_count"] = self.counts.get(kind, 0)
-            row[f"{kind}_mean_ms"] = self.mean_ms.get(kind, 0.0)
-        return row
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 class DfsBaseline:
@@ -185,13 +136,9 @@ class DfsBaseline:
         return False
 
 
-def build_engine(
-    variant: str,
-    edges: Sequence[tuple[int, int]],
-    num_nodes: int,
-    seed: int,
-):
-    k = parse_variant(variant)
+def build_engine(k: int | None, edges: Sequence[tuple[int, int]], num_nodes: int, seed: int):
+    """The ``dfs`` baseline for ``k`` None, else the index with ``k``
+    label dimensions."""
     if k is None:
         return DfsBaseline(edges, num_nodes)
     return ReachabilityIndex.build(edges, num_nodes, LabelerConfig(k=k, seed=seed))
@@ -224,23 +171,30 @@ def run_bench(
     edges: Sequence[tuple[int, int]],
     num_nodes: int,
     workload: Sequence[UpdateOp],
-    cfg: BenchConfig,
+    variant: str = "dg1",
+    qpu: int = 0,
+    seed: int = 0,
     dataset: str = "",
-) -> BenchReport:
-    """Replay ``workload`` on a freshly built engine and time every op.
+) -> dict:
+    """Replay ``workload`` on a freshly built engine, time every op, and
+    return the report dict of the module docstring.
 
-    After each update the harness issues ``cfg.qpu`` queries with both
+    After each update the harness issues ``qpu`` queries with both
     endpoints drawn uniformly from the current nodes (seeded, identical
     across variants), or none if no node is left; explicit Query ops in
     the workload run too.  After one untimed ``gc.collect()``, automatic
     collection is off for the build and the replay, so no op is charged
     for a scan that others' allocations set off; the caller's setting is
-    then restored.  Any failing op aborts with its index in the message.
+    then restored.  A bad variant or a negative ``qpu`` is refused before
+    the build, and any failing op aborts with its index in the message.
     """
+    k = parse_variant(variant)
+    if qpu < 0:
+        raise InputError(f"qpu must be >= 0, got {qpu}")
     alive = _AliveNodes(num_nodes)
-    rng = random.Random(cfg.seed)
-    sums = {kind: 0.0 for kind in ("q", "ei", "ed", "ni", "nd")}
-    counts = {kind: 0 for kind in ("q", "ei", "ed", "ni", "nd")}
+    rng = random.Random(seed)
+    sums = dict.fromkeys(_KINDS, 0.0)
+    counts = dict.fromkeys(_KINDS, 0)
     answers = bytearray()
     perf = time.perf_counter
 
@@ -256,7 +210,7 @@ def run_bench(
     gc.disable()
     try:
         t0 = perf()
-        engine = build_engine(cfg.variant, edges, num_nodes, cfg.seed)
+        engine = build_engine(k, edges, num_nodes, seed)
         build_s = perf() - t0
         t_start = perf()
         for i, op in enumerate(workload):
@@ -278,7 +232,7 @@ def run_bench(
                     raise InputError(f"unsupported op {op!r}")
                 if not alive.items:
                     continue
-                for _ in range(cfg.qpu):
+                for _ in range(qpu):
                     answers.append(timed("q", engine.reachable, alive.sample(rng), alive.sample(rng)))
             except InputError as exc:
                 raise InputError(f"op {i} ({op!r}) failed: {exc}") from exc
@@ -287,26 +241,24 @@ def run_bench(
         if collecting:
             gc.enable()
 
-    report = BenchReport(
-        dataset=dataset,
-        variant=cfg.variant,
-        qpu=cfg.qpu,
-        seed=cfg.seed,
-        ops=len(workload),
-        counts=counts,
-        mean_ms={k: (sums[k] * 1000.0 / counts[k] if counts[k] else 0.0) for k in counts},
-        query_hits=sum(answers),
-        answers_hash=hashlib.sha256(bytes(answers)).hexdigest(),
-        build_s=build_s,
-        total_s=total_s,
-    )
     if isinstance(engine, ReachabilityIndex):
         census = engine.census()
-        report.final_nodes = census["nodes"]
-        report.final_edges = census["edges"]
-        report.final_dag_nodes = census["dag_nodes"]
-        report.final_largest_scc = census["largest_scc"]
     else:
-        report.final_nodes = sum(1 for d in engine._out if d is not None)
-        report.final_edges = sum(len(d) for d in engine._out if d)
+        live = [d for d in engine._out if d is not None]
+        census = {"nodes": len(live), "edges": sum(map(len, live)), "dag_nodes": -1, "largest_scc": -1}
+    report = {
+        "dataset": dataset,
+        "variant": variant,
+        "qpu": qpu,
+        "seed": seed,
+        "ops": len(workload),
+        "query_hits": sum(answers),
+        "answers_hash": hashlib.sha256(bytes(answers)).hexdigest(),
+        "build_s": build_s,
+        "total_s": total_s,
+    }
+    report.update({f"final_{key}": value for key, value in census.items()})
+    for kind in _KINDS:
+        report[f"{kind}_count"] = counts[kind]
+        report[f"{kind}_mean_ms"] = sums[kind] * 1000.0 / counts[kind] if counts[kind] else 0.0
     return report

@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from .bench import BenchConfig, run_bench
+from .bench import run_bench
 from .errors import InputError, InternalError, LogicError
 from .index import ReachabilityIndex
 from .io import parse_graph, parse_workload, write_graph, write_workload
@@ -110,9 +110,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     edges, n = parse_graph(args.graph)
     workload = parse_workload(args.workload)
-    cfg = BenchConfig(variant=args.variant, qpu=args.qpu, seed=args.seed)
-    report = run_bench(edges, n, workload, cfg, dataset=args.graph)
-    text = report.to_json() + "\n"
+    report = run_bench(edges, n, workload, args.variant, args.qpu, args.seed, dataset=args.graph)
+    text = json.dumps(report, sort_keys=True) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

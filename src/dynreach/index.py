@@ -94,18 +94,6 @@ from .ops import DeleteEdge, InsertEdge, UpdateOp
 
 
 @dataclass(frozen=True, slots=True)
-class Split:
-    """The components that break off an SCC, and a slot of what is left;
-    false when nothing breaks off."""
-
-    keep: int
-    comps: list[list[int]]
-
-    def __bool__(self) -> bool:
-        return bool(self.comps)
-
-
-@dataclass(frozen=True, slots=True)
 class QueryStats:
     """Search instrumentation.  ``visited`` is 1 plus the components the
     search found from either end, the two ends and the dead ends it
@@ -493,14 +481,17 @@ class ReachabilityIndex:
         """Split SCC ``s`` after the removal of internal edges with these
         tails and heads, and relabel the pieces."""
         split = self.extract_components(s, tails, heads)
-        if not split:
+        if split is None:
             return
+        keep, comps = split
         old_label = self.labeler.label_of(s)
-        clist = self.graph.apply_split(s, split.keep, split.comps)
+        clist = self.graph.apply_split(s, keep, comps)
         self._ensure_capacity()
         self.labeler.relabel_split(self.graph, clist, old_label)
 
-    def extract_components(self, s: int, tails: Sequence[int], heads: Sequence[int]) -> Split:
+    def extract_components(
+        self, s: int, tails: Sequence[int], heads: Sequence[int]
+    ) -> tuple[int, list[list[int]]] | None:
         """Find the components that break off SCC ``s`` once internal
         edges with these tails and heads are gone.
 
@@ -533,8 +524,8 @@ class ReachabilityIndex:
         proportion to the edges of the pieces that break off, plus the
         races that met.  The remnant is never enumerated.
 
-        Returns the detached components and the anchor, a slot of the
-        remnant; false when nothing breaks off.
+        Returns the anchor, a slot of the remnant, and the detached
+        components; None when nothing breaks off.
         """
         g = self.graph
         find = g._find
@@ -580,7 +571,7 @@ class ReachabilityIndex:
                 a = x
                 settled.clear()
                 queue = list(items)
-        return Split(a, comps)
+        return (a, comps) if comps else None
 
     def _race(
         self, x: int, a: int, s: int, gone: int, x_adj: list, a_adj: list
@@ -742,7 +733,3 @@ class ReachabilityIndex:
             "dag_nodes": len(dag_nodes),
             "largest_scc": max((g._size[s] for s in dag_nodes), default=0),
         }
-
-    def full_relabel(self) -> None:
-        """Maintenance valve: rerun the initial labeling in place."""
-        self.labeler.initial_labels(self.graph)

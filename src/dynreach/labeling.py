@@ -136,8 +136,7 @@ class IntervalLabeler:
 
         Each dimension runs one post-order traversal (``_post_order``)
         from all roots, the counter starting at 0, so the end of a node is
-        the counter when it exits.  Rerunning it on a live index discards
-        every earlier label and the end values they drifted to.
+        the counter when it exits.
         """
         if self.k == 0:
             return
@@ -146,7 +145,6 @@ class IntervalLabeler:
         roots = [s for s in nodes if not in_d[s]]
         self.ensure_capacity(graph.capacity - 1)
         for d in range(self.k):
-            self._max_end[d] = 0
             if self._post_order(graph, d, roots, graph._out_d, 0) != len(nodes):
                 raise InternalError("condensation contains nodes unreachable from any root")
 

@@ -36,6 +36,3 @@ class Query:
 
 
 UpdateOp = Union[InsertEdge, DeleteEdge, InsertNode, DeleteNode, Query]
-
-#: Ops that mutate the graph (everything except Query).
-UPDATE_KINDS = (InsertEdge, DeleteEdge, InsertNode, DeleteNode)

@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from dynreach import BenchConfig, InputError, LabelerConfig, ReachabilityIndex, gen_er, gen_updates, OpRatios, run_bench
+from dynreach import InputError, LabelerConfig, ReachabilityIndex, gen_er, gen_updates, OpRatios, run_bench
 from dynreach import bench
 from dynreach.bench import TIMING_FIELDS, DfsBaseline, parse_variant
 from dynreach.cli import main
@@ -23,6 +23,8 @@ THREE_OP_SCRIPT = [
     DeleteEdge(NODE["N"], NODE["B"]),
 ]
 
+KINDS = ("q", "ei", "ed", "ni", "nd")
+
 
 def test_parse_variant():
     assert parse_variant("dfs") is None
@@ -30,11 +32,42 @@ def test_parse_variant():
     assert parse_variant("dg2") == 2
 
 
+def test_report_schema_is_pinned():
+    expected = {
+        "answers_hash", "build_s", "dataset", "ed_count", "ed_mean_ms", "ei_count", "ei_mean_ms",
+        "final_dag_nodes", "final_edges", "final_largest_scc", "final_nodes", "nd_count", "nd_mean_ms",
+        "ni_count", "ni_mean_ms", "ops", "q_count", "q_mean_ms", "qpu", "query_hits", "seed", "total_s",
+        "variant",
+    }
+    assert len(expected) == 23 and TIMING_FIELDS <= expected
+    for variant in ("dfs", "dg1"):
+        report = run_bench(SAMPLE_EDGES, 19, THREE_OP_SCRIPT, variant=variant, qpu=1, seed=4, dataset="d")
+        assert set(report) == expected
+        assert (report["dataset"], report["variant"], report["qpu"], report["seed"]) == ("d", variant, 1, 4)
+
+
+@pytest.mark.parametrize("variant, qpu", [("dg1", -1), ("dfs", -1), ("dgx", 0), ("dg", 0)])
+def test_bad_variant_or_qpu_is_refused_before_the_build(monkeypatch, variant, qpu):
+    built = []
+    monkeypatch.setattr(bench, "build_engine", lambda *args: built.append(args))
+    with pytest.raises(InputError):
+        run_bench(SAMPLE_EDGES, 19, THREE_OP_SCRIPT, variant=variant, qpu=qpu)
+    assert built == []
+
+
+def test_cli_bench_refuses_a_negative_qpu(tmp_path, capsys):
+    g, w = tmp_path / "g.txt", tmp_path / "w.txt"
+    g.write_text("#nodes 2\n0 1\n")
+    w.write_text("")
+    assert main(["bench", "--graph", str(g), "--workload", str(w), "--qpu", "-1"]) == 1
+    assert "qpu must be >= 0" in capsys.readouterr().err
+
+
 def test_three_op_script_census():
-    report = run_bench(SAMPLE_EDGES, 19, THREE_OP_SCRIPT, BenchConfig(variant="dg1", qpu=0))
-    assert report.final_dag_nodes == 10
-    assert report.final_largest_scc == 5
-    assert report.counts == {"q": 0, "ei": 1, "ed": 2, "ni": 0, "nd": 0}
+    report = run_bench(SAMPLE_EDGES, 19, THREE_OP_SCRIPT, variant="dg1", qpu=0)
+    assert report["final_dag_nodes"] == 10
+    assert report["final_largest_scc"] == 5
+    assert {kind: report[f"{kind}_count"] for kind in KINDS} == {"q": 0, "ei": 1, "ed": 2, "ni": 0, "nd": 0}
     # final component sizes: the split leaves a 3-node and a 5-node SCC
     idx = ReachabilityIndex.build(SAMPLE_EDGES, 19, LabelerConfig(k=1, seed=0))
     for op in THREE_OP_SCRIPT:
@@ -48,32 +81,31 @@ def test_three_op_script_census():
 
 
 def test_dfs_variant_zero_qpu_report():
-    report = run_bench(SAMPLE_EDGES, 19, THREE_OP_SCRIPT, BenchConfig(variant="dfs", qpu=0))
-    assert report.counts["q"] == 0
-    assert report.query_hits == 0
-    assert report.counts["ei"] == 1 and report.counts["ed"] == 2
+    report = run_bench(SAMPLE_EDGES, 19, THREE_OP_SCRIPT, variant="dfs", qpu=0)
+    assert report["q_count"] == 0
+    assert report["query_hits"] == 0
+    assert report["ei_count"] == 1 and report["ed_count"] == 2
 
 
 def test_report_conservation():
     edges = gen_er(200, 300, seed=1)
     ops = gen_updates(edges, 200, 100, OpRatios(), seed=2)
     ops.append(Query(0, 1))
-    cfg = BenchConfig(variant="dg1", qpu=3, seed=5)
-    report = run_bench(edges, 200, ops, cfg)
-    assert sum(report.counts.values()) == 100 + 1 + 100 * 3
-    assert report.ops == 101
+    report = run_bench(edges, 200, ops, variant="dg1", qpu=3, seed=5)
+    assert sum(report[f"{kind}_count"] for kind in KINDS) == 100 + 1 + 100 * 3
+    assert report["ops"] == 101
 
 
 def test_cross_variant_answer_agreement():
     edges = gen_er(300, 450, seed=9)
     ops = gen_updates(edges, 300, 150, OpRatios(), seed=10)
     reports = {
-        variant: run_bench(edges, 300, ops, BenchConfig(variant=variant, qpu=2, seed=77))
+        variant: run_bench(edges, 300, ops, variant=variant, qpu=2, seed=77)
         for variant in ("dfs", "dg0", "dg1", "dg2")
     }
-    hashes = {r.answers_hash for r in reports.values()}
+    hashes = {r["answers_hash"] for r in reports.values()}
     assert len(hashes) == 1
-    hits = {r.query_hits for r in reports.values()}
+    hits = {r["query_hits"] for r in reports.values()}
     assert len(hits) == 1
 
 
@@ -95,7 +127,7 @@ def test_run_bench_reports_offending_op_index():
     from dynreach import InputError
 
     with pytest.raises(InputError, match="op 1"):
-        run_bench([(0, 1)], 2, [Query(0, 1), DeleteEdge(1, 0)], BenchConfig(variant="dg1"))
+        run_bench([(0, 1)], 2, [Query(0, 1), DeleteEdge(1, 0)], variant="dg1")
 
 
 def test_dfs_baseline_rejects_a_negative_node_id():
@@ -116,7 +148,7 @@ def test_dfs_baseline_rejects_a_negative_node_id():
     with pytest.raises(InputError):
         DfsBaseline([], -1)
     with pytest.raises(InputError):
-        run_bench([(-1, 0)], 3, [], BenchConfig(variant="dfs"))
+        run_bench([(-1, 0)], 3, [], variant="dfs")
 
 
 def test_collection_is_off_for_every_timed_call(monkeypatch):
@@ -138,17 +170,17 @@ def test_collection_is_off_for_every_timed_call(monkeypatch):
 
     monkeypatch.setattr(bench, "build_engine", build_engine)
     assert gc.isenabled()
-    run_bench(SAMPLE_EDGES, 19, THREE_OP_SCRIPT, BenchConfig(variant="dg1", qpu=1))
+    run_bench(SAMPLE_EDGES, 19, THREE_OP_SCRIPT, variant="dg1", qpu=1)
     # The build, three updates and three queries.
     assert seen == [False] * 7
     assert gc.isenabled()
     with pytest.raises(InputError, match="op 1"):
-        run_bench([(0, 1)], 2, [Query(0, 1), DeleteEdge(1, 0)], BenchConfig(variant="dg1"))
+        run_bench([(0, 1)], 2, [Query(0, 1), DeleteEdge(1, 0)], variant="dg1")
     assert seen[7:] == [False] * 3 and gc.isenabled()
     # A caller that had collection off keeps it off.
     gc.disable()
     try:
-        run_bench(SAMPLE_EDGES, 19, THREE_OP_SCRIPT, BenchConfig(variant="dfs", qpu=1))
+        run_bench(SAMPLE_EDGES, 19, THREE_OP_SCRIPT, variant="dfs", qpu=1)
         assert not gc.isenabled()
     finally:
         gc.enable()

@@ -276,18 +276,6 @@ def test_k0_disables_labeling():
     assert not idx.reachable(NODE["M"], NODE["R"])
 
 
-def test_full_relabel_resets_drift():
-    idx = sample_index(k=1, order=None, seed=3)
-    idx.insert_edge(NODE["N"], NODE["B"])
-    idx.delete_edge(NODE["N"], NODE["B"])
-    idx.full_relabel()
-    check_label_invariants(idx)
-    # after a fresh labeling the root end equals the total node count
-    g = idx.graph
-    roots = [s for s in g.current_dag_nodes() if not g.dag_parents(s)]
-    assert max(idx.label_of(r)[0][1] for r in roots) == 19
-
-
 def test_update_sequence_labels_are_pinned():
     # Two pinned dimensions through every update kind, so that any change
     # to a label value shows.  At step 2 the merge is labelled from its
