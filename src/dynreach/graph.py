@@ -9,11 +9,24 @@ One structure holds three coupled layers:
   currently subsumes them.  The links form a union-find forest whose roots
   are exactly the current DAG nodes.
 
+The input layer keeps, per input slot, two plain lists: its out- and
+its in-neighbours, each in the order the edges were added (the first
+occurrence, for duplicates in ``build``), every edge once.  Removing an
+edge keeps the order of the rest, so every walk over the input layer
+(Tarjan, the extraction races, the splits) sees its neighbours in one
+fixed order, which fixes the labels a seed gives.  A list costs far less
+memory than a set for the few neighbours most nodes have; the price is
+that membership scans the shorter of the two lists an edge sits in, and
+removal pays one scan of each list (``list.remove``), so its cost
+follows the endpoints' degrees.  Deleting a node removes it from each
+neighbour's list and drops its own two lists whole.
+
 A single-node SCC is represented by the input node itself; a condensation
 node is allocated only for components of two or more nodes.  Every DAG
 edge, between singletons too, is stored in one adjacency (``_out_d`` and
 its mirror ``_in_d``) with its multiplicity, so walks over the
-condensation never consult the input layer.  Only ``_add_dag_edge``,
+condensation never consult the input layer.  Only ``build`` (which
+counts each DAG edge's multiplicity in one pass), ``_add_dag_edge``,
 ``_dec_dag_edge`` and ``_move_dag_edges`` write that adjacency.
 
 Every node lives in a slot of one dense internal id space.  Callers name
@@ -65,10 +78,13 @@ class SccGraph:
         # External id -> slot for every live input, and its inverse
         # (-1 for SCC and dead slots).
         self._slot: dict[int, int] = {u: u for u in range(num_nodes)}
-        self._ext: list[int] = list(range(num_nodes))
-        # Input-layer adjacency; dicts double as insertion-ordered sets.
-        self._out_i: list[dict[int, None] | None] = [{} for _ in range(num_nodes)]
-        self._in_i: list[dict[int, None] | None] = [{} for _ in range(num_nodes)]
+        self._ext: list[int] = list(self._slot)  # shares the keys' int objects
+        # Input-layer adjacency: per input slot, its out- and in-neighbours
+        # in insertion order, each edge once; None for other slots.  A
+        # membership test scans the shorter list of the edge's two, a
+        # removal scans both (see the module docstring).
+        self._out_i: list[list[int] | None] = [[] for _ in range(num_nodes)]
+        self._in_i: list[list[int] | None] = [[] for _ in range(num_nodes)]
         # Explicit DAG adjacency with input-edge multiplicities.
         self._out_d: list[dict[int, int] | None] = [None] * num_nodes
         self._in_d: list[dict[int, int] | None] = [None] * num_nodes
@@ -87,7 +103,7 @@ class SccGraph:
         edges collapse (set semantics); self-loops are kept in the input
         layer but never influence the condensation.
         """
-        edges = list(edges)
+        edges = dict.fromkeys(edges)  # set semantics, in first-occurrence order
         n = num_nodes or 0
         for u, v in edges:
             if u < 0 or v < 0:
@@ -99,27 +115,34 @@ class SccGraph:
         out_i = g._out_i
         in_i = g._in_i
         for u, v in edges:
-            ou = out_i[u]
-            if v not in ou:
-                ou[v] = None
-                in_i[v][u] = None
-                g._num_edges += 1
+            out_i[u].append(v)
+            in_i[v].append(u)
+        g._num_edges = len(edges)
         for comp in g._tarjan(range(n), [0] * n, [0] * n):
             if len(comp) > 1:
                 s = g._alloc_scc(len(comp))
                 for m in comp:
                     g._parent[m] = s
-        parent = g._parent
+        # DAG edges with their multiplicities, counted in one pass in the
+        # order ``_add_dag_edge`` would have stored them.
+        parent, out_d, in_d = g._parent, g._out_d, g._in_d
         for u in range(n):
             s = parent[u]
             if s == _NONE:
                 s = u
+            od = out_d[s]
             for v in out_i[u]:
                 t = parent[v]
                 if t == _NONE:
                     t = v
                 if s != t:
-                    g._add_dag_edge(s, t, 1)
+                    if od is None:
+                        od = out_d[s] = {}
+                    od[t] = od.get(t, 0) + 1
+                    idd = in_d[t]
+                    if idd is None:
+                        idd = in_d[t] = {}
+                    idd[s] = idd.get(s, 0) + 1
         return g
 
     def _tarjan(
@@ -223,8 +246,8 @@ class SccGraph:
         self._parent[slot] = _NONE
         self._size[slot] = 1
         self._ext[slot] = u
-        self._out_i[slot] = {}
-        self._in_i[slot] = {}
+        self._out_i[slot] = []
+        self._in_i[slot] = []
         self._slot[u] = slot
         self._num_input += 1
         return slot
@@ -317,7 +340,10 @@ class SccGraph:
                     yield (eu, ext[v])
 
     def has_input_edge(self, x: int, y: int) -> bool:
-        return y in self._out_i[x]
+        """True when input edge (x, y) exists; scans the shorter of the
+        two lists it would sit in."""
+        ox, iy = self._out_i[x], self._in_i[y]
+        return y in ox if len(ox) <= len(iy) else x in iy
 
     def input_successors(self, x: int) -> list[int]:
         return list(self._out_i[x])
@@ -365,21 +391,44 @@ class SccGraph:
 
     def add_input_edge(self, x: int, y: int) -> bool:
         """Record edge (x, y) between input slots; False if already present."""
-        ox = self._out_i[x]
-        if y in ox:
+        if self.has_input_edge(x, y):
             return False
-        ox[y] = None
-        self._in_i[y][x] = None
+        self._out_i[x].append(y)
+        self._in_i[y].append(x)
         self._num_edges += 1
         return True
 
     def remove_input_edge(self, x: int, y: int) -> None:
-        ox = self._out_i[x]
-        if y not in ox:
-            raise InputError(f"edge between slots ({x}, {y}) does not exist")
-        del ox[y]
-        del self._in_i[y][x]
+        """Drop edge (x, y) between input slots, keeping the order of the
+        other neighbours; one ``list.remove`` scan per endpoint."""
+        try:
+            self._out_i[x].remove(y)
+        except ValueError:
+            raise InputError(f"edge between slots ({x}, {y}) does not exist") from None
+        self._in_i[y].remove(x)
         self._num_edges -= 1
+
+    def remove_input_edges_at(self, x: int) -> tuple[list[int], list[int]]:
+        """Drop every input edge at slot ``x``; returns its former out- and
+        in-neighbours in stored order, a self-loop among the out-neighbours
+        only.
+
+        ``x`` leaves each neighbour's list by one ``list.remove``, and its
+        own two lists are replaced whole, so the cost follows the
+        neighbours' degrees, not the square of ``x``'s.
+        """
+        out_i, in_i = self._out_i, self._in_i
+        outs = out_i[x]
+        ins = [w for w in in_i[x] if w != x]
+        for y in outs:
+            if y != x:
+                in_i[y].remove(x)
+        for w in ins:
+            out_i[w].remove(x)
+        out_i[x] = []
+        in_i[x] = []
+        self._num_edges -= len(outs) + len(ins)
+        return outs, ins
 
     # ------------------------------------------------------------------
     # DAG layer

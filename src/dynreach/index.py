@@ -458,16 +458,16 @@ class ReachabilityIndex:
         sv = g.input_slot(v)
         if not g.has_input_edge(su, sv):
             raise InputError(f"edge ({u}, {v}) does not exist")
+        g.remove_input_edge(su, sv)
         if self._unlink(su, sv):
             self._split(g._find(su), (su,), (sv,))
 
     def _unlink(self, x: int, y: int) -> bool:
-        """Remove input edge (x, y) from the graph: a self-loop leaves the
-        condensation as it is, and an edge between two components drops
-        one witness of their DAG edge.  True iff the edge ran inside one
-        component, which may now have to split."""
+        """Update the condensation for input edge (x, y), just removed from
+        the graph: a self-loop leaves it as it is, and an edge between two
+        components drops one witness of their DAG edge.  True iff the edge
+        ran inside one component, which may now have to split."""
         g = self.graph
-        g.remove_input_edge(x, y)
         if x == y:
             return False
         s = g._find(x)
@@ -654,16 +654,18 @@ class ReachabilityIndex:
     def delete_node(self, u: int) -> None:
         """Remove a node with all incident edges.
 
-        Every incident edge, out-edges first, is unlinked as
-        ``delete_edge`` unlinks one (``_unlink``), but the component is
-        not split per edge: when the node sat in a multi-node component,
-        that component is split once, over every internal edge removed.
-        The node is then a lone, edge-free piece and is dropped.
+        Every incident edge leaves the input layer at once
+        (``SccGraph.remove_input_edges_at``); then each, out-edges first,
+        is unlinked as ``delete_edge`` unlinks one (``_unlink``), but the
+        component is not split per edge: when the node sat in a multi-node
+        component, that component is split once, over every internal edge
+        removed.  The node is then a lone, edge-free piece and is dropped.
         """
         g = self.graph
         x = g.input_slot(u)
-        inner = [(x, y) for y in list(g._out_i[x]) if self._unlink(x, y)]
-        inner += [(w, x) for w in list(g._in_i[x]) if self._unlink(w, x)]
+        outs, ins = g.remove_input_edges_at(x)
+        inner = [(x, y) for y in outs if self._unlink(x, y)]
+        inner += [(w, x) for w in ins if self._unlink(w, x)]
         if inner:
             tails, heads = zip(*inner)
             self._split(g._find(x), tails, heads)

@@ -124,8 +124,11 @@ class IntervalLabeler:
                 e_col.extend([-1] * extra)
 
     def _ordered(self, d: int, nodes: list[int]) -> list[int]:
-        """``nodes`` in the traversal order of dimension ``d``: shuffled."""
-        self._rngs[d].shuffle(nodes)
+        """``nodes`` in the traversal order of dimension ``d``: shuffled.
+        A list of fewer than two is left alone; shuffling it draws no
+        random number either."""
+        if len(nodes) > 1:
+            self._rngs[d].shuffle(nodes)
         return nodes
 
     # ------------------------------------------------------------------

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import os
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -58,3 +59,16 @@ def test_ledger_bound_and_gain_rule(tmp_path):
     write_run(tmp_path, "change_churn_s1", 50.0, "0.6..0.7")  # 8 of 10 breaks the gain rule
     ops = bench_ledger.ledger(tmp_path, SPEC)["workloads"]["churn"]["metrics"]["ops_per_s"]
     assert ops["change_wins"] == 8 and not ops["gain_rule"]
+
+
+def test_ledger_counts_the_pairs_whose_parent_ran_first(tmp_path):
+    # Seeds 0-3: the parent's .out is older in pairs 0 and 2 only.
+    for seed in range(4):
+        for side in ("parent", "change"):
+            write_run(tmp_path, f"{side}_churn_s{seed}", 1.0, "0.6..0.7")
+        older, newer = ("parent", "change") if seed % 2 == 0 else ("change", "parent")
+        os.utime(tmp_path / f"{older}_churn_s{seed}.out", (1_000 + seed, 1_000 + seed))
+        os.utime(tmp_path / f"{newer}_churn_s{seed}.out", (2_000 + seed, 2_000 + seed))
+    assert bench_ledger.ledger(tmp_path, SPEC)["workloads"]["churn"]["parent_first"] == 2
+    os.utime(tmp_path / "parent_churn_s1.out", (10, 10))
+    assert bench_ledger.ledger(tmp_path, SPEC)["workloads"]["churn"]["parent_first"] == 3

@@ -6,10 +6,10 @@ from collections import Counter
 
 import pytest
 
-from dynreach import InputError, LogicError, SccGraph
+from dynreach import InputError, LabelerConfig, LogicError, ReachabilityIndex, SccGraph
 from dynreach.graph import SCC_CURRENT
 
-from oracles import kosaraju_partition
+from oracles import Mirror, assert_agrees, kosaraju_partition
 from samples import NODE, SAMPLE_EDGES, random_digraph, sample_comps, sample_graph
 
 
@@ -246,3 +246,94 @@ def test_node_lifecycle():
     # slots are never reused: the next SCC node allocates above slot x
     rep = g.merge_components([0, 1])[0]
     assert rep > x
+
+
+# ----------------------------------------------------------------------
+# input-layer adjacency lists
+
+
+def test_build_keeps_first_occurrence_order_of_duplicates():
+    g = SccGraph.build([(0, 2), (0, 1), (3, 1), (0, 2), (2, 1), (0, 1), (3, 1)], num_nodes=4)
+    assert g.num_input_edges == 4
+    assert g._out_i[0] == [2, 1] and g._out_i[3] == [1] and g._out_i[2] == [1]
+    assert g._in_i[1] == [0, 3, 2] and g._in_i[2] == [0]
+
+
+def test_reinserting_an_edge_is_a_no_op():
+    g = SccGraph.build([(0, 1), (0, 2), (2, 1)], num_nodes=3)
+    assert not g.add_input_edge(0, 1)
+    assert not g.add_input_edge(2, 1)
+    assert g._out_i[0] == [1, 2] and g._in_i[1] == [0, 2]
+    assert g.num_input_edges == 3
+    assert g.add_input_edge(1, 0)
+    assert g._out_i[1] == [0] and g._in_i[0] == [1] and g.num_input_edges == 4
+
+
+def test_removing_an_edge_keeps_the_other_entries_in_order():
+    g = SccGraph.build([(0, 1), (0, 2), (0, 3), (0, 4), (2, 4), (1, 4), (3, 4)], num_nodes=5)
+    g.remove_input_edge(0, 1)
+    assert g._out_i[0] == [2, 3, 4] and g._in_i[1] == []
+    g.remove_input_edge(0, 4)
+    assert g._out_i[0] == [2, 3] and g._in_i[4] == [2, 1, 3]
+    g.remove_input_edge(2, 4)
+    assert g._in_i[4] == [1, 3] and g._out_i[2] == []
+    assert not g.has_input_edge(0, 1) and g.has_input_edge(0, 3)
+    assert g.num_input_edges == 4
+
+
+def test_removing_every_edge_at_a_node_returns_each_once_in_order():
+    g = SccGraph.build([(1, 0), (0, 2), (0, 0), (3, 0), (0, 1), (2, 3), (1, 2)], num_nodes=4)
+    assert g.remove_input_edges_at(0) == ([2, 0, 1], [1, 3])  # the self-loop once
+    assert g._out_i[0] == [] and g._in_i[0] == []
+    assert g._out_i[1] == [2] and g._in_i[2] == [1] and g._out_i[3] == [] and g._in_i[1] == []
+    assert g.num_input_edges == 2
+
+
+def test_deleting_a_missing_edge_raises_and_changes_nothing():
+    g = SccGraph.build([(0, 1), (2, 1), (1, 0)], num_nodes=3)
+    before = [None if adj is None else adj[:] for adj in (*g._out_i, *g._in_i)]
+    for x, y in ((0, 2), (1, 2), (2, 0), (2, 2)):
+        with pytest.raises(InputError):
+            g.remove_input_edge(x, y)
+    assert [*g._out_i, *g._in_i] == before
+    assert g.num_input_edges == 3
+
+
+def test_a_self_loop_appears_once_in_each_list():
+    g = SccGraph.build([(0, 0), (0, 1), (0, 0)], num_nodes=2)
+    assert g._out_i[0] == [0, 1] and g._in_i[0] == [0]
+    assert g.has_input_edge(0, 0) and not g.add_input_edge(0, 0)
+    x = g.add_input_node(7)
+    assert g.add_input_edge(x, x) and not g.add_input_edge(x, x)
+    assert g._out_i[x] == [x] and g._in_i[x] == [x]
+    assert g.num_input_edges == 3
+
+
+def test_membership_reads_the_shorter_list_on_either_side():
+    # (0, 1) sits in a long out-list and a short in-list; (2, 3) the reverse.
+    edges = [(0, v) for v in range(1, 40)] + [(w, 3) for w in range(4, 40)] + [(2, 3)]
+    g = SccGraph.build(edges, num_nodes=40)
+    assert g.has_input_edge(0, 1) and g.has_input_edge(0, 39)
+    assert g.has_input_edge(2, 3) and g.has_input_edge(39, 3)
+    assert not g.has_input_edge(1, 0) and not g.has_input_edge(3, 2) and not g.has_input_edge(2, 1)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_delete_node_on_a_hub_leaves_no_list_naming_it(k):
+    # Hub 0 with a self-loop, leaves 1..30 pointing to it and back (every
+    # third one only one way), and a chain among the leaves.
+    n = 31
+    edges = [(0, 0)]
+    for v in range(1, n):
+        edges += [(0, v)] if v % 3 == 0 else [(0, v), (v, 0)]
+    edges += [(v, v + 1) for v in range(1, n - 1, 4)]
+    idx = ReachabilityIndex.build(edges, n, LabelerConfig(k=k, seed=k))
+    mirror = Mirror(edges, n)
+    idx.delete_node(0)
+    mirror.delete_node(0)
+    g = idx.graph
+    for lists in (g._out_i, g._in_i):
+        assert not any(0 in adj for adj in lists if adj is not None)
+    assert g.num_input_edges == len(mirror.edge_list())
+    assert not g.is_input_node(0)
+    assert_agrees(idx, mirror)

@@ -12,7 +12,10 @@ the ``.err`` file gives the host-speed scale range and, for a traced run,
 the time inside index calls.
 
 The ledger holds, per workload: the seeds and the number of pairs (a seed
-run on both sides), the host-speed scale range and the failures per side,
+run on both sides), ``parent_first`` (the pairs whose parent ``.out`` file
+is older than the change's, by modification time: a ledger whose sides
+did not alternate shows what runs second, as well as what changed), the
+host-speed scale range and the failures per side,
 and for every end-to-end metric of ``BENCHMARK.json`` each side's median
 and quartiles with the number of pairs the change won; and, per traced
 workload and seed, both sides' per-layer metrics.  Each metric also
@@ -44,8 +47,10 @@ INDEX_MS = re.compile(r"traced pass: ([0-9.]+) ms inside index calls")
 
 def read_run(out: Path) -> dict:
     """The JSON result of one run, with its scale range (and, for a traced
-    run, the time inside index calls) from its standard error."""
+    run, the time inside index calls) from its standard error, and the
+    modification time of its ``.out`` file."""
     result = json.loads(out.read_text().strip().splitlines()[-1])
+    result["mtime_ns"] = out.stat().st_mtime_ns
     err = out.with_suffix(".err").read_text()
     scale = SCALE.search(err)
     if scale is None:
@@ -75,7 +80,12 @@ def ledger(runs: Path, spec: dict) -> dict:
     result: dict = {"command": spec["command"] + ["--seconds", str(spec["run_seconds"])], "workloads": {}}
     for workload, sides in sorted(timed.items()):
         seeds = sorted(set(sides["parent"]) & set(sides["change"]))
-        row: dict = {"seeds": seeds, "pairs": len(seeds), "metrics": {}}
+        row: dict = {
+            "seeds": seeds,
+            "pairs": len(seeds),
+            "parent_first": sum(sides["parent"][s]["mtime_ns"] < sides["change"][s]["mtime_ns"] for s in seeds),
+            "metrics": {},
+        }
         for side in SIDES:
             side_runs = [sides[side][s] for s in seeds]
             row[f"{side}_scale"] = [min(r["scale"][0] for r in side_runs), max(r["scale"][1] for r in side_runs)]
