@@ -1,10 +1,11 @@
 """Workload replay and timing across index variants.
 
 A run replays an update stream against one engine — the plain-DFS
-baseline (no index, updates cost only the edge-set mutation) or the
-condensation index with k interval dimensions — interleaving ``qpu``
-random reachability queries after every update.  Per-kind mean latencies
-and the total elapsed time feed the queries-per-update comparison.
+baseline (no index: an update costs only the input-layer edit that the
+index makes too) or the condensation index with k interval dimensions —
+interleaving ``qpu`` random reachability queries after every update.
+Per-kind mean latencies and the total elapsed time feed the
+queries-per-update comparison.
 Automatic garbage collection is off while the engine is built and the
 ops run, and every op is timed: there is no warm-up.
 
@@ -32,6 +33,7 @@ import time
 from collections.abc import Sequence
 
 from .errors import InputError
+from .graph import SccGraph
 from .index import ReachabilityIndex
 from .labeling import LabelerConfig
 from .ops import DeleteEdge, DeleteNode, InsertEdge, InsertNode, Query, UpdateOp
@@ -52,83 +54,63 @@ def parse_variant(variant: str) -> int | None:
 
 
 class DfsBaseline:
-    """Index-free engine: updates mutate the edge sets, queries run DFS."""
+    """Index-free engine: ``graph`` is an ``SccGraph`` built up to its
+    input layer only (``SccGraph._input_layer``).  Updates make the index's
+    input-layer edits through the same calls, ids and their checks
+    included; a query runs a stamped DFS over the slots' out-lists."""
 
     def __init__(self, edges: Sequence[tuple[int, int]], num_nodes: int) -> None:
-        if num_nodes < 0:
-            raise InputError(f"negative node count {num_nodes}")
-        n = num_nodes
-        for u, v in edges:
-            if u < 0 or v < 0:
-                raise InputError(f"negative node id in edge ({u}, {v})")
-            if u >= n or v >= n:
-                n = max(u, v) + 1
-        self._out: list[dict[int, None] | None] = [{} for _ in range(n)]
-        self._in: list[dict[int, None] | None] = [{} for _ in range(n)]
-        for u, v in edges:
-            self._out[u][v] = None
-            self._in[v][u] = None
-        self._vis = [0] * n
+        self.graph = SccGraph._input_layer(edges, num_nodes)
+        self._vis: list[int] = []  # per slot, the stamp of the last search that saw it
         self._stamp = 0
 
-    def _check(self, u: int) -> None:
-        if not (0 <= u < len(self._out)) or self._out[u] is None:
-            raise InputError(f"unknown input node {u}")
-
     def insert_edge(self, u: int, v: int) -> None:
-        self._check(u)
-        self._check(v)
-        self._out[u][v] = None
-        self._in[v][u] = None
+        g = self.graph
+        g.add_input_edge(g.input_slot(u), g.input_slot(v))
 
     def delete_edge(self, u: int, v: int) -> None:
-        self._check(u)
-        self._check(v)
-        if v not in self._out[u]:
+        g = self.graph
+        su = g.input_slot(u)
+        sv = g.input_slot(v)
+        if not g.has_input_edge(su, sv):
             raise InputError(f"edge ({u}, {v}) does not exist")
-        del self._out[u][v]
-        del self._in[v][u]
+        g.remove_input_edge(su, sv)
 
     def insert_node(self, u: int, out_edges: Sequence[int] = (), in_edges: Sequence[int] = ()) -> None:
-        if u < 0:
-            raise InputError(f"negative node id {u}")
-        if u >= len(self._out):
-            extra = u + 1 - len(self._out)
-            self._out.extend([None] * extra)
-            self._in.extend([None] * extra)
-            self._vis.extend([0] * extra)
-        if self._out[u] is not None:
-            raise InputError(f"node id {u} already in use")
-        self._out[u] = {}
-        self._in[u] = {}
+        g = self.graph
+        for w in (*out_edges, *in_edges):
+            if w != u:
+                g.input_slot(w)  # reject unknown endpoints before any change
+        g.add_input_node(u)
         for w in out_edges:
             self.insert_edge(u, w)
         for w in in_edges:
             self.insert_edge(w, u)
 
     def delete_node(self, u: int) -> None:
-        self._check(u)
-        for v in list(self._out[u]):
-            del self._in[v][u]
-        for w in list(self._in[u]):
-            del self._out[w][u]
-        self._out[u] = self._in[u] = None
+        g = self.graph
+        x = g.input_slot(u)
+        g.remove_input_edges_at(x)
+        g.remove_input_node(x)
 
     def reachable(self, u: int, v: int) -> bool:
-        self._check(u)
-        self._check(v)
-        if u == v:
+        g = self.graph
+        s = g.input_slot(u)
+        t = g.input_slot(v)
+        if s == t:
             return True
+        vis = self._vis
+        if len(vis) < g.capacity:
+            vis.extend([0] * (g.capacity - len(vis)))
         self._stamp += 1
         stamp = self._stamp
-        vis = self._vis
-        out = self._out
-        vis[u] = stamp
-        stack = [u]
+        out = g._out_i
+        vis[s] = stamp
+        stack = [s]
         while stack:
             w = stack.pop()
             for c in out[w]:
-                if c == v:
+                if c == t:
                     return True
                 if vis[c] != stamp:
                     vis[c] = stamp
@@ -145,12 +127,13 @@ def build_engine(k: int | None, edges: Sequence[tuple[int, int]], num_nodes: int
 
 
 class _AliveNodes:
-    """Engine-independent view of the current node universe, so query
-    endpoints are drawn identically across variants."""
+    """The current input node ids, in the built graph's slot order and
+    then in order of insertion, so query endpoints are drawn identically
+    across variants."""
 
-    def __init__(self, num_nodes: int) -> None:
-        self.items = list(range(num_nodes))
-        self.pos = {u: u for u in self.items}
+    def __init__(self, ids: list[int]) -> None:
+        self.items = ids
+        self.pos = {u: i for i, u in enumerate(ids)}
 
     def add(self, u: int) -> None:
         self.pos[u] = len(self.items)
@@ -191,7 +174,6 @@ def run_bench(
     k = parse_variant(variant)
     if qpu < 0:
         raise InputError(f"qpu must be >= 0, got {qpu}")
-    alive = _AliveNodes(num_nodes)
     rng = random.Random(seed)
     sums = dict.fromkeys(_KINDS, 0.0)
     counts = dict.fromkeys(_KINDS, 0)
@@ -212,6 +194,7 @@ def run_bench(
         t0 = perf()
         engine = build_engine(k, edges, num_nodes, seed)
         build_s = perf() - t0
+        alive = _AliveNodes(engine.graph.input_node_ids())
         t_start = perf()
         for i, op in enumerate(workload):
             try:
@@ -244,8 +227,8 @@ def run_bench(
     if isinstance(engine, ReachabilityIndex):
         census = engine.census()
     else:
-        live = [d for d in engine._out if d is not None]
-        census = {"nodes": len(live), "edges": sum(map(len, live)), "dag_nodes": -1, "largest_scc": -1}
+        g = engine.graph
+        census = {"nodes": g.num_input_nodes, "edges": g.num_input_edges, "dag_nodes": -1, "largest_scc": -1}
     report = {
         "dataset": dataset,
         "variant": variant,

@@ -19,7 +19,9 @@ memory than a set for the few neighbours most nodes have; the price is
 that membership scans the shorter of the two lists an edge sits in, and
 removal pays one scan of each list (``list.remove``), so its cost
 follows the endpoints' degrees.  Deleting a node removes it from each
-neighbour's list and drops its own two lists whole.
+neighbour's list and drops its own two lists whole.  ``build`` writes
+this layer in its first step, ``_input_layer``, which is also all that
+the ``dfs`` baseline (``bench.DfsBaseline``) builds.
 
 A single-node SCC is represented by the input node itself; a condensation
 node is allocated only for components of two or more nodes.  Every DAG
@@ -103,21 +105,9 @@ class SccGraph:
         edges collapse (set semantics); self-loops are kept in the input
         layer but never influence the condensation.
         """
-        edges = dict.fromkeys(edges)  # set semantics, in first-occurrence order
-        n = num_nodes or 0
-        for u, v in edges:
-            if u < 0 or v < 0:
-                raise InputError(f"negative node id in edge ({u}, {v})")
-            m = u if u > v else v
-            if m >= n:
-                n = m + 1
-        g = cls(n)
+        g = cls._input_layer(edges, num_nodes)
+        n = g.capacity
         out_i = g._out_i
-        in_i = g._in_i
-        for u, v in edges:
-            out_i[u].append(v)
-            in_i[v].append(u)
-        g._num_edges = len(edges)
         for comp in g._tarjan(range(n), [0] * n, [0] * n):
             if len(comp) > 1:
                 s = g._alloc_scc(len(comp))
@@ -143,6 +133,28 @@ class SccGraph:
                     if idd is None:
                         idd = in_d[t] = {}
                     idd[s] = idd.get(s, 0) + 1
+        return g
+
+    @classmethod
+    def _input_layer(cls, edges: Iterable[tuple[int, int]], num_nodes: int | None) -> "SccGraph":
+        """``build``'s first step: a graph whose input layer holds ``edges``
+        in first-occurrence order, and which has no component yet."""
+        edges = dict.fromkeys(edges)  # set semantics, in first-occurrence order
+        n = num_nodes or 0
+        if n < 0:  # checked here, as an edge may raise ``n`` above 0
+            raise InputError(f"negative node count {n}")
+        for u, v in edges:
+            if u < 0 or v < 0:
+                raise InputError(f"negative node id in edge ({u}, {v})")
+            m = u if u > v else v
+            if m >= n:
+                n = m + 1
+        g = cls(n)
+        out_i, in_i = g._out_i, g._in_i
+        for u, v in edges:
+            out_i[u].append(v)
+            in_i[v].append(u)
+        g._num_edges = len(edges)
         return g
 
     def _tarjan(

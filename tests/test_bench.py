@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from dynreach import InputError, LabelerConfig, ReachabilityIndex, gen_er, gen_updates, OpRatios, run_bench
+from dynreach import InputError, LabelerConfig, ReachabilityIndex, gen_ba_directed, gen_er, gen_updates, OpRatios, run_bench
 from dynreach import bench
 from dynreach.bench import TIMING_FIELDS, DfsBaseline, parse_variant
 from dynreach.cli import main
@@ -24,6 +24,11 @@ THREE_OP_SCRIPT = [
 ]
 
 KINDS = ("q", "ei", "ed", "ni", "nd")
+
+ENGINES = {
+    "dfs": lambda edges, n: DfsBaseline(edges, n),
+    "dg1": lambda edges, n: ReachabilityIndex.build(edges, n, LabelerConfig(k=1, seed=0)),
+}
 
 
 def test_parse_variant():
@@ -131,8 +136,8 @@ def test_run_bench_reports_offending_op_index():
 
 
 def test_dfs_baseline_rejects_a_negative_node_id():
-    # A negative id would index from the end of the slot lists and bring
-    # the deleted node 2 back.
+    # Ids go through the graph's id map, as the index's do: a negative id
+    # is refused, and the deleted node 2 stays unknown.
     base = DfsBaseline([(0, 1), (1, 2)], 3)
     base.delete_node(2)
     with pytest.raises(InputError):
@@ -147,8 +152,75 @@ def test_dfs_baseline_rejects_a_negative_node_id():
         DfsBaseline([(0, -2)], 3)
     with pytest.raises(InputError):
         DfsBaseline([], -1)
+    # A negative node count is refused also when the edges name more nodes,
+    # by both engines.
+    for variant in ENGINES:
+        with pytest.raises(InputError, match="negative node count -1"):
+            ENGINES[variant]([(0, 1)], -1)
     with pytest.raises(InputError):
         run_bench([(-1, 0)], 3, [], variant="dfs")
+
+
+@pytest.mark.parametrize("variant", sorted(ENGINES))
+def test_a_failed_node_insert_changes_nothing(variant):
+    engine = ENGINES[variant]([(0, 1)], 2)
+    with pytest.raises(InputError, match="99"):
+        engine.insert_node(5, (0,), (99,))
+    with pytest.raises(InputError, match="unknown input node 5"):
+        engine.reachable(5, 1)
+    g = engine.graph
+    assert (g.input_node_ids(), list(g.input_edges()), g.num_input_edges) == ([0, 1], [(0, 1)], 1)
+    engine.insert_node(5, (0,), (1,))
+    assert engine.reachable(5, 1) and engine.reachable(1, 0)
+
+
+@pytest.mark.parametrize("variant", sorted(ENGINES))
+def test_queries_draw_from_every_node_of_the_built_graph(variant):
+    # Node 5 exists though ``num_nodes`` is 2: the graph's universe runs to
+    # the largest id, so deleting it is a valid op, and queries draw from
+    # ids 0..5 whatever ``num_nodes`` says.
+    report = run_bench([(0, 5)], 2, [DeleteNode(5)], variant=variant, qpu=2, seed=1)
+    assert (report["nd_count"], report["q_count"], report["final_nodes"]) == (1, 2, 5)
+    ops = [InsertEdge(3, 4), DeleteNode(5), InsertNode(6, (4,), (0,)), Query(4, 3)]
+    short, full = (run_bench([(0, 5)], n, ops, variant=variant, qpu=4, seed=2) for n in (2, 6))
+    assert {k: v for k, v in short.items() if k not in TIMING_FIELDS} == {
+        k: v for k, v in full.items() if k not in TIMING_FIELDS
+    }
+
+
+def _apply(engine, op) -> None:
+    if isinstance(op, InsertEdge):
+        engine.insert_edge(op.u, op.v)
+    elif isinstance(op, DeleteEdge):
+        engine.delete_edge(op.u, op.v)
+    elif isinstance(op, InsertNode):
+        engine.insert_node(op.u, op.out_edges, op.in_edges)
+    else:
+        engine.delete_node(op.u)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_both_engines_keep_the_same_input_layer(seed):
+    """Seeded histories on a small BA graph, replayed on the baseline and
+    the index side by side.  Inserted ids start at ``num_nodes``, where the
+    index keeps its SCC slots, so each engine's id map is exercised."""
+    import random
+
+    n = 40
+    edges = gen_ba_directed(n, 2, 0.5, seed=seed)
+    ops = gen_updates(edges, n, 120, OpRatios(), seed=seed + 10)
+    base, idx = DfsBaseline(edges, n), ReachabilityIndex.build(edges, n, LabelerConfig(k=1, seed=seed))
+    rng = random.Random(seed)
+    for op in ops:
+        _apply(base, op)
+        _apply(idx, op)
+        b, g = base.graph, idx.graph
+        assert set(b.input_edges()) == set(g.input_edges()), op
+        assert (b.num_input_nodes, b.num_input_edges) == (g.num_input_nodes, g.num_input_edges), op
+        ids = g.input_node_ids()
+        for _ in range(8):
+            u, v = rng.choice(ids), rng.choice(ids)
+            assert base.reachable(u, v) == idx.reachable(u, v), (op, u, v)
 
 
 def test_collection_is_off_for_every_timed_call(monkeypatch):

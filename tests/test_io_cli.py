@@ -2,11 +2,14 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import dynreach
 from dynreach import InputError, gen_er, gen_updates, OpRatios
 from dynreach.cli import main
 from dynreach.io import (
@@ -187,11 +190,16 @@ def test_cli_negative_k_exits_one(tmp_path, capsys, command):
 
 def test_console_script_smoke(tmp_path):
     g = _write_sample(tmp_path)
+    # The child imports the package this test imported, also when only
+    # pytest's ``pythonpath`` setting put it on the path.
+    src = str(Path(dynreach.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     proc = subprocess.run(
         [sys.executable, "-m", "dynreach.cli", "query", "--graph", str(g),
          "--pair", "16", "17"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "true"
