@@ -77,11 +77,7 @@ class DfsBaseline:
         g.remove_input_edge(su, sv)
 
     def insert_node(self, u: int, out_edges: Sequence[int] = (), in_edges: Sequence[int] = ()) -> None:
-        g = self.graph
-        for w in (*out_edges, *in_edges):
-            if w != u:
-                g.input_slot(w)  # reject unknown endpoints before any change
-        g.add_input_node(u)
+        self.graph.add_input_node(u, (*out_edges, *in_edges))
         for w in out_edges:
             self.insert_edge(u, w)
         for w in in_edges:

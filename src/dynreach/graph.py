@@ -5,9 +5,9 @@ One structure holds three coupled layers:
 * the input graph (adjacency over input nodes, set semantics on edges),
 * the condensation DAG (one node per current SCC, edges carry the count of
   underlying input edges),
-* containment links from input nodes and expired SCCs up to the SCC that
-  currently subsumes them.  The links form a union-find forest whose roots
-  are exactly the current DAG nodes.
+* containment links from input nodes and former SCC nodes up to the
+  component that currently subsumes them.  The links form a union-find
+  forest whose roots are exactly the current DAG nodes.
 
 The input layer keeps, per input slot, two plain lists: its out- and
 its in-neighbours, each in the order the edges were added (the first
@@ -35,10 +35,10 @@ Every node lives in a slot of one dense internal id space.  Callers name
 input nodes by external ids, which the graph maps to slots in exactly one
 place: ``build`` gives input ``u`` slot ``u``, and every later input and
 every SCC node takes the next fresh slot, so slots are never reused.  Only
-``input_slot``, ``is_input_node``, ``add_input_node``, ``external_id``,
-``input_node_ids`` and ``input_edges`` speak external ids; every other
-method takes and returns slots.  ``ReachabilityIndex.reachable`` also
-reads ``_slot`` directly, so that a query stays in one frame.
+``input_slot``, ``add_input_node``, ``external_id``, ``input_node_ids``
+and ``input_edges`` speak external ids; every other method takes and
+returns slots.  ``ReachabilityIndex.reachable`` also reads ``_slot``
+directly, so that a query stays in one frame.
 """
 from __future__ import annotations
 
@@ -46,13 +46,6 @@ import sys
 from collections.abc import Container, Iterable, Iterator, Sequence
 
 from .errors import InputError, InternalError, LogicError
-
-# Node kinds.  An input node keeps its identity for life; a condensation
-# node is allocated when a multi-node SCC forms, expires when merged away,
-# and is orphaned (expired, no parent) when its component dissolves.
-INPUT, SCC_CURRENT, SCC_EXPIRED, DEAD = range(4)
-
-KIND_NAMES = {INPUT: "input", SCC_CURRENT: "scc-current", SCC_EXPIRED: "scc-expired"}
 
 _NONE = -1
 # Tarjan index of a node whose SCC is complete: above every live index.
@@ -62,11 +55,22 @@ _DONE = sys.maxsize
 class SccGraph:
     """Mutable layered graph over a dense integer slot space.
 
-    Input nodes and SCC nodes share one slot space, allocated from a
-    monotone counter and never reused.  A dict maps the external id of
-    every live input node to its slot; ``_ext`` is its inverse.  Slots
-    and the component handles returned by lookups are internal and should
-    be treated as opaque.
+    Input nodes and SCC nodes share one slot space; a new slot is
+    appended to every per-slot array and never reused.  A dict maps the
+    external id of every live input node to its slot; ``_ext`` is its
+    inverse.  Slots and the component handles returned by lookups are
+    internal and should be treated as opaque.
+
+    A slot's containment link (``_parent``), size and external id say
+    all there is about it:
+
+    * a live input has an external id (``_ext[x] != -1``) and size 1;
+    * a current component, a DAG node, has a size above 0 and no link:
+      a lone input, or an SCC node of two or more members;
+    * an SCC node merged away, or dissolved to its one remaining member
+      ``keep`` by a split, links to the node that took it over;
+    * a removed input has size 0 and no link, and is unknown to every
+      lookup.
 
     Not thread-safe: lookups compress containment paths.
     """
@@ -74,7 +78,6 @@ class SccGraph:
     def __init__(self, num_nodes: int = 0) -> None:
         if num_nodes < 0:
             raise InputError(f"negative node count {num_nodes}")
-        self._kind: list[int] = [INPUT] * num_nodes
         self._parent: list[int] = [_NONE] * num_nodes
         self._size: list[int] = [1] * num_nodes
         # External id -> slot for every live input, and its inverse
@@ -90,8 +93,6 @@ class SccGraph:
         # Explicit DAG adjacency with input-edge multiplicities.
         self._out_d: list[dict[int, int] | None] = [None] * num_nodes
         self._in_d: list[dict[int, int] | None] = [None] * num_nodes
-        self._next_id = num_nodes
-        self._num_input = num_nodes
         self._num_edges = 0
 
     # ------------------------------------------------------------------
@@ -110,7 +111,7 @@ class SccGraph:
         out_i = g._out_i
         for comp in g._tarjan(range(n), [0] * n, [0] * n):
             if len(comp) > 1:
-                s = g._alloc_scc(len(comp))
+                s = g._new_slot(len(comp))
                 for m in comp:
                     g._parent[m] = s
         # DAG edges with their multiplicities, counted in one pass in the
@@ -221,70 +222,58 @@ class SccGraph:
     # ------------------------------------------------------------------
     # id bookkeeping
 
-    def _grow(self, upto: int) -> None:
-        n = len(self._kind)
-        if upto < n:
-            return
-        extra = upto + 1 - n
-        self._kind.extend([DEAD] * extra)
-        self._parent.extend([_NONE] * extra)
-        self._size.extend([0] * extra)
-        self._ext.extend([-1] * extra)
-        self._out_i.extend([None] * extra)
-        self._in_i.extend([None] * extra)
-        self._out_d.extend([None] * extra)
-        self._in_d.extend([None] * extra)
-
-    def _alloc_scc(self, size: int) -> int:
-        s = self._next_id
-        self._next_id = s + 1
-        self._grow(s)
-        self._kind[s] = SCC_CURRENT
-        self._parent[s] = _NONE
-        self._size[s] = size
+    def _new_slot(self, size: int) -> int:
+        """Append a slot of this size with no link, no external id and no
+        edges; returns it."""
+        s = len(self._parent)
+        self._parent.append(_NONE)
+        self._size.append(size)
+        self._ext.append(-1)
+        for col in (self._out_i, self._in_i, self._out_d, self._in_d):
+            col.append(None)
         return s
 
-    def add_input_node(self, u: int) -> int:
+    def add_input_node(self, u: int, endpoints: Iterable[int] = ()) -> int:
         """Register a fresh input node with external id ``u`` as a
-        singleton component in the next fresh slot; returns the slot."""
+        singleton component in the next fresh slot; returns the slot.
+
+        Every id in ``endpoints`` other than ``u`` must name a live input
+        node; all are checked before any change, so a node whose edges
+        name an unknown node is never half inserted."""
+        for w in endpoints:
+            if w != u:
+                self.input_slot(w)
         if u < 0:
             raise InputError(f"negative node id {u}")
         if u in self._slot:
             raise InputError(f"node id {u} already in use")
-        slot = self._next_id
-        self._next_id = slot + 1
-        self._grow(slot)
-        self._kind[slot] = INPUT
-        self._parent[slot] = _NONE
-        self._size[slot] = 1
+        slot = self._new_slot(1)
         self._ext[slot] = u
         self._out_i[slot] = []
         self._in_i[slot] = []
         self._slot[u] = slot
-        self._num_input += 1
         return slot
 
     def remove_input_node(self, x: int) -> None:
         """Drop the isolated input node in slot ``x``.  Slots are never
         reused."""
-        if not (0 <= x < len(self._kind)) or self._kind[x] != INPUT:
+        if not (0 <= x < len(self._ext)) or self._ext[x] == -1:
             raise InputError(f"slot {x} holds no input node")
         if self._out_i[x] or self._in_i[x]:
             raise LogicError(f"slot {x} still has incident edges")
         if self._parent[x] != _NONE:
             raise LogicError(f"slot {x} is still inside a component")
-        self._kind[x] = DEAD
+        self._size[x] = 0
         self._out_i[x] = self._in_i[x] = None
         del self._slot[self._ext[x]]
         self._ext[x] = -1
-        self._num_input -= 1
 
     # ------------------------------------------------------------------
     # basic views
 
     @property
     def num_input_nodes(self) -> int:
-        return self._num_input
+        return len(self._slot)
 
     @property
     def num_input_edges(self) -> int:
@@ -293,16 +282,7 @@ class SccGraph:
     @property
     def capacity(self) -> int:
         """One past the largest id ever allocated."""
-        return len(self._kind)
-
-    def node_kind(self, x: int) -> str:
-        """Kind of an internal node handle."""
-        self._check_known(x)
-        return KIND_NAMES[self._kind[x]]
-
-    def is_input_node(self, u: int) -> bool:
-        """True when the external id ``u`` names a live input node."""
-        return u in self._slot
+        return len(self._parent)
 
     def input_slot(self, u: int) -> int:
         """Slot of the live input node with external id ``u``."""
@@ -316,11 +296,8 @@ class SccGraph:
         return self._ext[x]
 
     def is_current(self, x: int) -> bool:
-        """True for current DAG nodes: SCC nodes and parent-free inputs."""
-        if not (0 <= x < len(self._kind)):
-            return False
-        k = self._kind[x]
-        return k == SCC_CURRENT or (k == INPUT and self._parent[x] == _NONE)
+        """True for current DAG nodes: slots with a size and no link."""
+        return 0 <= x < len(self._parent) and self._parent[x] == _NONE and self._size[x] > 0
 
     def scc_size(self, s: int) -> int:
         if not self.is_current(s):
@@ -335,12 +312,8 @@ class SccGraph:
         return list(self._slot.values())
 
     def current_dag_nodes(self) -> list[int]:
-        kind, parent = self._kind, self._parent
-        return [
-            x
-            for x in range(len(kind))
-            if kind[x] == SCC_CURRENT or (kind[x] == INPUT and parent[x] == _NONE)
-        ]
+        size = self._size
+        return [x for x, p in enumerate(self._parent) if p == _NONE and size[x]]
 
     def input_edges(self) -> Iterator[tuple[int, int]]:
         """Current input edges as external id pairs."""
@@ -357,11 +330,8 @@ class SccGraph:
         ox, iy = self._out_i[x], self._in_i[y]
         return y in ox if len(ox) <= len(iy) else x in iy
 
-    def input_successors(self, x: int) -> list[int]:
-        return list(self._out_i[x])
-
     def _check_known(self, x: int) -> None:
-        if not (0 <= x < len(self._kind)) or self._kind[x] == DEAD:
+        if not (0 <= x < len(self._parent)) or (self._parent[x] == _NONE and not self._size[x]):
             raise InputError(f"unknown node id {x}")
 
     def _check_current(self, x: int) -> None:
@@ -494,11 +464,11 @@ class SccGraph:
 
         The member with the largest size (smallest id on ties) becomes the
         representative; when every member is a lone input node a fresh SCC
-        node is allocated instead.  Absorbed SCC nodes expire, absorbed
-        singletons simply gain a containment link, and the representative
-        inherits the union of everyone's external DAG edges
-        (``_move_dag_edges``), so the cost follows the degrees of the
-        members other than the representative.
+        node is allocated instead.  Every absorbed member gains a
+        containment link to the representative, which inherits the union
+        of everyone's external DAG edges (``_move_dag_edges``), so the
+        cost follows the degrees of the members other than the
+        representative.
 
         Returns the representative, then the external children and the
         external parents of the absorbed members (all members when the
@@ -509,15 +479,15 @@ class SccGraph:
         """
         if len(members) < 2:
             raise LogicError("merge needs at least two components")
-        kind, size = self._kind, self._size
+        size = self._size
         for m in members:
             self._check_current(m)
         merge_set = set(members)
         if len(merge_set) != len(members):
             raise LogicError("duplicate components in merge list")
         rep = min(members, key=lambda m: (-size[m], m))
-        if kind[rep] == INPUT:
-            rep = self._alloc_scc(0)
+        if size[rep] == 1:  # every member is a lone input
+            rep = self._new_slot(0)
         size[rep] = sum(size[m] for m in members)
         kids: dict[int, None] = {}
         parents: dict[int, None] = {}
@@ -525,8 +495,6 @@ class SccGraph:
             if m != rep:
                 self._move_dag_edges(m, rep, merge_set, kids, parents)
                 self._parent[m] = rep
-                if kind[m] == SCC_CURRENT:
-                    kind[m] = SCC_EXPIRED
         return rep, list(kids), list(parents)
 
     def _move_dag_edges(
@@ -564,14 +532,14 @@ class SccGraph:
         ``comps`` lists the member slots of each detached component; the
         remnant is the rest of ``s``, which holds the slot ``keep``.  It
         keeps the node ``s`` unless it shrinks to ``keep`` alone, in which
-        case ``s``'s remaining DAG edges go to ``keep`` and ``s`` is
-        orphaned.  Only the detached members' incident edges are touched,
+        case ``s``'s remaining DAG edges go to ``keep`` and ``s`` links to
+        ``keep``.  Only the detached members' incident edges are touched,
         so the cost follows their degrees, not the remnant's size.
         Returns the new component ids followed by the remnant id.
         """
-        if not self.is_current(s) or self._kind[s] != SCC_CURRENT:
+        if not self.is_current(s) or self._size[s] < 2:
             raise LogicError(f"node {s} is not a current multi-node component")
-        parent, kind, size = self._parent, self._kind, self._size
+        parent, size = self._parent, self._size
         out_i, in_i = self._out_i, self._in_i
         find = self._find
         detached: set[int] = set()
@@ -583,7 +551,7 @@ class SccGraph:
                 parent[x] = _NONE
                 new_ids.append(x)
             else:
-                c = self._alloc_scc(len(members))
+                c = self._new_slot(len(members))
                 for m in members:
                     parent[m] = c
                 new_ids.append(c)
@@ -617,6 +585,6 @@ class SccGraph:
 
         if remnant != s:  # dissolved to the single node ``keep``
             self._move_dag_edges(s, keep, (), {}, {})
-            kind[s] = SCC_EXPIRED
+            parent[s] = keep
         new_ids.append(remnant)
         return new_ids

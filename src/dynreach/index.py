@@ -637,10 +637,7 @@ class ReachabilityIndex:
         into ``C`` change nothing, and the rest may change labels or merge.
         """
         g = self.graph
-        for w in (*out_edges, *in_edges):
-            if w != u:
-                g.input_slot(w)  # reject unknown endpoints before any change
-        x = g.add_input_node(u)
+        x = g.add_input_node(u, (*out_edges, *in_edges))
         self._ensure_capacity()
         heads = {g._find(g._slot[w]) for w in out_edges if w != u}
         joint = [c for c in (g._find(g._slot[w]) for w in in_edges if w != u) if c in heads]

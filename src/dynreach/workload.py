@@ -7,6 +7,7 @@ the evolving graph so every emitted operation is valid when replayed.
 """
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -25,8 +26,8 @@ class OpRatios:
 
     def weights(self) -> tuple[float, float, float, float]:
         w = (self.insert_edge, self.delete_edge, self.insert_node, self.delete_node)
-        if any(x < 0 for x in w) or sum(w) <= 0:
-            raise InputError(f"op ratios must be non-negative with positive sum, got {w}")
+        if not all(math.isfinite(x) and x >= 0 for x in w) or sum(w) <= 0:
+            raise InputError(f"op ratios must be finite and non-negative with positive sum, got {w}")
         return w
 
 

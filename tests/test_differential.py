@@ -27,6 +27,8 @@ import random
 import sys
 from pathlib import Path
 
+import pytest
+
 if __name__ == "__main__":  # run as a script: this checkout's package first
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
@@ -141,6 +143,17 @@ def replay_random_history(seed: int, n: int, k: int, steps: int, fringe: int = 0
         assert_queries(idx, mirror, rng)
 
 
+def replay_drawn_history(seed: int, insert_heavy: bool = False) -> None:
+    """The script's history for ``seed``: 300 ops on a cycle whose ``n``
+    (5-60), ``k`` (0-3) and, if ``insert_heavy``, fringe are drawn from a
+    generator seeded with ``seed``."""
+    rng = random.Random(seed)
+    n = rng.randrange(5, 61)
+    k = rng.randrange(4)
+    fringe = rng.randrange(2, n + 2) if insert_heavy else 0
+    replay_random_history(seed, n=n, k=k, steps=300, fringe=fringe)
+
+
 def test_random_histories_from_one_scc():
     for seed in range(12):
         replay_random_history(seed, n=20 + 3 * seed, k=seed % 4, steps=40)
@@ -149,6 +162,15 @@ def test_random_histories_from_one_scc():
 def test_insert_heavy_histories_around_one_scc():
     for seed in range(12):
         replay_random_history(seed, n=20 + 3 * seed, k=seed % 4, steps=60, fringe=12 + seed)
+
+
+# Plain histories that catch a split labelled by ``propagate`` alone, with
+# every piece and the remnant starting from the old label: pieces that
+# share the old end lose the post-order's distinct ends, and the repair
+# raises a node more than once ("its end keeps rising").
+@pytest.mark.parametrize("seed", [12, 14, 26, 110, 119, 125, 137, 175, 177, 192, 217, 218, 223, 278])
+def test_histories_that_catch_split_labels_sharing_an_end(seed):
+    replay_drawn_history(seed)
 
 
 class IndexAgainstMirror(RuleBasedStateMachine):
@@ -278,11 +300,8 @@ if __name__ == "__main__":
     # of 300 ops, n 5-60, k 0-3.
     count = int(sys.argv[1]) if len(sys.argv) > 1 else 300
     for seed in range(count):
-        rng = random.Random(seed)
-        replay_random_history(seed, n=rng.randrange(5, 61), k=rng.randrange(4), steps=300)
+        replay_drawn_history(seed)
     print(f"{count} plain histories matched Mirror")
     for seed in range(count):
-        rng = random.Random(seed)
-        n = rng.randrange(5, 61)
-        replay_random_history(seed, n=n, k=rng.randrange(4), steps=300, fringe=rng.randrange(2, n + 2))
+        replay_drawn_history(seed, insert_heavy=True)
     print(f"{count} insert-heavy histories matched Mirror")

@@ -7,7 +7,6 @@ from collections import Counter
 import pytest
 
 from dynreach import InputError, LabelerConfig, LogicError, ReachabilityIndex, SccGraph
-from dynreach.graph import SCC_CURRENT
 
 from oracles import Mirror, assert_agrees, kosaraju_partition
 from samples import NODE, SAMPLE_EDGES, random_digraph, sample_comps, sample_graph
@@ -71,7 +70,7 @@ def test_build_rejects_negative_ids():
 def test_duplicate_input_edges_collapse():
     g = SccGraph.build([(0, 1), (0, 1), (0, 1)], num_nodes=2)
     assert g.num_input_edges == 1
-    assert g.input_successors(0) == [1]
+    assert list(g.input_edges()) == [(0, 1)]
 
 
 def test_self_loop_ignored_for_condensation():
@@ -129,11 +128,10 @@ def test_merge_two_singletons_creates_fresh_scc_node():
     g = SccGraph.build([(0, 1)], num_nodes=2)
     rep = g.merge_components([0, 1])[0]
     assert rep >= 2
-    assert g._kind[rep] == SCC_CURRENT
     assert g.scc_size(rep) == 2
     assert g.find_scc(0) == g.find_scc(1) == rep
-    # the absorbed nodes stay plain input nodes
-    assert g.node_kind(0) == "input" and g.node_kind(1) == "input"
+    # the absorbed nodes stay input nodes, no longer DAG nodes
+    assert g.input_node_ids() == [0, 1] and g.current_dag_nodes() == [rep]
 
 
 def test_merge_rejects_bad_input():
@@ -240,12 +238,54 @@ def test_node_lifecycle():
     with pytest.raises(InputError):
         g.add_input_node(5)
     g.remove_input_node(x)
-    assert not g.is_input_node(5)
+    assert 5 not in g.input_node_ids()
     with pytest.raises(InputError):
         g.find_scc(x)
     # slots are never reused: the next SCC node allocates above slot x
     rep = g.merge_components([0, 1])[0]
     assert rep > x
+
+
+def test_every_slot_state_follows_from_link_size_and_id():
+    # Three two-cycles give the SCC nodes a, b and c; a takes b over in a
+    # merge, c dissolves to 5 once (4, 5) is gone, and the lone 6 is
+    # removed.
+    g = SccGraph.build([(0, 1), (1, 0), (2, 3), (3, 2), (4, 5), (5, 4)], num_nodes=7)
+    a, b, c = g.find_scc(0), g.find_scc(2), g.find_scc(4)
+    assert a < b and min(a, b, c) == 7
+    assert g.merge_components([a, b])[0] == a  # a tie in size goes to the smaller id
+    g.remove_input_edge(4, 5)
+    assert g.apply_split(c, 5, [[4]]) == [4, 5]
+    g.remove_input_node(6)
+    assert (g.capacity, g.num_input_nodes) == (10, 6)
+    assert g.input_node_ids() == [0, 1, 2, 3, 4, 5]
+    assert g.current_dag_nodes() == [4, 5, a]
+    state = {x: (g.is_current(x), g.find_scc(x)) for x in range(g.capacity) if x != 6}
+    for x in range(4):  # inputs inside a component
+        assert state[x] == (False, a)
+    assert state[a] == (True, a)  # a current SCC
+    assert state[b] == (False, a)  # merged away
+    assert state[c] == (False, 5)  # dissolved to the member it kept
+    assert state[4] == (True, 4) and state[5] == (True, 5)  # lone inputs
+    assert not g.is_current(6)  # a removed input is unknown
+    with pytest.raises(InputError):
+        g.find_scc(6)
+    with pytest.raises(LogicError):
+        g.apply_split(c, 5, [[4]])  # no longer current
+    with pytest.raises(LogicError):
+        g.apply_split(5, 5, [])  # current, but not a multi-node component
+
+
+def test_add_input_node_checks_every_endpoint_before_any_change():
+    g = SccGraph.build([(0, 1)], num_nodes=2)
+    with pytest.raises(InputError, match="unknown input node 7"):
+        g.add_input_node(5, [0, 5, 7, 1])
+    assert (g.capacity, g.num_input_nodes) == (2, 2)
+    assert g.input_node_ids() == [0, 1]
+    # the id stays free, and the node itself among its endpoints (a
+    # self-loop) is no unknown endpoint
+    x = g.add_input_node(5, [5, 0])
+    assert x == 2 and g.input_slot(5) == x and g.num_input_nodes == 3
 
 
 # ----------------------------------------------------------------------
@@ -335,5 +375,5 @@ def test_delete_node_on_a_hub_leaves_no_list_naming_it(k):
     for lists in (g._out_i, g._in_i):
         assert not any(0 in adj for adj in lists if adj is not None)
     assert g.num_input_edges == len(mirror.edge_list())
-    assert not g.is_input_node(0)
+    assert 0 not in g.input_node_ids()
     assert_agrees(idx, mirror)

@@ -135,6 +135,19 @@ def test_cli_gen_graph_and_updates(tmp_path):
     assert len(parse_workload(w)) == 50
 
 
+@pytest.mark.parametrize("weight", ["nan", "inf"])
+def test_cli_non_finite_ratio_exits_one(tmp_path, capsys, weight):
+    # A NaN weight fails every comparison, so a sign check alone would drop
+    # its kind from the mix; an infinite one breaks the weighted draw.
+    g = _write_sample(tmp_path)
+    w = tmp_path / "w.txt"
+    assert main(["gen-updates", "--graph", str(g), "--count", "5",
+                 "--ratios", f"{weight},1,1,1", "--out", str(w)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "finite" in err
+    assert not w.exists()
+
+
 def test_cli_gen_graph_deterministic_bytes(tmp_path):
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
     for out in (a, b):

@@ -670,7 +670,7 @@ def test_out_edges_of_a_new_node_run_no_merge_search(k, monkeypatch):
     idx.insert_node(9, out_edges=outs, in_edges=ins)
     g = idx.graph
     x = idx.find(9)
-    assert g.node_kind(x) == "scc-current" and g.scc_size(x) == 5
+    assert g.scc_size(x) == 5
     assert calls == [(g.input_slot(0), x), (g.input_slot(3), x)]
     idx.insert_node(8, out_edges=[0, 9])
     assert len(calls) == 2
@@ -832,7 +832,7 @@ def test_cycle_of_singletons_merges_into_a_fresh_node(k, child):
     mirror = Mirror(edges, 7)
     mirror.insert_edge(2, 0)
     x = idx.find(0)
-    assert x >= 7 and g.node_kind(x) == "scc-current" and idx.find(2) == x
+    assert x >= 7 and g.scc_size(x) == 3 and idx.find(2) == x
     label = idx.label_of(x)
     if child:
         assert label == hull(((float("inf"), -1),) * k, kids)  # from an empty label

@@ -143,3 +143,6 @@ def test_op_ratios_validation():
         OpRatios(-1, 0, 0, 0).weights()
     with pytest.raises(InputError):
         OpRatios(0, 0, 0, 0).weights()
+    for bad in (math.nan, math.inf):
+        with pytest.raises(InputError, match="finite"):
+            OpRatios(bad, 1, 1, 1).weights()
