@@ -70,11 +70,7 @@ class DfsBaseline:
 
     def delete_edge(self, u: int, v: int) -> None:
         g = self.graph
-        su = g.input_slot(u)
-        sv = g.input_slot(v)
-        if not g.has_input_edge(su, sv):
-            raise InputError(f"edge ({u}, {v}) does not exist")
-        g.remove_input_edge(su, sv)
+        g.remove_input_edge(g.input_slot(u), g.input_slot(v))
 
     def insert_node(self, u: int, out_edges: Sequence[int] = (), in_edges: Sequence[int] = ()) -> None:
         self.graph.add_input_node(u, (*out_edges, *in_edges))

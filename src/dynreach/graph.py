@@ -29,7 +29,11 @@ edge, between singletons too, is stored in one adjacency (``_out_d`` and
 its mirror ``_in_d``) with its multiplicity, so walks over the
 condensation never consult the input layer.  Only ``build`` (which
 counts each DAG edge's multiplicity in one pass), ``_add_dag_edge``,
-``_dec_dag_edge`` and ``_move_dag_edges`` write that adjacency.
+``_dec_dag_edge`` and ``_move_dag_edges`` write that adjacency.  Each
+side is a mapping: the shared, read-only ``_NO_EDGES`` until its first
+edge, then a dict of the slot's own, which its last edge leaves empty.
+Only ``build`` and ``_add_dag_edge`` test for ``_NO_EDGES``, to swap in
+that dict; every reader takes a side as it is.
 
 Every node lives in a slot of one dense internal id space.  Callers name
 input nodes by external ids, which the graph maps to slots in exactly one
@@ -38,18 +42,21 @@ every SCC node takes the next fresh slot, so slots are never reused.  Only
 ``input_slot``, ``add_input_node``, ``external_id``, ``input_node_ids``
 and ``input_edges`` speak external ids; every other method takes and
 returns slots.  ``ReachabilityIndex.reachable`` also reads ``_slot``
-directly, so that a query stays in one frame.
+directly, so that a query stays in one frame, as does
+``ReachabilityIndex.scc_partition``.
 """
 from __future__ import annotations
 
 import sys
-from collections.abc import Container, Iterable, Iterator, Sequence
+from collections.abc import Container, Iterable, Iterator, Mapping, Sequence
+from types import MappingProxyType
 
 from .errors import InputError, InternalError, LogicError
 
 _NONE = -1
 # Tarjan index of a node whose SCC is complete: above every live index.
 _DONE = sys.maxsize
+_NO_EDGES = MappingProxyType({})  # a DAG side that never had an edge; writes raise TypeError
 
 
 class SccGraph:
@@ -72,6 +79,9 @@ class SccGraph:
     * a removed input has size 0 and no link, and is unknown to every
       lookup.
 
+    A DAG side without edges is ``_NO_EDGES`` or an emptied dict; an SCC
+    node merged away or dissolved gets ``_NO_EDGES`` back.
+
     Not thread-safe: lookups compress containment paths.
     """
 
@@ -91,8 +101,8 @@ class SccGraph:
         self._out_i: list[list[int] | None] = [[] for _ in range(num_nodes)]
         self._in_i: list[list[int] | None] = [[] for _ in range(num_nodes)]
         # Explicit DAG adjacency with input-edge multiplicities.
-        self._out_d: list[dict[int, int] | None] = [None] * num_nodes
-        self._in_d: list[dict[int, int] | None] = [None] * num_nodes
+        self._out_d: list[Mapping[int, int]] = [_NO_EDGES] * num_nodes
+        self._in_d: list[Mapping[int, int]] = [_NO_EDGES] * num_nodes
         self._num_edges = 0
 
     # ------------------------------------------------------------------
@@ -127,13 +137,13 @@ class SccGraph:
                 if t == _NONE:
                     t = v
                 if s != t:
-                    if od is None:
+                    if od is _NO_EDGES:
                         od = out_d[s] = {}
                     od[t] = od.get(t, 0) + 1
-                    idd = in_d[t]
-                    if idd is None:
-                        idd = in_d[t] = {}
-                    idd[s] = idd.get(s, 0) + 1
+                    ind = in_d[t]
+                    if ind is _NO_EDGES:
+                        ind = in_d[t] = {}
+                    ind[s] = ind.get(s, 0) + 1
         return g
 
     @classmethod
@@ -229,8 +239,10 @@ class SccGraph:
         self._parent.append(_NONE)
         self._size.append(size)
         self._ext.append(-1)
-        for col in (self._out_i, self._in_i, self._out_d, self._in_d):
-            col.append(None)
+        self._out_i.append(None)
+        self._in_i.append(None)
+        self._out_d.append(_NO_EDGES)
+        self._in_d.append(_NO_EDGES)
         return s
 
     def add_input_node(self, u: int, endpoints: Iterable[int] = ()) -> int:
@@ -308,9 +320,6 @@ class SccGraph:
         """External ids of all live input nodes, in slot order."""
         return list(self._slot)
 
-    def input_slots(self) -> list[int]:
-        return list(self._slot.values())
-
     def current_dag_nodes(self) -> list[int]:
         size = self._size
         return [x for x, p in enumerate(self._parent) if p == _NONE and size[x]]
@@ -382,11 +391,12 @@ class SccGraph:
 
     def remove_input_edge(self, x: int, y: int) -> None:
         """Drop edge (x, y) between input slots, keeping the order of the
-        other neighbours; one ``list.remove`` scan per endpoint."""
+        other neighbours; one ``list.remove`` scan per endpoint.  The one
+        missing-edge check: ``InputError``, by external ids, and no change."""
         try:
             self._out_i[x].remove(y)
         except ValueError:
-            raise InputError(f"edge between slots ({x}, {y}) does not exist") from None
+            raise InputError(f"edge ({self._ext[x]}, {self._ext[y]}) does not exist") from None
         self._in_i[y].remove(x)
         self._num_edges -= 1
 
@@ -418,35 +428,32 @@ class SccGraph:
     def dag_children(self, s: int) -> list[int]:
         """Distinct successor components of ``s``."""
         self._check_current(s)
-        od = self._out_d[s]
-        return list(od) if od else []
+        return list(self._out_d[s])
 
     def dag_parents(self, s: int) -> list[int]:
         """Distinct predecessor components of ``s``."""
         self._check_current(s)
-        idd = self._in_d[s]
-        return list(idd) if idd else []
+        return list(self._in_d[s])
 
     def edge_multiplicity(self, s: int, t: int) -> int:
         """Number of input edges mapping onto DAG edge (s, t); 0 if absent."""
         self._check_current(s)
         self._check_current(t)
-        od = self._out_d[s]
-        return od.get(t, 0) if od else 0
+        return self._out_d[s].get(t, 0)
 
     def _add_dag_edge(self, s: int, t: int, mult: int) -> None:
         od = self._out_d[s]
-        if od is None:
+        if od is _NO_EDGES:
             od = self._out_d[s] = {}
         od[t] = od.get(t, 0) + mult
-        idd = self._in_d[t]
-        if idd is None:
-            idd = self._in_d[t] = {}
-        idd[s] = idd.get(s, 0) + mult
+        ind = self._in_d[t]
+        if ind is _NO_EDGES:
+            ind = self._in_d[t] = {}
+        ind[s] = ind.get(s, 0) + mult
 
     def _dec_dag_edge(self, s: int, t: int) -> None:
         od = self._out_d[s]
-        if od is None or t not in od:
+        if t not in od:
             raise InternalError(f"no DAG edge ({s}, {t}) to drop an input edge from")
         left = od[t] - 1
         if left:
@@ -502,7 +509,7 @@ class SccGraph:
     ) -> None:
         """Hand every DAG edge of ``m`` to ``rep`` with its multiplicity,
         dropping those to or from ``inside``, record the far ends moved in
-        ``kids`` and ``parents``, and leave ``m`` without DAG edges.
+        ``kids`` and ``parents``, and give ``m`` back ``_NO_EDGES`` on both sides.
 
         Every edge also leaves the far end's mirror, so when a merge moves
         its members in turn, a member's edges to members already absorbed
@@ -511,17 +518,17 @@ class SccGraph:
         absorbed members' degrees, never the representative's.
         """
         out_d, in_d = self._out_d, self._in_d
-        for t, mu in (out_d[m] or {}).items():
+        for t, mu in out_d[m].items():
             del in_d[t][m]
             if t not in inside:
                 self._add_dag_edge(rep, t, mu)
                 kids[t] = None
-        for src, mu in (in_d[m] or {}).items():
+        for src, mu in in_d[m].items():
             del out_d[src][m]
             if src not in inside:
                 self._add_dag_edge(src, rep, mu)
                 parents[src] = None
-        out_d[m] = in_d[m] = None
+        out_d[m] = in_d[m] = _NO_EDGES
 
     # ------------------------------------------------------------------
     # split

@@ -160,9 +160,8 @@ class ReachabilityIndex:
         slot without one needs no ``_find`` call, and a deeper one goes
         through ``_find``, which compresses its path.  Then, as the module
         docstring sets out: one component, a DAG edge, the ends' labels,
-        an end with no DAG edge on its side (an adjacency that lost its
-        last edge is empty, not None), and a shared DAG neighbour, which
-        ``isdisjoint`` finds by a loop over the smaller of the two
+        an end with no DAG edge on its side, and a shared DAG neighbour,
+        which ``isdisjoint`` finds by a loop over the smaller of the two
         adjacencies.  Only then does ``_two_way`` search; it leaves its
         ``visited`` and ``pruned`` counts in ``_searched``, where
         ``reachable_with_stats`` reads them."""
@@ -184,7 +183,7 @@ class ReachabilityIndex:
         if s == t:
             return True
         od = g._out_d[s]
-        if od is not None and t in od:
+        if t in od:
             return True
         if not self.labeler.covers(s, t):
             return False
@@ -224,8 +223,7 @@ class ReachabilityIndex:
         t = g._find(sv)
         if s == t:
             return  # self-loops and edges inside a component never alter the condensation
-        od = g._out_d[s]
-        if od is not None and t in od:
+        if t in g._out_d[s]:
             g._add_dag_edge(s, t, 1)
             return
         # A cycle through (s, t) needs a DAG parent of s to return through,
@@ -359,7 +357,7 @@ class ReachabilityIndex:
         found_a, found_b = sides[0][0], sides[1][0]
         pos = [0, 0]
         cost = [0, 0]  # edges and nodes scanned
-        left = [len(g._out_d[a] or ()), len(g._in_d[b] or ())]  # edges of found, unexpanded nodes
+        left = [len(g._out_d[a]), len(g._in_d[b])]  # edges of found, unexpanded nodes
         pruned = 0
         hub = None
         done: set[int] = set()  # nodes expanded by either side, under keep
@@ -382,7 +380,7 @@ class ReachabilityIndex:
             found, adj, own, other, goal, links = sides[side]
             w = found[pos[side]]
             pos[side] += 1
-            nbrs = adj[w] or ()
+            nbrs = adj[w]
             left[side] -= len(nbrs)
             if keep:
                 if w == hub or (hub is None and vis[w] == both and w != found[0] and w not in done):
@@ -418,7 +416,7 @@ class ReachabilityIndex:
                     if c == goal:
                         continue
                 found.append(c)
-                left[side] += len(adj[c] or ())
+                left[side] += len(adj[c])
 
     @staticmethod
     def _read_off(
@@ -456,8 +454,6 @@ class ReachabilityIndex:
         g = self.graph
         su = g.input_slot(u)
         sv = g.input_slot(v)
-        if not g.has_input_edge(su, sv):
-            raise InputError(f"edge ({u}, {v}) does not exist")
         g.remove_input_edge(su, sv)
         if self._unlink(su, sv):
             self._split(g._find(su), (su,), (sv,))
@@ -717,9 +713,9 @@ class ReachabilityIndex:
     def scc_partition(self) -> set[frozenset[int]]:
         """Current partition of the input nodes into components."""
         groups: dict[int, list[int]] = defaultdict(list)
-        g = self.graph
-        for slot in g.input_slots():
-            groups[g.find_scc(slot)].append(g.external_id(slot))
+        find = self.graph._find
+        for u, slot in self.graph._slot.items():
+            groups[find(slot)].append(u)
         return {frozenset(members) for members in groups.values()}
 
     def census(self) -> dict[str, int]:

@@ -175,7 +175,7 @@ class IntervalLabeler:
             if state[root]:
                 continue
             state[root] = 1
-            frames: list[list] = [[root, self._ordered(d, list(kids[root] or ())), 0, ctr]]
+            frames: list[list] = [[root, self._ordered(d, list(kids[root])), 0, ctr]]
             while frames:
                 frame = frames[-1]
                 node, nxt, i, entry = frame
@@ -184,7 +184,7 @@ class IntervalLabeler:
                     c = nxt[i]
                     if state[c] == 0:
                         state[c] = 1
-                        frames.append([c, self._ordered(d, list(kids[c] or ())), 0, ctr])
+                        frames.append([c, self._ordered(d, list(kids[c])), 0, ctr])
                     elif state[c] == 1:
                         raise InternalError(f"cycle through node {c} in the condensation")
                     continue
@@ -194,7 +194,7 @@ class IntervalLabeler:
                     continue
                 ctr += size[node]
                 begin, end = entry, ctr
-                for c in out_d[node] or ():
+                for c in out_d[node]:
                     if b_col[c] < begin:
                         begin = b_col[c]
                     if e_col[c] >= end:
@@ -236,17 +236,17 @@ class IntervalLabeler:
         kids: dict[int, list[int]] = {w: [] for w in clist}
         fed: set[int] = set()  # members with a parent inside the sub-DAG
         for p in pieces:
-            for c in out_d[p] or ():
+            for c in out_d[p]:
                 if c in cset:
                     kids[p].append(c)
                     fed.add(c)
-            if remnant in (in_d[p] or ()):
+            if remnant in in_d[p]:
                 kids[remnant].append(p)
                 fed.add(p)
         sources = [w for w in clist if w not in fed]
         for d in range(self.k):
             self._post_order(graph, d, sources, kids, old_label[d][0], skip=remnant)
-        self.propagate(graph, [(w, in_d[w] or ()) for w in pieces])
+        self.propagate(graph, [(w, in_d[w]) for w in pieces])
 
     # ------------------------------------------------------------------
     # propagation
@@ -318,7 +318,7 @@ class IntervalLabeler:
                         b_col[p] = b_col[w]
                         changed = True
                 if changed:
-                    stack.append((p, in_d[p] or ()))
+                    stack.append((p, in_d[p]))
         # End phase, one dimension at a time: first the lowerings, then
         # the raise pass over the edges still short of containment.  Its
         # entries are relaxations (old end, node, minus the required
@@ -332,7 +332,7 @@ class IntervalLabeler:
             for w, parents in covers:
                 for p in parents:
                     if e_col[p] <= e_col[w] and not (
-                        len(in_d[p] or ()) > len(out_d[w] or ()) and _lower(e_col, out_d, w, e_col[p] - 1)
+                        len(in_d[p]) > len(out_d[w]) and _lower(e_col, out_d, w, e_col[p] - 1)
                     ):
                         short.append((w, p))
             heap = [(e_col[p], p, -1 - e_col[w]) for w, p in short if e_col[p] <= e_col[w]]
@@ -351,11 +351,9 @@ class IntervalLabeler:
                 if floor > hi:
                     hi = floor
                 up = floor + 1
-                idd = in_d[p]
-                if idd:
-                    for q in idd:
-                        if e_col[q] < up:
-                            heappush(heap, (e_col[q], q, -up))
+                for q in in_d[p]:
+                    if e_col[q] < up:
+                        heappush(heap, (e_col[q], q, -up))
             self._max_end[d] = hi
 
 
@@ -378,7 +376,7 @@ def _lower(e_col: list[int], out_d: Sequence, w: int, end: int) -> bool:
             return False
         undo.append((n, e_col[n]))
         e_col[n] = end
-        for c in out_d[n] or ():
+        for c in out_d[n]:
             if e_col[c] >= end:
                 stack.append((c, end - 1))
     return True

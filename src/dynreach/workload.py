@@ -163,10 +163,12 @@ def gen_updates(
     uniform in [0, 2d] with preferential endpoints; delete-node is
     uniform.  Impossible draws (e.g. deleting from an empty edge set)
     fall back to a different op kind; if every kind is impossible the
-    generation fails.
+    generation fails.  A negative ``count`` or ``d`` fails before any draw.
     """
     if num_nodes < 1:
         raise InputError("update generation needs a nonempty graph")
+    if count < 0 or d < 0:
+        raise InputError(f"need count >= 0 and d >= 0, got count={count}, d={d}")
     rng = random.Random(seed)
     shadow = _Shadow(edges, num_nodes, rng)
     weights = ratios.weights()

@@ -172,6 +172,11 @@ def test_a_failed_node_insert_changes_nothing(variant):
     assert (g.input_node_ids(), list(g.input_edges()), g.num_input_edges) == ([0, 1], [(0, 1)], 1)
     engine.insert_node(5, (0,), (1,))
     assert engine.reachable(5, 1) and engine.reachable(1, 0)
+    # The graph's one missing-edge check names ids, not slots.
+    assert g.input_slot(5) == 2
+    with pytest.raises(InputError, match=r"^edge \(5, 1\) does not exist$"):
+        engine.delete_edge(5, 1)
+    assert g.num_input_edges == 3
 
 
 @pytest.mark.parametrize("variant", sorted(ENGINES))

@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from dynreach import InputError, LabelerConfig, LogicError, ReachabilityIndex, SccGraph
+from dynreach import InputError, LabelerConfig, LogicError, ReachabilityIndex, SccGraph, graph
 
 from oracles import Mirror, assert_agrees, kosaraju_partition
 from samples import NODE, SAMPLE_EDGES, random_digraph, sample_comps, sample_graph
@@ -248,25 +248,30 @@ def test_node_lifecycle():
 
 def test_every_slot_state_follows_from_link_size_and_id():
     # Three two-cycles give the SCC nodes a, b and c; a takes b over in a
-    # merge, c dissolves to 5 once (4, 5) is gone, and the lone 6 is
-    # removed.
+    # merge, c dissolves to 5 once (4, 5) is gone, b's members {2, 3}
+    # break off a again as the SCC node d, the lone 6 is removed and the
+    # node 9 is inserted.
     g = SccGraph.build([(0, 1), (1, 0), (2, 3), (3, 2), (4, 5), (5, 4)], num_nodes=7)
     a, b, c = g.find_scc(0), g.find_scc(2), g.find_scc(4)
     assert a < b and min(a, b, c) == 7
     assert g.merge_components([a, b])[0] == a  # a tie in size goes to the smaller id
     g.remove_input_edge(4, 5)
     assert g.apply_split(c, 5, [[4]]) == [4, 5]
+    d = g.capacity
+    assert g.apply_split(a, 0, [[2, 3]]) == [d, a]  # a multi-member piece
     g.remove_input_node(6)
-    assert (g.capacity, g.num_input_nodes) == (10, 6)
-    assert g.input_node_ids() == [0, 1, 2, 3, 4, 5]
-    assert g.current_dag_nodes() == [4, 5, a]
-    state = {x: (g.is_current(x), g.find_scc(x)) for x in range(g.capacity) if x != 6}
-    for x in range(4):  # inputs inside a component
-        assert state[x] == (False, a)
-    assert state[a] == (True, a)  # a current SCC
+    x = g.add_input_node(9)
+    assert (g.capacity, g.num_input_nodes) == (12, 7)
+    assert g.input_node_ids() == [0, 1, 2, 3, 4, 5, 9]
+    assert g.current_dag_nodes() == [4, 5, a, d, x]
+    state = {y: (g.is_current(y), g.find_scc(y)) for y in range(g.capacity) if y != 6}
+    for y in range(4):  # inputs inside a component
+        assert state[y] == (False, a if y < 2 else d)
+    assert state[a] == (True, a) and state[d] == (True, d)  # current SCCs
     assert state[b] == (False, a)  # merged away
     assert state[c] == (False, 5)  # dissolved to the member it kept
     assert state[4] == (True, 4) and state[5] == (True, 5)  # lone inputs
+    assert state[x] == (True, x)  # a fresh input
     assert not g.is_current(6)  # a removed input is unknown
     with pytest.raises(InputError):
         g.find_scc(6)
@@ -274,6 +279,17 @@ def test_every_slot_state_follows_from_link_size_and_id():
         g.apply_split(c, 5, [[4]])  # no longer current
     with pytest.raises(LogicError):
         g.apply_split(5, 5, [])  # current, but not a multi-node component
+    # Every slot's DAG sides are mappings: the merged-away and the
+    # dissolved SCC hold none, and a fresh node and the new piece read as
+    # none through the public views.  The shared side without edges took
+    # no write.
+    assert all(side is not None for side in (*g._out_d, *g._in_d))
+    assert [len(side) for side in (g._out_d[b], g._in_d[b], g._out_d[c], g._in_d[c])] == [0] * 4
+    for y in (x, d):
+        assert g.dag_children(y) == [] and g.dag_parents(y) == []
+        assert g.edge_multiplicity(y, a) == g.edge_multiplicity(a, y) == 0
+    assert g.dag_children(5) == [4]  # (5, 4) outlived the split of c
+    assert not graph._NO_EDGES
 
 
 def test_add_input_node_checks_every_endpoint_before_any_change():
@@ -330,13 +346,17 @@ def test_removing_every_edge_at_a_node_returns_each_once_in_order():
 
 
 def test_deleting_a_missing_edge_raises_and_changes_nothing():
+    # The SCC {0, 1} takes slot 3, the node 5 slot 4 and the node 4 slot
+    # 5; the message names the external ids.
     g = SccGraph.build([(0, 1), (2, 1), (1, 0)], num_nodes=3)
+    assert (g.add_input_node(5), g.add_input_node(4)) == (4, 5)
+    g.add_input_edge(4, 0)
     before = [None if adj is None else adj[:] for adj in (*g._out_i, *g._in_i)]
-    for x, y in ((0, 2), (1, 2), (2, 0), (2, 2)):
-        with pytest.raises(InputError):
+    for x, y in ((0, 2), (1, 2), (2, 0), (2, 2), (0, 4), (4, 5), (5, 4)):
+        with pytest.raises(InputError, match=rf"^edge \({g.external_id(x)}, {g.external_id(y)}\) does not exist$"):
             g.remove_input_edge(x, y)
     assert [*g._out_i, *g._in_i] == before
-    assert g.num_input_edges == 3
+    assert g.num_input_edges == 4
 
 
 def test_a_self_loop_appears_once_in_each_list():

@@ -148,6 +148,17 @@ def test_cli_non_finite_ratio_exits_one(tmp_path, capsys, weight):
     assert not w.exists()
 
 
+@pytest.mark.parametrize("flag, value", [("--count", "-3"), ("--d", "-1")])
+def test_cli_gen_updates_refuses_a_negative_count_or_degree_bound(tmp_path, capsys, flag, value):
+    g = _write_sample(tmp_path)
+    w = tmp_path / "w.txt"
+    assert main(["gen-updates", "--graph", str(g), "--count", "5", "--ratios", "0,0,1,0",
+                 "--out", str(w), flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "count >= 0 and d >= 0" in err
+    assert not w.exists()
+
+
 def test_cli_gen_graph_deterministic_bytes(tmp_path):
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
     for out in (a, b):

@@ -5,6 +5,8 @@ from __future__ import annotations
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("label_digest", ROOT / "tools" / "label_digest.py")
 label_digest = importlib.util.module_from_spec(_spec)
@@ -32,14 +34,21 @@ def test_cli_prints_a_line_per_update_and_a_total(capsys, monkeypatch):
     assert lines[-1].startswith(f"{spec.updates} updates: ")
 
 
-def test_smoke_part_total_is_pinned(capsys, monkeypatch):
-    # The total for the churn smoke part, seed 1, part 0, as printed by the
-    # code that first pinned it: a change meant to leave components, labels
-    # and DAG order bit-identical must print it too.
+#: The total for the churn smoke part 0 of each seed, as printed by the
+#: code that first pinned it: a change meant to leave components, labels
+#: and DAG order bit-identical must print it too.
+SMOKE_TOTALS = {
+    1: "6d81ea3edb69b4294270b4c65b219c379410e6b5ad46a9098cca70a537bf03bf",
+    2: "ca1d106f34867282ab35c1e6bc5eb27d31320efcabca5a136fe991269183216b",
+    3: "2db41e90bac22770e7490083cbaa3cb77abf84253a25f04c4c8ffde6903880aa",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SMOKE_TOTALS))
+def test_smoke_part_total_is_pinned(capsys, monkeypatch, seed):
     monkeypatch.setitem(SPECS, "churn", smoke(SPECS["churn"]))
-    label_digest.main(["--workload", "churn", "--seed", "1", "--part", "0"])
-    total = capsys.readouterr().out.splitlines()[-1]
-    assert total == "40 updates: 6d81ea3edb69b4294270b4c65b219c379410e6b5ad46a9098cca70a537bf03bf"
+    label_digest.main(["--workload", "churn", "--seed", str(seed), "--part", "0"])
+    assert capsys.readouterr().out.splitlines()[-1] == f"40 updates: {SMOKE_TOTALS[seed]}"
 
 
 def test_hash_covers_dag_multiplicities_and_their_order():

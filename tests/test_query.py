@@ -115,7 +115,7 @@ def test_query_two_dag_steps_away_runs_no_search(k, monkeypatch):
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_query_from_an_emptied_side_runs_no_search(k, monkeypatch):
     # Deleting the last DAG edge out of 1 leaves its out-adjacency {},
-    # not None, and the last one into 2 its in-adjacency {}.  At k 0 every
+    # and the last one into 2 its in-adjacency {}.  At k 0 every
     # label test passes, so only the emptied side can end 1 -> 4 (4 has a
     # parent) and 3 -> 2 or 0 -> 2 (3 and 0 have a child) without a search.
     edges = [(0, 1), (1, 2), (3, 2), (3, 4)]

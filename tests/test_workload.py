@@ -106,6 +106,14 @@ def test_gen_updates_rejects_all_impossible():
         gen_updates([], 1, 5, OpRatios(0, 1, 0, 0), seed=0)  # nothing to delete
 
 
+@pytest.mark.parametrize("count, d", [(-3, 2), (5, -1)])
+def test_gen_updates_rejects_a_negative_count_or_degree_bound(count, d):
+    # Only node inserts are drawn, so a negative bound would reach the
+    # degree draw if it were not refused first.
+    with pytest.raises(InputError, match="count >= 0 and d >= 0"):
+        gen_updates([(0, 1)], 2, count, OpRatios(0, 0, 1, 0), seed=3, d=d)
+
+
 def test_gen_updates_replays_cleanly():
     for seed in (0, 1):
         n = 300

@@ -46,7 +46,7 @@ def label_hash(idx: ReachabilityIndex) -> bytes:
         h.update(array("q", [col[x] for x in nodes]).tobytes())
     adj = array("q")
     for x in nodes:
-        for d in (g._out_d[x] or {}, g._in_d[x] or {}):
+        for d in (g._out_d[x], g._in_d[x]):
             adj.append(len(d))
             for y, mu in d.items():
                 adj.append(y)
