@@ -35,6 +35,22 @@ edge, then a dict of the slot's own, which its last edge leaves empty.
 Only ``build`` and ``_add_dag_edge`` test for ``_NO_EDGES``, to swap in
 that dict; every reader takes a side as it is.
 
+Every multi-node SCC can hold an out-tree and an in-tree of
+breadth-first parent links from one root, its member ``root``: per
+slot, ``_tout`` names an in-neighbour (a path from the root reaches the
+slot through it) and ``_tin`` an out-neighbour (the slot reaches the root
+through it), each an input edge inside the component, and ``_tgen`` the
+generation of the trees the slot belongs to.  ``_trees`` maps a component
+with trees to ``(root, generation, pending)``; a slot is in them only
+while its generation matches, so trees are dropped by dropping their
+entry.  ``pending`` lists the lone inputs that joined the component since
+its last internal deletion, and are in no tree yet.  ``build`` gives
+trees to the SCC of the node of highest degree; the index gives them to
+any other component at its first internal deletion and keeps them
+through its deletions (``ReachabilityIndex.extract_components``); a
+merge that absorbs a multi-node SCC, or a split that leaves one node,
+drops them.
+
 Every node lives in a slot of one dense internal id space.  Callers name
 input nodes by external ids, which the graph maps to slots in exactly one
 place: ``build`` gives input ``u`` slot ``u``, and every later input and
@@ -104,6 +120,14 @@ class SccGraph:
         self._out_d: list[Mapping[int, int]] = [_NO_EDGES] * num_nodes
         self._in_d: list[Mapping[int, int]] = [_NO_EDGES] * num_nodes
         self._num_edges = 0
+        # Spanning trees (see the module docstring): per slot the out- and
+        # in-tree parent (-1: unset) and the trees' generation (0: none);
+        # per component with trees (root, generation, pending inputs).
+        self._tout: list[int] = [_NONE] * num_nodes
+        self._tin: list[int] = [_NONE] * num_nodes
+        self._tgen: list[int] = [0] * num_nodes
+        self._trees: dict[int, tuple[int, int, list[int]]] = {}
+        self._gen = 0  # the last generation handed out
 
     # ------------------------------------------------------------------
     # construction
@@ -115,11 +139,33 @@ class SccGraph:
         The node universe is ``[0, max(num_nodes, max id + 1))``.  Duplicate
         edges collapse (set semantics); self-loops are kept in the input
         layer but never influence the condensation.
+
+        The SCC of ``r``, the node of highest in- plus out-degree (the
+        smallest id on ties), is found first, by a forward breadth-first
+        search from ``r`` and then a backward one restricted to the nodes
+        the forward one found (``_grow_trees``): the nodes both find are
+        ``r``'s SCC, and the two searches' parent links, restricted to
+        it, are its out- and in-tree, since a tree path to a member only
+        passes members.  Restricting the backward search keeps it among
+        the descendants of ``r``, which are few when ``r`` lies on no
+        cycle.  That SCC takes the first SCC slot, and its members enter
+        Tarjan already marked complete, so Tarjan finds the other SCCs
+        only, numbered after it in completion order.
         """
         g = cls._input_layer(edges, num_nodes)
         n = g.capacity
         out_i = g._out_i
-        for comp in g._tarjan(range(n), [0] * n, [0] * n):
+        index = [0] * n
+        if n:
+            deg = [a + b for a, b in zip(map(len, out_i), map(len, g._in_i))]
+            members = g._grow_trees(deg.index(max(deg)), _NONE)
+            if len(members) > 1:
+                s = g._new_slot(len(members))
+                g._trees[s] = (members[0], g._gen, [])
+                for m in members:
+                    g._parent[m] = s
+                    index[m] = _DONE
+        for comp in g._tarjan(range(n), index, [0] * n):
             if len(comp) > 1:
                 s = g._new_slot(len(comp))
                 for m in comp:
@@ -167,6 +213,51 @@ class SccGraph:
             in_i[v].append(u)
         g._num_edges = len(edges)
         return g
+
+    def _grow_trees(self, r: int, s: int) -> list[int]:
+        """Give ``r``'s SCC, inside component ``s`` (or over the whole
+        input layer when ``s`` is -1, before there are components), an
+        out-tree and an in-tree rooted at ``r`` in a fresh generation.
+
+        A forward breadth-first search from ``r`` marks the nodes it finds
+        with one new generation and links each to the node it was found
+        from (``_tout``); a backward one over the marked nodes only moves
+        each node it finds on to the next generation, the trees' own, and
+        links it to the node it was found from (``_tin``).  Returns the
+        nodes the backward search found, ``r`` first: ``r``'s SCC.  The
+        nodes only the forward search found keep a generation no trees
+        use.
+        """
+        out_i, in_i = self._out_i, self._in_i
+        tout, tin, tgen = self._tout, self._tin, self._tgen
+        parent, find = self._parent, self._find
+        fwd = self._gen + 1
+        gen = self._gen = fwd + 1
+        tgen[r] = fwd
+        tout[r] = tin[r] = _NONE
+        found = [r]
+        for w in found:
+            for c in out_i[w]:
+                # Before ``build`` makes components every link is -1 == s.
+                if tgen[c] != fwd and (parent[c] == s or find(c) == s):
+                    tgen[c] = fwd
+                    tout[c] = w
+                    found.append(c)
+        tgen[r] = gen
+        members = [r]
+        for w in members:
+            for c in in_i[w]:
+                if tgen[c] == fwd:
+                    tgen[c] = gen
+                    tin[c] = w
+                    members.append(c)
+        return members
+
+    def _plant_trees(self, s: int, r: int) -> None:
+        """Give the multi-node SCC ``s`` trees rooted at its member ``r``;
+        they span it, as it is strongly connected."""
+        self._grow_trees(r, s)
+        self._trees[s] = (r, self._gen, [])
 
     def _tarjan(
         self,
@@ -243,6 +334,9 @@ class SccGraph:
         self._in_i.append(None)
         self._out_d.append(_NO_EDGES)
         self._in_d.append(_NO_EDGES)
+        self._tout.append(_NONE)
+        self._tin.append(_NONE)
+        self._tgen.append(0)
         return s
 
     def add_input_node(self, u: int, endpoints: Iterable[int] = ()) -> int:
@@ -483,6 +577,12 @@ class SccGraph:
         from the merged component are new.  The index restores label
         containment along exactly those edges, in one
         ``IntervalLabeler.propagate``.
+
+        A representative with trees keeps them when every absorbed member
+        is a lone input, which waits as pending until the next internal
+        deletion hangs it in them.  Absorbing a multi-node SCC drops them,
+        since its members are not enumerated, and drops the absorbed
+        SCCs' own.
         """
         if len(members) < 2:
             raise LogicError("merge needs at least two components")
@@ -498,10 +598,19 @@ class SccGraph:
         size[rep] = sum(size[m] for m in members)
         kids: dict[int, None] = {}
         parents: dict[int, None] = {}
+        trees = self._trees
+        held = trees.get(rep)
         for m in members:
             if m != rep:
                 self._move_dag_edges(m, rep, merge_set, kids, parents)
                 self._parent[m] = rep
+                if size[m] > 1:
+                    trees.pop(m, None)
+                    held = None
+                elif held:
+                    held[2].append(m)
+        if held is None:
+            trees.pop(rep, None)
         return rep, list(kids), list(parents)
 
     def _move_dag_edges(
@@ -540,9 +649,12 @@ class SccGraph:
         remnant is the rest of ``s``, which holds the slot ``keep``.  It
         keeps the node ``s`` unless it shrinks to ``keep`` alone, in which
         case ``s``'s remaining DAG edges go to ``keep`` and ``s`` links to
-        ``keep``.  Only the detached members' incident edges are touched,
-        so the cost follows their degrees, not the remnant's size.
-        Returns the new component ids followed by the remnant id.
+        ``keep``, and ``s``'s trees are dropped.  Only the detached
+        members' incident edges are touched, so the cost follows their
+        degrees, not the remnant's size; taking the detached members out
+        of the trees is the caller's
+        (``ReachabilityIndex.extract_components``).  Returns the new
+        component ids followed by the remnant id.
         """
         if not self.is_current(s) or self._size[s] < 2:
             raise LogicError(f"node {s} is not a current multi-node component")
@@ -568,6 +680,7 @@ class SccGraph:
         if remaining == 1:
             parent[keep] = _NONE
             remnant = keep
+            self._trees.pop(s, None)
         else:
             size[s] = remaining
             remnant = s

@@ -62,17 +62,27 @@ An edge deletion and a node deletion unlink each removed edge by one
 step (``_unlink``), which only adjusts a DAG edge's multiplicity unless
 the edge ran inside a component.  Deleting edges inside an SCC (one
 edge, or every edge of a deleted node at once) splits it from the
-smaller side (``extract_components``).  An
-anchor inside the component must still be reached from every tail of a
-removed edge and must still reach every head.  That check is complete:
-any node cut off from the anchor is cut off at the first removed edge on
-its old path, whose tail it still reaches.  Each check races a search from
-the endpoint against one from the anchor, balanced by edges scanned; a
-search that runs dry first has found a closed set, which breaks off and
-is decomposed on its own, and the far ends of its boundary edges are
-checked in turn.  A deletion therefore costs in proportion to the edges
-of the pieces that break off plus the races that met, never the size of
-what is left; the remnant keeps its handle, containment chain and label.
+smaller side (``extract_components``).  The SCC holds an out-tree and
+an in-tree of breadth-first parent links from one root (``SccGraph``
+keeps them; ``build`` grows them for the SCC of the node of highest
+degree, and a deletion plants them, just before it removes anything, in
+a component that has none).  Only the slots whose tree parent edge was
+removed, or whose parent broke off, are checked: each first re-hangs on
+another neighbour whose parent chain still reaches the root, and only
+one that finds none races a search from itself against one from the
+root, balanced by edges scanned.  That check is complete: a member's
+tree path can only break at a removed edge or at a slot that broke off,
+and the first break on it is checked.  A search that runs dry first has
+found a closed set, which breaks off and is decomposed on its own; the
+slots of the rest whose tree parent it held are checked in turn.  When
+the trees cannot help (the root breaks off, or a slot that found no
+parent is still joined to it), they are dropped and the same loop checks
+both ends of every removed edge and the far end of every edge of a
+broken-off set against an anchor, which moves when its own side runs
+dry.  A deletion therefore costs in proportion to the edges of the
+pieces that break off, plus the re-hangs and the races that met, never
+the size of what is left; the remnant keeps its handle, containment
+chain, label and trees.
 
 Public methods take external node ids and translate them to graph slots
 once, on entry; everything below that boundary (extraction, splits,
@@ -450,13 +460,18 @@ class ReachabilityIndex:
     def delete_edge(self, u: int, v: int) -> None:
         """Delete input edge (u, v), splitting its component if that was
         the last internal connection.  Inter-component removals only
-        adjust multiplicities; labels are never shrunk."""
+        adjust multiplicities; labels are never shrunk.  An edge inside a
+        component without trees first gives it trees rooted at ``u``,
+        while the component is still strongly connected."""
         g = self.graph
         su = g.input_slot(u)
         sv = g.input_slot(v)
+        s = g._find(su)
+        if s not in g._trees and su != sv and s == g._find(sv):
+            g._plant_trees(s, su)
         g.remove_input_edge(su, sv)
         if self._unlink(su, sv):
-            self._split(g._find(su), (su,), (sv,))
+            self._split(s, (su,), (sv,))
 
     def _unlink(self, x: int, y: int) -> bool:
         """Update the condensation for input edge (x, y), just removed from
@@ -489,36 +504,76 @@ class ReachabilityIndex:
         self, s: int, tails: Sequence[int], heads: Sequence[int]
     ) -> tuple[int, list[list[int]]] | None:
         """Find the components that break off SCC ``s`` once internal
-        edges with these tails and heads are gone.
+        edges with these tails and heads (``tails[i]`` to ``heads[i]``)
+        are gone.
 
-        The remnant ``R`` starts as all of ``s``, around an anchor ``a``
-        (the first head).  Every tail must still reach ``a`` inside ``R``
-        and ``a`` must still reach every head.  That check is complete: a
-        node that no longer reaches ``a`` had a path to it in ``s``, and
-        the first removed edge on that path has a tail the node still
-        reaches, which then fails too; symmetrically for heads.  Each
-        queued item is settled by a race: a search from the item's node
-        and one from ``a``, in opposite directions and inside ``R``, take
-        turns by edges scanned (``_race``).
+        The remnant ``R`` starts as all of ``s``, around an anchor ``a``.
+        An item ``(x, forward)`` asks that ``x`` still reach ``a`` inside
+        ``R`` (``forward``), or that ``a`` still reach ``x``.  An item is
+        settled by a race when nothing cheaper settles it: a search from
+        ``x`` and one from ``a``, in opposite directions and inside ``R``,
+        take turns by edges scanned (``_race``).
 
         * They meet: the item holds.
-        * The item's search runs dry first: its closed set ``D`` misses
-          ``a`` and is a union of final components.  ``D`` leaves ``R``,
-          a Tarjan restricted to ``D`` splits it into components, and the
-          far ends of the edges between ``D`` and ``R`` are queued, since
-          those edges are now missing from ``R`` just like removed ones.
+        * ``x``'s search runs dry first: its closed set ``D`` misses ``a``
+          and is a union of final components.  ``D`` leaves ``R`` and is
+          decomposed on its own: a lone node is its own component, a
+          larger set goes through a Tarjan restricted to it.  The edges
+          between ``D`` and ``R`` are now missing from ``R`` just like
+          removed ones, so their far ends in ``R`` give new items.
         * ``a``'s search runs dry first: its closed set is detached the
-          same way, the item's node becomes the anchor, and every item
-          whose node is still in ``R`` is queued again.
+          same way, and ``x`` becomes the anchor.
 
-        Detaching a closed set never breaks a path that settled an item
-        earlier under the same anchor, so when the queue empties ``R`` is
-        strongly connected and is the remnant.
+        With trees (``SccGraph`` keeps an out- and an in-tree per
+        component, see its module docstring) the anchor is their root,
+        and the items are only the slots whose tree parent edge is gone:
+        the head of a removed edge that was its out-tree parent edge, the
+        tail of one that was its in-tree parent edge, every pending input
+        (in both trees), and, when a set ``D`` detaches, the slots of
+        ``R`` whose parent is in ``D``.  A deleted node is the tail of its
+        in-tree parent edge, and its tree children are heads and tails of
+        its other edges.  An item's parent is unset at once, and the item
+        then re-hangs (``_rehang``): it takes as its new parent the first
+        neighbour (an in-neighbour in the out-tree, an out-neighbour in
+        the in-tree) whose parent chain reaches the root without meeting
+        a slot whose parent is unset, the item among them, or a slot not
+        in the trees, which detached slots leave.  An item that finds no
+        such neighbour waits, and is tried again once another item has
+        re-hung, since its parent may be one of them.  Only the items that
+        still find none race the root.
+
+        That is complete.  A remaining member's tree path can only break
+        at a removed edge or a detached slot, and the first break below
+        the root on that path is an item.  So when no item is left every
+        parent link in ``R`` is an edge of ``R``, and none closes a cycle,
+        as a new parent's chain reached the root without meeting the
+        item: every member of ``R`` is reached from the root and reaches
+        it.
+
+        The trees are dropped when they cannot help, and the extraction
+        goes on without them, in the same loop, over all the items a
+        tree-less one has: each removed edge's tail and head, and the far
+        ends of the edges between every detached set and ``R``.  That is
+        when the root has lost every edge on one side (it breaks off;
+        a deleted root has lost all), when the root's side of a race runs
+        dry, and when an item that found no parent meets the root (its
+        chain passes another item that found none).  The next internal
+        deletion gives ``s`` new trees.  Without trees the anchor starts as
+        the first head, every item races, and when the anchor's side runs
+        dry every item whose node is still in ``R`` races again.  That is
+        complete too: a node that no longer reaches ``a`` had a path to it
+        in ``s``, and the first edge of that path that is removed or
+        leads into a detached set has a tail the node still reaches,
+        which then fails too; symmetrically for heads.  Detaching a closed
+        set never breaks a path that settled an item earlier under the
+        same anchor, so when no item is left ``R`` is strongly connected
+        and is the remnant.
 
         Cost: a race that runs dry has scanned about as many edges on the
         other side as its closed set holds, so a deletion costs in
         proportion to the edges of the pieces that break off, plus the
-        races that met.  The remnant is never enumerated.
+        re-hangs' chain walks, plus the races that met.  The remnant is
+        never enumerated.
 
         Returns the anchor, a slot of the remnant, and the detached
         components; None when nothing breaks off.
@@ -529,45 +584,135 @@ class ReachabilityIndex:
             if find(x) != s:
                 raise LogicError(f"slot {x} is not a member of component {s}")
         out_i, in_i = g._out_i, g._in_i
+        tout, tin, tgen = g._tout, g._tin, g._tgen
         vis = self._vis
         self._stamp += 1
         gone = self._stamp  # the mark of detached slots
-        a = heads[0]
-        # Items: (slot, True) = the slot must reach a, (slot, False) = a
-        # must reach the slot; the flag says whether the slot's search runs
-        # forward (and a's backward).
+        # Every item a tree-less extraction needs; the flag says whether
+        # the slot's search runs forward (and a's backward).
         items = [(x, True) for x in tails] + [(x, False) for x in heads]
-        queue = list(items)
+        a = heads[0]
+        gen = 0  # the trees' generation while there are trees, else 0
+        trees = g._trees.pop(s, None)  # put back at the end if kept
+        if trees is not None:
+            root, gen, pending = trees
+            if not out_i[root] or not in_i[root]:
+                gen = 0
+        if gen:
+            a = root
+            queue = []
+            for t, h in zip(tails, heads):
+                if tout[h] == t:
+                    tout[h] = -1
+                    queue.append((h, False))
+                if tin[t] == h:
+                    tin[t] = -1
+                    queue.append((t, True))
+            for x in pending:
+                tgen[x] = gen
+                tout[x] = tin[x] = -1
+                queue += ((x, False), (x, True))
+        else:
+            queue = list(items)
         settled: set[tuple[int, int]] = set()
+        waiting: list[tuple[int, bool]] = []  # items that found no parent
         comps: list[list[int]] = []
-        while queue:
-            item = queue.pop()
+        while True:
+            if gen and queue:
+                waiting = self._rehang(queue, waiting, root, gen, gone)
+                queue = []
+            if queue:
+                item = queue.pop()
+            elif waiting:
+                item = waiting.pop()
+            else:
+                break
             x, forward = item
             if vis[x] == gone or item in settled:
                 continue
             dry = self._race(x, a, s, gone, out_i if forward else in_i, in_i if forward else out_i)
             if dry is None:
                 settled.add(item)
+                if gen:  # connected, but not through the trees: drop them
+                    gen = 0
+                    queue = list(items)
+                    waiting = []
                 continue
             side, closed = dry
             for y in closed:
                 vis[y] = gone
-            zero = dict.fromkeys(closed, 0)
-            comps.extend(g._tarjan(closed, zero, dict(zero), restricted=True))
-            # A closed set reached forward only has edges in from R; one
-            # reached backward only has edges out to R.
+                tgen[y] = 0
+            if len(closed) == 1:
+                comps.append(closed)
+            else:
+                zero = dict.fromkeys(closed, 0)
+                comps.extend(g._tarjan(closed, zero, dict(zero), restricted=True))
+            # A closed set reached forward only has edges in from R, which
+            # may be in-tree links; one reached backward only has edges out
+            # to R, which may be out-tree links.
             if forward == (side == 0):
                 fresh = [(w, True) for y in closed for w in in_i[y] if vis[w] != gone and find(w) == s]
+                links = tin
             else:
                 fresh = [(h, False) for y in closed for h in out_i[y] if vis[h] != gone and find(h) == s]
+                links = tout
             items += fresh
-            if side == 0:
-                queue += fresh
-            else:
+            if side == 1:  # the anchor's side ran dry
                 a = x
+                gen = 0
                 settled.clear()
                 queue = list(items)
+                waiting = []
+            elif gen:
+                for item in fresh:
+                    y = item[0]
+                    p = links[y]
+                    if p != -1 and vis[p] == gone:
+                        links[y] = -1
+                        queue.append(item)
+            else:
+                queue += fresh
+        if gen:
+            g._trees[s] = (root, gen, [])
         return (a, comps) if comps else None
+
+    def _rehang(
+        self, queue: list, waiting: list, root: int, gen: int, gone: int
+    ) -> list[tuple[int, bool]]:
+        """Give each item of ``queue`` whose parent is unset a new parent
+        (``extract_components``), trying ``waiting`` again after any
+        re-hangs; returns the items still waiting.
+
+        An item ``(x, forward)`` of the in-tree (``forward``) takes the
+        first out-neighbour, one of the out-tree the first in-neighbour,
+        whose chain of parents in that tree reaches ``root`` through slots
+        of generation ``gen`` with their parent set.  ``x``'s own parent
+        is unset, so a chain through ``x``, from one of its descendants,
+        fails: no link closes a cycle."""
+        g = self.graph
+        out_i, in_i, tout, tin, tgen = g._out_i, g._in_i, g._tout, g._tin, g._tgen
+        vis = self._vis
+        while queue:
+            hung = False
+            for item in queue:
+                x, forward = item
+                links = tin if forward else tout
+                if vis[x] == gone or links[x] != -1:
+                    continue
+                for q in (out_i if forward else in_i)[x]:
+                    z = q
+                    while z != root and z != -1 and tgen[z] == gen:
+                        z = links[z]
+                    if z == root:
+                        links[x] = q
+                        hung = True
+                        break
+                else:
+                    waiting.append(item)
+            if not hung:
+                break
+            queue, waiting = waiting, []
+        return waiting
 
     def _race(
         self, x: int, a: int, s: int, gone: int, x_adj: list, a_adj: list
@@ -577,7 +722,9 @@ class ReachabilityIndex:
         time on the side that has scanned fewer edges.  None when the
         searches meet; otherwise (0 for ``x``'s side, 1 for ``a``'s, the
         nodes that side found) for the side that ran out of nodes first,
-        whose found set is then closed under its adjacency."""
+        whose found set is then closed under its adjacency.  A slot with
+        no containment link is a component of its own, never ``s``, so
+        only a linked one is looked up."""
         if x == a:
             return None
         g = self.graph
@@ -607,9 +754,11 @@ class ReachabilityIndex:
                     continue
                 if m == other:
                     return None
-                if m != gone and (parent[c] == s or find(c) == s):
-                    vis[c] = own
-                    found.append(c)
+                if m != gone:
+                    p = parent[c]
+                    if p == s or (p != -1 and find(c) == s):
+                        vis[c] = own
+                        found.append(c)
 
     # ------------------------------------------------------------------
     # node insertion / deletion
@@ -653,15 +802,20 @@ class ReachabilityIndex:
         component is not split per edge: when the node sat in a multi-node
         component, that component is split once, over every internal edge
         removed.  The node is then a lone, edge-free piece and is dropped.
+        A multi-node component without trees first gets them, rooted at
+        the node's first out-neighbour inside it, as ``delete_edge`` does.
         """
         g = self.graph
         x = g.input_slot(u)
+        s = g._find(x)
+        if s != x and s not in g._trees:
+            g._plant_trees(s, next(y for y in g._out_i[x] if y != x and g._find(y) == s))
         outs, ins = g.remove_input_edges_at(x)
         inner = [(x, y) for y in outs if self._unlink(x, y)]
         inner += [(w, x) for w in ins if self._unlink(w, x)]
         if inner:
             tails, heads = zip(*inner)
-            self._split(g._find(x), tails, heads)
+            self._split(s, tails, heads)
         g.remove_input_node(x)
 
     # ------------------------------------------------------------------

@@ -244,9 +244,44 @@ def check_label_invariants(index) -> None:
             )
 
 
+def check_trees(idx) -> None:
+    """The spanning trees of every component that has them: its root is a
+    member; the slots of the trees' generation are exactly its members
+    that are not pending; and from each of them the out-tree parents and
+    the in-tree parents lead to the root, without a cycle, along input
+    edges between members (into the slot for the out-tree, out of it for
+    the in-tree)."""
+    g = idx.graph
+    members: dict[int, set[int]] = {}
+    for u in g.input_node_ids():
+        x = g.input_slot(u)
+        members.setdefault(g.find_scc(x), set()).add(x)
+    for s, (root, gen, pending) in g._trees.items():
+        assert g.is_current(s) and g.scc_size(s) > 1, f"trees kept for {s}, not a multi-node component"
+        group = members[s]
+        assert root in group, f"root {root} is not a member of {s}"
+        assert set(pending) <= group, f"pending {pending} not all members of {s}"
+        hung = {x for x, t in enumerate(g._tgen) if t == gen}
+        assert hung == group - set(pending), (
+            f"trees of {s}: slots {sorted(hung ^ (group - set(pending)))} in the trees or among the members, not both"
+        )
+        for links, out in ((g._tout, False), (g._tin, True)):
+            for x in hung:
+                seen = {x}
+                while x != root:
+                    p = links[x]
+                    assert p in hung, f"{'in' if out else 'out'}-tree of {s}: parent {p} of {x} not in the trees"
+                    assert g.has_input_edge(*((x, p) if out else (p, x))), (
+                        f"{'in' if out else 'out'}-tree of {s}: link {x} -> {p} is no input edge"
+                    )
+                    assert p not in seen, f"{'in' if out else 'out'}-tree of {s}: cycle through {p}"
+                    seen.add(p)
+                    x = p
+
+
 def assert_agrees(idx, mirror):
-    """Input edges, partition, every DAG edge with its multiplicity, and
-    label containment against the mirror."""
+    """Input edges, partition, every DAG edge with its multiplicity, label
+    containment and the spanning trees against the mirror."""
     assert set(idx.graph.input_edges()) == set(mirror.edge_list())
     assert idx.scc_partition() == mirror.partition()
     g = idx.graph
@@ -260,3 +295,4 @@ def assert_agrees(idx, mirror):
     assert stored == dict(counts)
     assert {(p, s) for s in nodes for p in g.dag_parents(s)} == set(counts)
     check_label_invariants(idx)
+    check_trees(idx)

@@ -8,7 +8,7 @@ import pytest
 
 from dynreach import InputError, LabelerConfig, LogicError, ReachabilityIndex, SccGraph, graph
 
-from oracles import Mirror, assert_agrees, kosaraju_partition
+from oracles import Mirror, assert_agrees, check_trees, kosaraju_partition
 from samples import NODE, SAMPLE_EDGES, random_digraph, sample_comps, sample_graph
 
 
@@ -60,6 +60,20 @@ def test_build_matches_independent_partition():
         groups.setdefault(g.find_scc(u), set()).add(u)
     got = {frozenset(v) for v in groups.values()}
     assert got == kosaraju_partition(range(40), edges)
+
+
+def test_build_gives_the_scc_of_the_node_of_highest_degree_the_first_slot_and_trees():
+    # D has the highest degree of the sample (in 2, out 3), so {D, E, F, G}
+    # takes slot 19, with trees rooted at D, before Tarjan numbers the rest.
+    idx = ReachabilityIndex.build(SAMPLE_EDGES, cfg=LabelerConfig(k=1, seed=0))
+    g = idx.graph
+    assert [g.find_scc(NODE[c]) for c in "DNA"] == [19, 20, 21]
+    assert list(g._trees) == [19] and g._trees[19][0] == NODE["D"]
+    check_trees(idx)
+    # A hub on no cycle: its SCC is itself, the backward search stays
+    # inside its descendants, and no SCC gets trees at build.
+    g = SccGraph.build([(0, x) for x in range(1, 6)] + [(6, 7), (7, 6), (2, 3)], num_nodes=8)
+    assert g._trees == {} and g.find_scc(6) == g.find_scc(7) == 8
 
 
 def test_build_rejects_negative_ids():

@@ -295,11 +295,13 @@ def test_update_sequence_labels_are_pinned():
         step()
         check_label_invariants(idx)
     g = idx.graph
-    assert idx.find(19) == 22 and idx.find(NODE["A"]) == 20
+    # Build numbers the SCC of D, the node of highest degree, first (19),
+    # then {N, O, P, S, T} (20) and {A, B, C} (21).
+    assert idx.find(19) == 22 and idx.find(NODE["A"]) == 21
     assert {s: idx.label_of(s) for s in g.current_dag_nodes()} == {
         7: ((0, 11), (0, 17)), 8: ((0, 9), (0, 15)), 9: ((0, 19), (0, 20)),
         10: ((0, 18), (0, 19)), 11: ((0, 20), (0, 21)), 12: ((0, 19), (0, 20)),
         13: ((0, 1), (0, 1)), 14: ((1, 2), (1, 2)), 15: ((2, 3), (2, 3)),
-        16: ((0, 21), (0, 22)), 17: ((0, 5), (0, 5)), 20: ((0, 17), (0, 18)),
-        21: ((0, 20), (0, 21)), 22: ((0, 10), (0, 16)),
+        16: ((0, 21), (0, 22)), 17: ((0, 5), (0, 5)), 19: ((0, 20), (0, 21)),
+        21: ((0, 17), (0, 18)), 22: ((0, 10), (0, 16)),
     }

@@ -569,6 +569,79 @@ def test_delete_node_in_large_scc_extracts_once():
         assert_agrees(idx, mirror)
 
 
+class CountingList(list):
+    """An input adjacency list that counts the loops over it."""
+
+    loops = 0
+
+    def __iter__(self):
+        self.loops += 1
+        return super().__iter__()
+
+
+def test_deleting_hub_out_edges_never_scans_the_hub():
+    # A star: hub 0 with an edge to and from each of 2,000 leaves, one SCC
+    # whose trees are rooted at the hub, the node of highest degree.
+    # Deleting (0, leaf) leaves the leaf without an in-edge: it finds no
+    # new out-tree parent, and its race against the hub runs dry on the
+    # leaf's side before the hub's side expands.
+    leaves = 2000
+    edges = [(0, x) for x in range(1, leaves + 1)] + [(x, 0) for x in range(1, leaves + 1)]
+    idx = ReachabilityIndex.build(edges, leaves + 1, LabelerConfig(k=1, seed=0))
+    g = idx.graph
+    assert g._trees[idx.find(0)][0] == 0
+    g._out_i[0] = CountingList(g._out_i[0])
+    g._in_i[0] = CountingList(g._in_i[0])
+    mirror = Mirror(edges, leaves + 1)
+    for x in range(1, 201):
+        idx.delete_edge(0, x)
+        mirror.delete_edge(0, x)
+    assert g._out_i[0].loops == g._in_i[0].loops == 0
+    assert g.scc_size(idx.find(0)) == leaves - 200 + 1
+    assert_agrees(idx, mirror)
+
+
+def test_an_item_that_meets_the_root_without_a_parent_drops_the_trees():
+    # The root 0 finds 1, 3 and 4, then 2 through 1, so 2's out-tree
+    # parent is 1.  Deleting (0, 1) leaves 1 only the in-edge from 2, whose
+    # chain passes 1 itself: 1 finds no parent, yet its race meets the
+    # root through 3.  The trees are dropped and the SCC stays whole; the
+    # next internal deletion plants new ones, at 0, and keeps them.
+    edges = [(0, 1), (0, 3), (0, 4), (4, 0), (1, 2), (3, 2), (2, 1), (2, 0)]
+    idx = ReachabilityIndex.build(edges, 5, LabelerConfig(k=1, seed=0))
+    g = idx.graph
+    s = idx.find(0)
+    assert g._trees[s][0] == 0 and g._tout[2] == 1
+    mirror = Mirror(edges, 5)
+    idx.delete_edge(0, 1)
+    mirror.delete_edge(0, 1)
+    assert s not in g._trees and g.scc_size(s) == 5
+    assert_agrees(idx, mirror)
+    idx.delete_edge(0, 4)  # 4 breaks off
+    mirror.delete_edge(0, 4)
+    assert g._trees[s][0] == 0 and g.scc_size(s) == 4
+    assert_agrees(idx, mirror)
+
+
+def test_a_node_that_joins_a_component_with_trees_hangs_at_its_next_deletion():
+    edges = random_strongly_connected(30, 10, seed=2)
+    idx = ReachabilityIndex.build(edges, 30, LabelerConfig(k=1, seed=0))
+    g = idx.graph
+    s = idx.find(0)
+    root, gen, pending = g._trees[s]
+    idx.insert_node(30, out_edges=[5], in_edges=[9])  # joins s, in no tree yet
+    x = g.input_slot(30)
+    assert idx.find(30) == s and pending == [x] and g._tgen[x] != gen
+    mirror = Mirror(edges, 30)
+    mirror.insert_node(30, [5], [9])
+    assert_agrees(idx, mirror)
+    u, v = next((u, v) for u, v in edges if u != v and root not in (u, v))
+    idx.delete_edge(u, v)
+    mirror.delete_edge(u, v)
+    assert g._trees[s][:2] == (root, gen) and g._trees[s][2] == [] and g._tgen[x] == gen
+    assert_agrees(idx, mirror)
+
+
 def test_merge_then_delete_restores_partition():
     for seed in range(10):
         n = 40
