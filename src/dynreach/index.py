@@ -46,7 +46,8 @@ containment along DAG edges (GRAIL's condition), and the only DAG edges
 that can lack it are the ones the merge created: from the representative
 to the external children moved onto it, and from the external parents
 moved onto it to the representative.  The merge hands just those edges to
-``propagate``, as an insertion hands over its one edge.  That repairs each
+``propagate``, as an insertion hands over its one edge, and calls nothing
+when there are none, as when a node joins before its edges.  That repairs each
 edge from its cheaper side: it lowers a new child's end, and the ends
 below it, when the representative has more DAG parents than the child
 has DAG children and the lowering stays within a small budget, and
@@ -97,7 +98,7 @@ from collections import defaultdict
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
-from .errors import InputError, LogicError
+from .errors import InputError, InternalError, LogicError
 from .graph import SccGraph
 from .labeling import IntervalLabeler, Label, LabelerConfig
 from .ops import DeleteEdge, InsertEdge, UpdateOp
@@ -125,8 +126,10 @@ class ReachabilityIndex:
         self.graph = graph
         self.labeler = labeler
         # Visit marks of searches and extractions: a slot is marked by
-        # the current search iff it holds that search's stamp.
+        # the current search iff it holds that search's stamp.  The label
+        # columns always have as many slots (``_ensure_capacity``).
         self._vis: list[int] = [0] * graph.capacity
+        labeler.ensure_capacity(graph.capacity - 1)
         self._stamp = 0
         # (visited, pruned) of the last query's search.
         self._searched = 1, 0
@@ -152,11 +155,14 @@ class ReachabilityIndex:
     # capacity plumbing
 
     def _ensure_capacity(self) -> None:
-        """Grow the scratch arrays and labels to the graph's capacity; the
-        capacity grows only on node insertion, merge and split."""
+        """Grow the visit marks and the label columns to the graph's
+        capacity, which grows only on node insertion, merge and split.
+        Both start at the capacity and only grow here, together, so when
+        the marks cover it the columns do too and nothing is done."""
         cap = self.graph.capacity
-        if len(self._vis) < cap:
-            self._vis.extend([0] * (cap - len(self._vis)))
+        if len(self._vis) >= cap:
+            return
+        self._vis.extend([0] * (cap - len(self._vis)))
         self.labeler.ensure_capacity(cap - 1)
 
     # ------------------------------------------------------------------
@@ -253,11 +259,14 @@ class ReachabilityIndex:
         ``propagate`` over those edges lowers a child below ``rep`` or
         raises ``rep`` over it, and lowers ``rep`` below a parent or raises
         the parent and its ancestry over ``rep``; only the absorbed
-        members' adjacency is scanned."""
+        members' adjacency is scanned.  A merge that gave ``rep`` no new
+        DAG edge, as when a lone node with no edge yet joins a component,
+        has no edge to repair and calls no ``propagate``."""
         g = self.graph
         rep, kids, parents = g.merge_components(mlist)
         self._ensure_capacity()
-        self.labeler.propagate(g, [*((c, (rep,)) for c in kids), (rep, parents)])
+        if kids or parents:
+            self.labeler.propagate(g, [*((c, (rep,)) for c in kids), (rep, parents)])
 
     def collect_merge_list(self, t: int, s: int) -> list[int]:
         """Every component on some t-to-s path, with ``s`` first and ``t``
@@ -490,15 +499,16 @@ class ReachabilityIndex:
 
     def _split(self, s: int, tails: Sequence[int], heads: Sequence[int]) -> None:
         """Split SCC ``s`` after the removal of internal edges with these
-        tails and heads, and relabel the pieces."""
+        tails and heads, and relabel the pieces.  ``s``'s label columns
+        are not touched by the split itself, so the remnant's label is
+        read from them (``IntervalLabeler.relabel_split``)."""
         split = self.extract_components(s, tails, heads)
         if split is None:
             return
         keep, comps = split
-        old_label = self.labeler.label_of(s)
         clist = self.graph.apply_split(s, keep, comps)
         self._ensure_capacity()
-        self.labeler.relabel_split(self.graph, clist, old_label)
+        self.labeler.relabel_split(self.graph, clist, s)
 
     def extract_components(
         self, s: int, tails: Sequence[int], heads: Sequence[int]
@@ -619,7 +629,7 @@ class ReachabilityIndex:
         comps: list[list[int]] = []
         while True:
             if gen and queue:
-                waiting = self._rehang(queue, waiting, root, gen, gone)
+                waiting = self._rehang(queue, waiting, s, root, gen, gone)
                 queue = []
             if queue:
                 item = queue.pop()
@@ -677,7 +687,7 @@ class ReachabilityIndex:
         return (a, comps) if comps else None
 
     def _rehang(
-        self, queue: list, waiting: list, root: int, gen: int, gone: int
+        self, queue: list, waiting: list, s: int, root: int, gen: int, gone: int
     ) -> list[tuple[int, bool]]:
         """Give each item of ``queue`` whose parent is unset a new parent
         (``extract_components``), trying ``waiting`` again after any
@@ -688,10 +698,14 @@ class ReachabilityIndex:
         whose chain of parents in that tree reaches ``root`` through slots
         of generation ``gen`` with their parent set.  ``x``'s own parent
         is unset, so a chain through ``x``, from one of its descendants,
-        fails: no link closes a cycle."""
+        fails: no link closes a cycle.  A chain of the trees visits each
+        member of ``s`` at most once, so a walk of more links than ``s``
+        has members has met a cycle the trees should never hold, and
+        raises ``InternalError`` instead of walking it forever."""
         g = self.graph
         out_i, in_i, tout, tin, tgen = g._out_i, g._in_i, g._tout, g._tin, g._tgen
         vis = self._vis
+        limit = g._size[s]
         while queue:
             hung = False
             for item in queue:
@@ -701,7 +715,14 @@ class ReachabilityIndex:
                     continue
                 for q in (out_i if forward else in_i)[x]:
                     z = q
+                    walk = limit
                     while z != root and z != -1 and tgen[z] == gen:
+                        if not walk:
+                            raise InternalError(
+                                f"the {'in' if forward else 'out'}-tree chain from slot {q} in component {s}"
+                                f" passes more than {limit} links: it holds a cycle"
+                            )
+                        walk -= 1
                         z = links[z]
                     if z == root:
                         links[x] = q
@@ -774,8 +795,9 @@ class ReachabilityIndex:
         cycle through the node, so the node first joins the largest such
         component ``C`` (``_merge``), before any edge.  The node has no
         edge yet, so the merge moves nothing and runs no search, and ``C``
-        keeps its label (a lone input node ``C`` gets a fresh component,
-        which the merge's ``propagate`` labels).  Only one component joins
+        keeps its label and no ``propagate`` runs (a lone input node ``C``
+        gets a fresh component, which the merge's ``propagate`` labels over
+        ``C``'s DAG edges).  Only one component joins
         this way: two of them may have a path between them through
         components that the node's edges do not touch.  Then each
         out-edge, then each in-edge, runs through ``insert_edge``; those

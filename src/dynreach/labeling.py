@@ -11,7 +11,11 @@ resolves.
 
 Two steps maintain the labels.  ``_post_order`` labels one randomized
 post-order, of the whole condensation on a build and of the pieces of a
-split component.  ``propagate`` takes DAG edges that may lack
+split component (``relabel_split``), whose remnant keeps the split
+component's label, read from its own columns.  A split that detaches one
+piece runs only the exit step of that post-order, on the piece, and
+draws what the post-order would draw, so the labels are the same.
+``propagate`` takes DAG edges that may lack
 containment, as ``(child, parents)`` pairs: an insertion passes its new
 edge, a merge the edges it gave its representative, and a split the
 edges into its pieces.  It repairs each end from the cheaper side.  When
@@ -148,16 +152,21 @@ class IntervalLabeler:
         roots = [s for s in nodes if not in_d[s]]
         self.ensure_capacity(graph.capacity - 1)
         for d in range(self.k):
-            if self._post_order(graph, d, roots, graph._out_d, 0) != len(nodes):
+            state = bytearray(graph.capacity)
+            if self._post_order(graph, d, roots, graph._out_d, 0, state) != len(nodes):
                 raise InternalError("condensation contains nodes unreachable from any root")
 
     def _post_order(
         self, graph: SccGraph, d: int, roots: Iterable[int], kids: Sequence | Mapping, ctr: int,
-        skip: int = -1,
+        state: bytearray | dict[int, int], skip: int = -1,
     ) -> int:
         """Label dimension ``d`` by one post-order traversal from ``roots``
         (in shuffled order, sharing a counter that starts at ``ctr``),
-        following ``kids[node]`` (in shuffled order).
+        following ``kids[node]`` (in shuffled order).  ``state`` marks a
+        node 0 (new), 1 (active) or 2 (done), and holds 0 for every node
+        the traversal can reach: a ``bytearray`` over all slots on a
+        build, and on a split a ``dict`` over the sub-DAG's members, so
+        that its cost does not grow with the graph.
 
         Exiting a node other than ``skip`` advances the counter by the
         component size and gives the node the begin ``min(entry counter,
@@ -168,7 +177,6 @@ class IntervalLabeler:
         """
         b_col, e_col = self._b[d], self._e[d]
         out_d, size = graph._out_d, graph._size
-        state = bytearray(graph.capacity)  # 0 new, 1 active, 2 done
         hi = self._max_end[d]
         labeled = 0
         for root in self._ordered(d, list(roots)):
@@ -207,21 +215,37 @@ class IntervalLabeler:
         self._max_end[d] = hi
         return labeled
 
-    def relabel_split(self, graph: SccGraph, clist: Sequence[int], old_label: Label) -> None:
-        """Label the pieces of a split component.
+    def relabel_split(self, graph: SccGraph, clist: Sequence[int], s: int) -> None:
+        """Label the pieces of the split component ``s``.
 
         ``clist`` holds the detached pieces with the remnant last.  The
-        remnant keeps the split component's label ``old_label``: its
-        edges to and from outside were the component's, so they stay
-        covered.  The pieces and the remnant form a sub-DAG; per
-        dimension, a post-order over it from its sources (for one deleted
-        edge, the sole source is the head's piece, and the remnant may sit
-        anywhere below it) labels the pieces (``_post_order``), the
-        counter starting at the old begin and passing over the remnant.
-        Pieces above the remnant so cover it, and pieces below it normally
-        fall inside its label; propagating over the edges into the pieces
-        restores containment where it lacks, by lowering a piece or raising
-        a parent, the remnant among them.
+        remnant keeps ``s``'s label: its edges to and from outside were
+        the component's, so they stay covered.  When it is ``s`` itself
+        its columns are left as they are; when ``s`` dissolved to one
+        node, that node takes ``s``'s label.  The pieces and the remnant
+        form a sub-DAG; per dimension, a post-order over it from its
+        sources (for one deleted edge, the sole source is the head's
+        piece, and the remnant may sit anywhere below it) labels the
+        pieces (``_post_order``), the counter starting at ``s``'s begin
+        and passing over the remnant.  Pieces above the remnant so cover
+        it, and pieces below it normally fall inside its label;
+        propagating over the edges into the pieces restores containment
+        where it lacks, by lowering a piece or raising a parent, the
+        remnant among them.
+
+        One piece is labelled by the post-order's exit step alone: the
+        remnant adds nothing to the counter, so the piece exits with it
+        at ``s``'s begin ``b_s`` plus its size.  Per dimension it gets the
+        begin ``min(b_s, its DAG children's begins)`` and the end
+        ``max(b_s + size, its DAG children's ends + 1)``, the label the
+        post-order gives, and the same propagation follows.  With a DAG
+        edge to or from the remnant, the sub-DAG is that edge, and every
+        list the post-order would shuffle has fewer than two entries, so
+        it draws nothing; apart from the remnant, as a deleted node is,
+        the piece and the remnant are two sources, whose shuffle the
+        post-order draws, and the same draw is made, though either order
+        gives the piece the same label.  So later draws, and the labels,
+        are those of the post-order.
         The remnant's own edges are never scanned, so the cost follows the
         pieces' degrees.
         """
@@ -231,8 +255,34 @@ class IntervalLabeler:
         cset = set(clist)
         if len(cset) != len(clist) or not pieces:
             raise LogicError("split list must hold at least two distinct components")
-        self.set_label(remnant, old_label)
+        cols = self._cols
+        if remnant != s:
+            for b_col, e_col in cols:
+                b_col[remnant] = b_col[s]
+                e_col[remnant] = e_col[s]
         out_d, in_d = graph._out_d, graph._in_d
+        if len(pieces) == 1:
+            p = pieces[0]
+            children = out_d[p]
+            apart = remnant not in children and remnant not in in_d[p]
+            size = graph._size[p]
+            hi = self._max_end
+            for d, (b_col, e_col) in enumerate(cols):
+                if apart:  # the post-order's shuffle of its two sources
+                    self._ordered(d, [p, remnant])
+                begin = b_col[s]
+                end = begin + size
+                for c in children:
+                    if b_col[c] < begin:
+                        begin = b_col[c]
+                    if e_col[c] >= end:
+                        end = e_col[c] + 1
+                b_col[p] = begin
+                e_col[p] = end
+                if end > hi[d]:
+                    hi[d] = end
+            self.propagate(graph, ((p, in_d[p]),))
+            return
         kids: dict[int, list[int]] = {w: [] for w in clist}
         fed: set[int] = set()  # members with a parent inside the sub-DAG
         for p in pieces:
@@ -245,7 +295,7 @@ class IntervalLabeler:
                 fed.add(p)
         sources = [w for w in clist if w not in fed]
         for d in range(self.k):
-            self._post_order(graph, d, sources, kids, old_label[d][0], skip=remnant)
+            self._post_order(graph, d, sources, kids, self._b[d][s], dict.fromkeys(clist, 0), skip=remnant)
         self.propagate(graph, [(w, in_d[w]) for w in pieces])
 
     # ------------------------------------------------------------------

@@ -3,6 +3,7 @@ hashes labels and DAG adjacency."""
 from __future__ import annotations
 
 import importlib.util
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -49,6 +50,24 @@ def test_smoke_part_total_is_pinned(capsys, monkeypatch, seed):
     monkeypatch.setitem(SPECS, "churn", smoke(SPECS["churn"]))
     label_digest.main(["--workload", "churn", "--seed", str(seed), "--part", "0"])
     assert capsys.readouterr().out.splitlines()[-1] == f"40 updates: {SMOKE_TOTALS[seed]}"
+
+
+#: The total for part 0 of a read-mostly smoke script of 400 updates for
+#: each seed, as printed by the code that first pinned it.  Its deletions
+#: split an SCC 12, 12 and 9 times, 9, 9 and 6 times into one piece next
+#: to the remnant; a churn smoke part splits 2 or 3 times.
+SPLIT_TOTALS = {
+    1: "7ef457c905e4375704b273597ccf4c3f20337ce3089a3cc702b2321e5f0e1dd6",
+    2: "fde714315e110e9097239f6d251bf412a65cdafc9cf471fe49dfe45836f766f5",
+    3: "ea4b97d6ef32455399e22bbc0d60548d4542d61c433db39d7faa802145a4b245",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SPLIT_TOTALS))
+def test_split_heavy_part_total_is_pinned(capsys, monkeypatch, seed):
+    monkeypatch.setitem(SPECS, "read-mostly", replace(smoke(SPECS["read-mostly"]), updates=400))
+    label_digest.main(["--workload", "read-mostly", "--seed", str(seed), "--part", "0"])
+    assert capsys.readouterr().out.splitlines()[-1] == f"400 updates: {SPLIT_TOTALS[seed]}"
 
 
 def test_hash_covers_dag_multiplicities_and_their_order():

@@ -305,3 +305,134 @@ def test_update_sequence_labels_are_pinned():
         16: ((0, 21), (0, 22)), 17: ((0, 5), (0, 5)), 19: ((0, 20), (0, 21)),
         21: ((0, 17), (0, 18)), 22: ((0, 10), (0, 16)),
     }
+
+
+#: One-piece splits of a ring 0 -> 1 -> 2 -> 3 -> 0 with the child 7,
+#: beside the chain 9 -> 10: a traversal that takes the chain first
+#: enters the ring at 2, and one that takes the ring last gives it the
+#: largest end; and of a two-cycle {0, 1}.  Per case: the edges, the edge
+#: deleted, and a node of the piece that breaks off.
+_RING = [(0, 1), (1, 2), (2, 3), (3, 0), (3, 7), (9, 10)]
+ONE_PIECE_SPLITS = {
+    # 4 breaks off above the ring, with no parent of its own: where the
+    # ring ends last, 4 ends above every label so far.
+    "above": (_RING + [(4, 0), (2, 4), (4, 10), (4, 5)], (2, 4), 4),
+    # 4 breaks off below the ring, with no child of its own.
+    "below": (_RING + [(0, 4), (4, 2), (6, 4)], (4, 2), 4),
+    # The two-cycle {4, 5} breaks off below the ring, a piece of size 2.
+    "multi": (_RING + [(4, 5), (5, 4), (0, 4), (5, 2), (6, 4)], (5, 2), 4),
+    # Deleting 0 -> 1 splits the two-cycle {0, 1} into two lone nodes:
+    # the remnant dissolves to one of them.
+    "dissolve": ([(0, 1), (1, 0), (0, 2), (1, 2), (1, 3), (4, 0), (4, 1), (5, 1), (4, 6), (6, 7)], (0, 1), 0),
+}
+
+#: The labeler seed of these cases.
+SEED = 5
+
+#: The labels of every component and the largest end given in each
+#: dimension after each split, at k 3, as the sub-DAG post-order gave
+#: them: each dimension is drawn from its own generator, so at k 1 and 2
+#: they are the first dimensions of these.
+ONE_PIECE_LABELS = {
+    "above": {
+        4: ((2, 11), (0, 9), (2, 12)),
+        5: ((2, 3), (2, 3), (5, 6)),
+        6: ((0, 1), (10, 11), (1, 2)),
+        7: ((3, 4), (1, 2), (4, 5)),
+        8: ((1, 2), (8, 9), (0, 1)),
+        9: ((4, 11), (0, 10), (2, 4)),
+        10: ((4, 5), (0, 1), (2, 3)),
+        11: ((2, 10), (0, 8), (2, 11)),
+    },
+    "below": {
+        4: ((1, 2), (2, 3), (0, 1)),
+        5: ((0, 1), (10, 11), (7, 8)),
+        6: ((1, 8), (2, 9), (0, 7)),
+        7: ((1, 2), (2, 3), (0, 1)),
+        8: ((10, 11), (9, 10), (8, 9)),
+        9: ((8, 10), (0, 2), (9, 11)),
+        10: ((8, 9), (0, 1), (9, 10)),
+        11: ((1, 7), (2, 8), (0, 6)),
+    },
+    "dissolve": {
+        0: ((0, 2), (0, 2), (2, 4)),
+        1: ((0, 4), (0, 4), (2, 6)),
+        2: ((0, 1), (0, 1), (2, 3)),
+        3: ((1, 2), (1, 2), (3, 4)),
+        4: ((0, 7), (0, 8), (0, 7)),
+        5: ((0, 8), (0, 5), (2, 8)),
+        6: ((4, 6), (5, 7), (0, 2)),
+        7: ((4, 5), (5, 6), (0, 1)),
+    },
+    "multi": {
+        6: ((0, 8), (3, 11), (2, 10)),
+        7: ((0, 1), (3, 4), (2, 3)),
+        8: ((8, 9), (2, 3), (10, 11)),
+        9: ((9, 11), (0, 2), (0, 2)),
+        10: ((9, 10), (0, 1), (0, 1)),
+        11: ((0, 7), (3, 10), (2, 9)),
+        12: ((0, 2), (3, 5), (2, 4)),
+    },
+}
+ONE_PIECE_MAX_END = {
+    "above": [11, 11, 12],
+    "below": [11, 11, 11],
+    "dissolve": [8, 8, 8],
+    "multi": [11, 11, 11],
+}
+
+
+def one_piece_split(case: str, k: int) -> tuple[ReachabilityIndex, Mirror, int, list]:
+    """The index and the mirror after the split, the number of components
+    before it, and the generators' states before it."""
+    edges, (u, v), _ = ONE_PIECE_SPLITS[case]
+    n = 1 + max(max(e) for e in edges)
+    idx = ReachabilityIndex.build(edges, n, LabelerConfig(k=k, seed=SEED))
+    before = len(idx.graph.current_dag_nodes())
+    states = [rng.getstate() for rng in idx.labeler._rngs]
+    idx.delete_edge(u, v)
+    mirror = Mirror(edges, n)
+    mirror.delete_edge(u, v)
+    return idx, mirror, before, states
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("case", sorted(ONE_PIECE_SPLITS))
+def test_one_piece_split_labels_are_pinned(case, k):
+    # Exactly one piece breaks off, next to the remnant: its label is the
+    # exit step of the post-order over the one edge between them, which
+    # draws no random number.
+    edges, (u, v), x = ONE_PIECE_SPLITS[case]
+    idx, mirror, before, states = one_piece_split(case, k)
+    g = idx.graph
+    piece, remnant = idx.find(x), idx.find(u if x == v else v)
+    assert len(g.current_dag_nodes()) == before + 1
+    assert remnant in g.dag_children(piece) or remnant in g.dag_parents(piece)
+    assert g.scc_size(piece) == (2 if case == "multi" else 1)
+    labels = {s: idx.label_of(s) for s in g.current_dag_nodes()}
+    assert labels == {s: label[:k] for s, label in ONE_PIECE_LABELS[case].items()}
+    assert idx.labeler._max_end == ONE_PIECE_MAX_END[case][:k]
+    assert [rng.getstate() for rng in idx.labeler._rngs] == states
+    check_label_invariants(idx)
+    assert_agrees(idx, mirror)
+
+
+#: The next 32 random bits of each dimension's generator once the node
+#: 4 of ``_RING + [(4, 0), (2, 4)]`` is deleted, at seed 5, as the sub-DAG
+#: post-order left them.
+APART_NEXT_BITS = [557789312, 3069987371]
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_a_piece_apart_from_the_remnant_draws_what_the_post_order_draws(k):
+    # Deleting 4 leaves it a lone piece with no edge: the post-order
+    # would start from it and the ring in shuffled order, so the same
+    # shuffle of two is drawn in each dimension, and every later draw is
+    # the post-order's.
+    edges = _RING + [(4, 0), (2, 4)]
+    idx = ReachabilityIndex.build(edges, 11, LabelerConfig(k=k, seed=SEED))
+    idx.delete_node(4)
+    mirror = Mirror(edges, 11)
+    mirror.delete_node(4)
+    assert_agrees(idx, mirror)
+    assert [rng.getrandbits(32) for rng in idx.labeler._rngs] == APART_NEXT_BITS[:k]

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+import signal
 
 import pytest
 
@@ -10,6 +11,7 @@ from dynreach import (
     InputError,
     InsertEdge,
     InsertNode,
+    InternalError,
     IntervalLabeler,
     LabelerConfig,
     LogicError,
@@ -642,6 +644,31 @@ def test_a_node_that_joins_a_component_with_trees_hangs_at_its_next_deletion():
     assert_agrees(idx, mirror)
 
 
+def test_a_cycle_in_a_tree_raises_instead_of_hanging():
+    # The root 0 finds 1, 3 and 4, then 2 through 1.  With the out-tree
+    # links of 3 and 4 corrupted into the 2-cycle 3 <-> 4, deleting (1, 2)
+    # makes 2 re-hang on its other in-neighbour 3, whose chain never
+    # reaches the root.  The alarm turns a hang into a failure.
+    edges = [(0, 1), (0, 3), (0, 4), (4, 0), (1, 2), (3, 2), (2, 1), (2, 0), (1, 0), (3, 0)]
+    idx = ReachabilityIndex.build(edges, 5, LabelerConfig(k=1, seed=0))
+    g = idx.graph
+    s = idx.find(0)
+    assert g.scc_size(s) == 5 and g._trees[s][0] == 0 and g._tout[2] == 1
+    g._tout[3], g._tout[4] = 4, 3
+
+    def hang(signum, frame):
+        raise AssertionError("the re-hang kept walking the cycle")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(10)
+    try:
+        with pytest.raises(InternalError, match="cycle"):
+            idx.delete_edge(1, 2)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def test_merge_then_delete_restores_partition():
     for seed in range(10):
         n = 40
@@ -916,6 +943,34 @@ def test_cycle_of_singletons_merges_into_a_fresh_node(k, child):
     check_label_invariants(idx)
     assert idx.scc_partition() == mirror.partition()
     assert_all_pairs(idx, mirror)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_visit_marks_and_label_columns_grow_with_the_capacity(k):
+    # The ring 0 -> 1 -> 2 -> 3 -> 0 holds the two-cycle {4, 5}.  Two
+    # inserted nodes, the fresh representative of their merge and the
+    # piece {4, 5} that deleting (5, 2) detaches each take a new slot.
+    edges = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5), (5, 4), (5, 2)]
+    idx = ReachabilityIndex.build(edges, 6, LabelerConfig(k=k, seed=1))
+    g = idx.graph
+    mirror = Mirror(edges, 6)
+    steps = [
+        lambda i: i.insert_node(6, [], []),
+        lambda i: i.insert_node(7, [0], []),
+        lambda i: i.insert_edge(6, 7),
+        lambda i: i.insert_edge(7, 6),  # merges 6 and 7 into a fresh node
+        lambda i: i.delete_edge(5, 2),
+    ]
+    caps = [g.capacity]
+    for step in steps:
+        step(idx)
+        step(mirror)
+        caps.append(g.capacity)
+        assert len(idx._vis) == g.capacity
+        assert [len(col) for col in (*idx.labeler._b, *idx.labeler._e)] == [g.capacity] * 2 * k
+    assert caps == [7, 8, 9, 9, 10, 11]  # six inputs and the ring's slot first
+    assert g.scc_size(idx.find(6)) == g.scc_size(idx.find(4)) == 2
+    assert_agrees(idx, mirror)
 
 
 def test_insert_node_with_merging_in_edge():
