@@ -47,9 +47,11 @@ entry.  ``pending`` lists the lone inputs that joined the component since
 its last internal deletion, and are in no tree yet.  ``build`` gives
 trees to the SCC of the node of highest degree; the index gives them to
 any other component at its first internal deletion and keeps them
-through its deletions (``ReachabilityIndex.extract_components``); a
-merge that absorbs a multi-node SCC, or a split that leaves one node,
-drops them.
+through its deletions (``ReachabilityIndex.extract_components``).  A
+merge that absorbs a multi-node SCC drops them, as do a split that
+leaves one node and a deletion the trees cannot certify (the root
+breaks off, or a search from the root runs dry or meets a slot that
+found no parent), which decomposes what is left with a Tarjan instead.
 
 Every node lives in a slot of one dense internal id space.  Callers name
 input nodes by external ids, which the graph maps to slots in exactly one

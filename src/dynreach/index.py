@@ -76,14 +76,13 @@ tree path can only break at a removed edge or at a slot that broke off,
 and the first break on it is checked.  A search that runs dry first has
 found a closed set, which breaks off and is decomposed on its own; the
 slots of the rest whose tree parent it held are checked in turn.  When
-the trees cannot help (the root breaks off, or a slot that found no
-parent is still joined to it), they are dropped and the same loop checks
-both ends of every removed edge and the far end of every edge of a
-broken-off set against an anchor, which moves when its own side runs
-dry.  A deletion therefore costs in proportion to the edges of the
-pieces that break off, plus the re-hangs and the races that met, never
-the size of what is left; the remnant keeps its handle, containment
-chain, label and trees.
+the trees cannot help (the root breaks off, the root's side of a race
+runs dry, or a slot that found no parent is still joined to the root),
+they are dropped, and what is left of the SCC is decomposed by one
+Tarjan restricted to it, whose largest piece keeps the handle.  Otherwise
+a deletion costs in proportion to the edges of the pieces that break
+off, plus the re-hangs and the races, never the size of what is left;
+the remnant keeps its handle, containment chain, label and trees.
 
 Public methods take external node ids and translate them to graph slots
 once, on entry; everything below that boundary (extraction, splits,
@@ -517,26 +516,11 @@ class ReachabilityIndex:
         edges with these tails and heads (``tails[i]`` to ``heads[i]``)
         are gone.
 
-        The remnant ``R`` starts as all of ``s``, around an anchor ``a``.
-        An item ``(x, forward)`` asks that ``x`` still reach ``a`` inside
-        ``R`` (``forward``), or that ``a`` still reach ``x``.  An item is
-        settled by a race when nothing cheaper settles it: a search from
-        ``x`` and one from ``a``, in opposite directions and inside ``R``,
-        take turns by edges scanned (``_race``).
-
-        * They meet: the item holds.
-        * ``x``'s search runs dry first: its closed set ``D`` misses ``a``
-          and is a union of final components.  ``D`` leaves ``R`` and is
-          decomposed on its own: a lone node is its own component, a
-          larger set goes through a Tarjan restricted to it.  The edges
-          between ``D`` and ``R`` are now missing from ``R`` just like
-          removed ones, so their far ends in ``R`` give new items.
-        * ``a``'s search runs dry first: its closed set is detached the
-          same way, and ``x`` becomes the anchor.
-
-        With trees (``SccGraph`` keeps an out- and an in-tree per
-        component, see its module docstring) the anchor is their root,
-        and the items are only the slots whose tree parent edge is gone:
+        ``s`` must hold an out-tree and an in-tree from its member
+        ``root`` (``SccGraph`` keeps them, see its module docstring; both
+        callers plant them first), else ``LogicError``.  The remnant ``R``
+        starts as all of ``s``.  An item ``(x, forward)`` is a slot whose
+        parent edge in the in-tree (``forward``) or the out-tree is gone:
         the head of a removed edge that was its out-tree parent edge, the
         tail of one that was its in-tree parent edge, every pending input
         (in both trees), and, when a set ``D`` detaches, the slots of
@@ -550,7 +534,13 @@ class ReachabilityIndex:
         in the trees, which detached slots leave.  An item that finds no
         such neighbour waits, and is tried again once another item has
         re-hung, since its parent may be one of them.  Only the items that
-        still find none race the root.
+        still find none race the root: a search from ``x`` and one from
+        the root, in opposite directions and inside ``R``, take turns by
+        edges scanned (``_race``).  When ``x``'s search runs dry first,
+        its closed set ``D`` misses the root and is a union of final
+        components.  ``D`` leaves ``R`` and is decomposed on its own: a
+        lone node is its own component, a larger set goes through a
+        Tarjan restricted to it.
 
         That is complete.  A remaining member's tree path can only break
         at a removed edge or a detached slot, and the first break below
@@ -560,95 +550,70 @@ class ReachabilityIndex:
         item: every member of ``R`` is reached from the root and reaches
         it.
 
-        The trees are dropped when they cannot help, and the extraction
-        goes on without them, in the same loop, over all the items a
-        tree-less one has: each removed edge's tail and head, and the far
-        ends of the edges between every detached set and ``R``.  That is
-        when the root has lost every edge on one side (it breaks off;
-        a deleted root has lost all), when the root's side of a race runs
-        dry, and when an item that found no parent meets the root (its
-        chain passes another item that found none).  The next internal
-        deletion gives ``s`` new trees.  Without trees the anchor starts as
-        the first head, every item races, and when the anchor's side runs
-        dry every item whose node is still in ``R`` races again.  That is
-        complete too: a node that no longer reaches ``a`` had a path to it
-        in ``s``, and the first edge of that path that is removed or
-        leads into a detached set has a tail the node still reaches,
-        which then fails too; symmetrically for heads.  Detaching a closed
-        set never breaks a path that settled an item earlier under the
-        same anchor, so when no item is left ``R`` is strongly connected
-        and is the remnant.
+        The trees give up when the root has lost every edge on one side
+        (it breaks off; a deleted root has lost all), when the root's
+        side of a race runs dry, and when an item that found no parent
+        meets the root (its chain passes another item that found none).
+        Then what is left of ``s``, the slots of the trees' generation,
+        is decomposed by one Tarjan restricted to it, which is exact.
+        Its largest piece is the remnant, a tie between lone nodes going
+        to the root, or to the first head when the root broke off: a
+        live slot, as a deleted node has no edge left and so is a lone
+        node, and is neither.  The trees are dropped, and the next
+        internal deletion plants new ones.
 
         Cost: a race that runs dry has scanned about as many edges on the
         other side as its closed set holds, so a deletion costs in
         proportion to the edges of the pieces that break off, plus the
-        re-hangs' chain walks, plus the races that met.  The remnant is
-        never enumerated.
+        re-hangs' chain walks, plus the races; only when the trees give
+        up is the remnant enumerated, by a scan of every slot's
+        generation and the Tarjan.
 
-        Returns the anchor, a slot of the remnant, and the detached
-        components; None when nothing breaks off.
+        Returns a slot of the remnant and the detached components; None
+        when nothing breaks off.
         """
         g = self.graph
         find = g._find
         for x in (*tails, *heads):
             if find(x) != s:
                 raise LogicError(f"slot {x} is not a member of component {s}")
+        try:
+            root, gen, pending = g._trees.pop(s)  # put back at the end if kept
+        except KeyError:
+            raise LogicError(f"component {s} has no trees") from None
         out_i, in_i = g._out_i, g._in_i
         tout, tin, tgen = g._tout, g._tin, g._tgen
         vis = self._vis
         self._stamp += 1
         gone = self._stamp  # the mark of detached slots
-        # Every item a tree-less extraction needs; the flag says whether
-        # the slot's search runs forward (and a's backward).
-        items = [(x, True) for x in tails] + [(x, False) for x in heads]
-        a = heads[0]
-        gen = 0  # the trees' generation while there are trees, else 0
-        trees = g._trees.pop(s, None)  # put back at the end if kept
-        if trees is not None:
-            root, gen, pending = trees
-            if not out_i[root] or not in_i[root]:
-                gen = 0
-        if gen:
-            a = root
-            queue = []
-            for t, h in zip(tails, heads):
-                if tout[h] == t:
-                    tout[h] = -1
-                    queue.append((h, False))
-                if tin[t] == h:
-                    tin[t] = -1
-                    queue.append((t, True))
-            for x in pending:
-                tgen[x] = gen
-                tout[x] = tin[x] = -1
-                queue += ((x, False), (x, True))
-        else:
-            queue = list(items)
-        settled: set[tuple[int, int]] = set()
+        queue = []
+        for t, h in zip(tails, heads):
+            if tout[h] == t:
+                tout[h] = -1
+                queue.append((h, False))
+            if tin[t] == h:
+                tin[t] = -1
+                queue.append((t, True))
+        for x in pending:
+            tgen[x] = gen
+            tout[x] = tin[x] = -1
+            queue += ((x, False), (x, True))
         waiting: list[tuple[int, bool]] = []  # items that found no parent
         comps: list[list[int]] = []
-        while True:
-            if gen and queue:
+        held = bool(out_i[root] and in_i[root])  # the root has not broken off
+        while held:
+            if queue:
                 waiting = self._rehang(queue, waiting, s, root, gen, gone)
                 queue = []
-            if queue:
-                item = queue.pop()
-            elif waiting:
-                item = waiting.pop()
-            else:
+            if not waiting:
+                g._trees[s] = (root, gen, [])
+                return (root, comps) if comps else None
+            x, forward = waiting.pop()
+            if vis[x] == gone:
+                continue
+            closed = self._race(x, root, s, gone, out_i if forward else in_i, in_i if forward else out_i)
+            if closed is None:  # met without a parent, or the root's side ran dry
                 break
-            x, forward = item
-            if vis[x] == gone or item in settled:
-                continue
-            dry = self._race(x, a, s, gone, out_i if forward else in_i, in_i if forward else out_i)
-            if dry is None:
-                settled.add(item)
-                if gen:  # connected, but not through the trees: drop them
-                    gen = 0
-                    queue = list(items)
-                    waiting = []
-                continue
-            side, closed = dry
             for y in closed:
                 vis[y] = gone
                 tgen[y] = 0
@@ -659,32 +624,24 @@ class ReachabilityIndex:
                 comps.extend(g._tarjan(closed, zero, dict(zero), restricted=True))
             # A closed set reached forward only has edges in from R, which
             # may be in-tree links; one reached backward only has edges out
-            # to R, which may be out-tree links.
-            if forward == (side == 0):
-                fresh = [(w, True) for y in closed for w in in_i[y] if vis[w] != gone and find(w) == s]
-                links = tin
-            else:
-                fresh = [(h, False) for y in closed for h in out_i[y] if vis[h] != gone and find(h) == s]
-                links = tout
-            items += fresh
-            if side == 1:  # the anchor's side ran dry
-                a = x
-                gen = 0
-                settled.clear()
-                queue = list(items)
-                waiting = []
-            elif gen:
-                for item in fresh:
-                    y = item[0]
-                    p = links[y]
-                    if p != -1 and vis[p] == gone:
-                        links[y] = -1
-                        queue.append(item)
-            else:
-                queue += fresh
-        if gen:
-            g._trees[s] = (root, gen, [])
-        return (a, comps) if comps else None
+            # to R, which may be out-tree links.  A slot outside R may keep
+            # a stale link, so only the trees' generation counts.
+            links, adj = (tin, in_i) if forward else (tout, out_i)
+            for y in closed:
+                for w in adj[y]:
+                    p = links[w]
+                    if p != -1 and vis[p] == gone and tgen[w] == gen:
+                        links[w] = -1
+                        queue.append((w, forward))
+        # The trees give up: decompose what is left of s.
+        left = [y for y, t in enumerate(tgen) if t == gen]
+        zero = dict.fromkeys(left, 0)
+        pieces = g._tarjan(left, zero, dict(zero), restricted=True)
+        a = root if held else heads[0]  # live: a deleted node has lost every edge
+        kept = max(pieces, key=lambda c: (len(c), c[0] == a))
+        pieces.remove(kept)
+        comps += pieces
+        return (kept[0], comps) if comps else None
 
     def _rehang(
         self, queue: list, waiting: list, s: int, root: int, gen: int, gone: int
@@ -736,18 +693,18 @@ class ReachabilityIndex:
         return waiting
 
     def _race(
-        self, x: int, a: int, s: int, gone: int, x_adj: list, a_adj: list
-    ) -> tuple[int, list[int]] | None:
-        """Search from ``x`` along ``x_adj`` and from ``a`` along ``a_adj``
-        over the members of ``s`` not marked ``gone``, expanding one node at a
-        time on the side that has scanned fewer edges.  None when the
-        searches meet; otherwise (0 for ``x``'s side, 1 for ``a``'s, the
-        nodes that side found) for the side that ran out of nodes first,
-        whose found set is then closed under its adjacency.  A slot with
-        no containment link is a component of its own, never ``s``, so
-        only a linked one is looked up."""
-        if x == a:
-            return None
+        self, x: int, root: int, s: int, gone: int, x_adj: list, root_adj: list
+    ) -> list[int] | None:
+        """Search from the item ``x`` along ``x_adj`` and from the trees'
+        ``root`` along ``root_adj`` over the members of ``s`` not marked
+        ``gone``, expanding one node at a time on the side that has
+        scanned fewer edges.  Returns the nodes ``x``'s side found when it
+        runs out of nodes first, a set then closed under ``x_adj``; None
+        when the searches meet or the root's side runs out first, which
+        the trees cannot settle.  An item is never the root, whose tree
+        parents are unset.  A slot with no containment link is a
+        component of its own, never ``s``, so only a linked one is looked
+        up."""
         g = self.graph
         parent, find = g._parent, g._find
         vis = self._vis
@@ -755,14 +712,15 @@ class ReachabilityIndex:
         theirs = mine + 1
         self._stamp = theirs
         vis[x] = mine
-        vis[a] = theirs
-        sides = (([x], x_adj, mine, theirs), ([a], a_adj, theirs, mine))
+        vis[root] = theirs
+        sides = (([x], x_adj, mine, theirs), ([root], root_adj, theirs, mine))
         pos = [0, 0]
         cost = [0, 0]
         while True:
-            for side in (0, 1):
-                if pos[side] == len(sides[side][0]):
-                    return side, sides[side][0]
+            if pos[0] == len(sides[0][0]):
+                return sides[0][0]
+            if pos[1] == len(sides[1][0]):
+                return None
             side = 0 if cost[0] <= cost[1] else 1
             found, adj, own, other = sides[side]
             w = found[pos[side]]

@@ -103,13 +103,6 @@ class IntervalLabeler:
     def label_of(self, s: int) -> Label:
         return tuple((self._b[d][s], self._e[d][s]) for d in range(self.k))
 
-    def set_label(self, s: int, label: Label) -> None:
-        for d, (b, e) in enumerate(label):
-            self._b[d][s] = b
-            self._e[d][s] = e
-            if e > self._max_end[d]:
-                self._max_end[d] = e
-
     def ensure_capacity(self, upto: int) -> None:
         """Grow the label columns to hold slot ``upto``.
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from dynreach import IntervalLabeler, LabelerConfig, ReachabilityIndex, SccGraph
+from dynreach import IntervalLabeler, Label, LabelerConfig, ReachabilityIndex, SccGraph
 
 # Hand-worked sample: three multi-node components {A,B,C}, {D,E,F,G},
 # {N,O,P,S,T} plus seven singletons; its condensation has 10 nodes.
@@ -61,6 +61,16 @@ class PinnedLabeler(IntervalLabeler):
         key = self.orders[d]
         nodes.sort(key=lambda x: (key.get(x, 0), x))
         return nodes
+
+
+def set_labels(lab: IntervalLabeler, labels: dict[int, Label]) -> None:
+    """Write these labels into ``lab``'s columns, raising each
+    dimension's largest end as the labeler does."""
+    for x, label in labels.items():
+        for d, (b, e) in enumerate(label):
+            lab._b[d][x] = b
+            lab._e[d][x] = e
+            lab._max_end[d] = max(lab._max_end[d], e)
 
 
 def sample_index(k: int = 1, seed: int = 0, order: str | None = "reversed") -> ReachabilityIndex:

@@ -15,11 +15,13 @@ reach, to a DAG child of their component and to a child's child, and from
 a DAG sink or into a DAG source.
 It starts from one SCC in which most members have in- or out-degree 1
 (a cycle plus a few chords), so deletions break pieces off both ends of
-a removed edge and move the split's anchor.  Its insert-heavy variant
-adds a DAG fringe of parents and children around the SCC and draws few
-deletions, so inserted edges close cycles through the large SCC from
-either end and from the middle of the merge set.  Run many histories of
-both kinds with ``python tests/test_differential.py COUNT``.
+a removed edge, and in about one extraction in five the trees cannot
+certify what is left, which one restricted Tarjan then decomposes.  Its
+insert-heavy variant adds a DAG fringe of parents and children around
+the SCC and draws few deletions, so inserted edges close cycles through
+the large SCC from either end and from the middle of the merge set.  Run
+many histories of both kinds with ``python tests/test_differential.py
+COUNT``.
 """
 from __future__ import annotations
 

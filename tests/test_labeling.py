@@ -20,7 +20,7 @@ from dynreach import (
 from dynreach.labeling import _LOWER_BUDGET
 
 from oracles import Mirror, assert_agrees, check_label_invariants, dag_reach
-from samples import NODE, random_dag, sample_comps, sample_graph, sample_index
+from samples import NODE, random_dag, sample_comps, sample_graph, sample_index, set_labels
 
 # Frozen two-dimensional labeling of the sample condensation: first
 # dimension visits children left to right, second right to left.
@@ -148,11 +148,8 @@ def chain_below_a_busy_node(length: int, s_end: int, k: int) -> ReachabilityInde
     g = SccGraph.build(edges, length + 3)
     lab = IntervalLabeler(LabelerConfig(k=k))
     lab.initial_labels(g)
-    for i in range(length):
-        lab.set_label(i, ((0, 1000 - i),) * k)
-    lab.set_label(length, ((0, s_end),) * k)
-    for p in (length + 1, length + 2):
-        lab.set_label(p, ((0, s_end + 1),) * k)
+    ends = {i: 1000 - i for i in range(length)} | {length: s_end, length + 1: s_end + 1, length + 2: s_end + 1}
+    set_labels(lab, {x: ((0, e),) * k for x, e in ends.items()})
     idx = ReachabilityIndex(g, lab)
     check_label_invariants(idx)
     return idx

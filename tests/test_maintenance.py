@@ -31,6 +31,7 @@ from samples import (
     random_strongly_connected,
     sample_comps,
     sample_index,
+    set_labels,
 )
 
 
@@ -167,8 +168,7 @@ def test_merge_lowers_a_representative_that_is_parent_and_child(k):
     lab = IntervalLabeler(LabelerConfig(k=k))
     lab.initial_labels(g)
     ends = {9: 1, 10: 2, 11: 3, 1: 4, 2: 6, 3: 7, 4: 7, r: 8, 8: 10, 0: 11}
-    for x, e in ends.items():
-        lab.set_label(x, ((0, e),) * k)
+    set_labels(lab, {x: ((0, e),) * k for x, e in ends.items()})
     idx = ReachabilityIndex(g, lab)
     check_label_invariants(idx)
     idx.insert_edge(1, 0)
@@ -449,8 +449,9 @@ def test_delete_split_scenarios():
     assert idx.find(NODE["A"]) == comps["3"]
     check_label_invariants(idx)
 
-    # The search back from the anchor B runs dry on {A, B, C} first, so
-    # that side breaks off and the remnant {N, O, P, S, T} keeps the handle.
+    # The deletion plants trees at N.  B's race against that root runs
+    # dry on {A, B, C} first, so that side breaks off and the remnant
+    # {N, O, P, S, T} keeps the handle.
     idx.delete_edge(NODE["N"], NODE["B"])
     c1 = idx.find(NODE["A"])
     assert c1 != comps["3"] and idx.graph.scc_size(c1) == 3
@@ -477,6 +478,14 @@ def test_extract_requires_membership():
     comps = sample_comps(idx.graph)
     with pytest.raises(LogicError):
         idx.extract_components(comps["1"], (NODE["A"],), (NODE["R"],))
+
+
+def test_extract_requires_trees():
+    idx = sample_index(k=1)
+    s = sample_comps(idx.graph)["1"]
+    assert s not in idx.graph._trees
+    with pytest.raises(LogicError, match=f"component {s} has no trees"):
+        idx.extract_components(s, (NODE["A"],), (NODE["B"],))
 
 
 def test_delete_random_internal_edges_match_oracle():
@@ -603,7 +612,59 @@ def test_deleting_hub_out_edges_never_scans_the_hub():
     assert_agrees(idx, mirror)
 
 
-def test_an_item_that_meets_the_root_without_a_parent_drops_the_trees():
+# When the trees cannot certify a split, what is left of the component is
+# decomposed by one restricted Tarjan, its largest piece keeps the handle,
+# and the trees are dropped.  ``assert_agrees`` also runs ``check_trees``.
+
+
+def test_a_root_that_loses_its_only_out_edge_falls_back_to_tarjan():
+    # The root 0, the node of highest degree, has the one out-edge (0, 1).
+    # Deleting it breaks 0 off; {1, 2, 3} keeps the handle.
+    edges = [(0, 1), (1, 2), (2, 3), (3, 1), (1, 0), (2, 0), (3, 0)]
+    idx = ReachabilityIndex.build(edges, 4, LabelerConfig(k=1, seed=0))
+    g = idx.graph
+    s = idx.find(0)
+    assert g._trees[s][0] == 0 and g._out_i[0] == [1]
+    idx.delete_edge(0, 1)
+    mirror = Mirror(edges, 4)
+    mirror.delete_edge(0, 1)
+    assert s not in g._trees and g.scc_size(s) == 3
+    assert idx.find(1) == idx.find(2) == idx.find(3) == s and idx.find(0) == 0
+    assert_agrees(idx, mirror)
+
+
+def test_a_race_whose_root_side_runs_dry_falls_back_to_tarjan():
+    # The root 0 sits in the 2-cycles with 7, 8 and 9, and (3, 0) is the
+    # in-tree parent edge of 3, the one edge back to 0 from the cycles
+    # through 1.  Deleting it leaves 3 no out-neighbour whose in-tree
+    # chain avoids 3, and its race runs forward through 1, 2, 4, 5 and 6
+    # while the root's side runs dry on {0, 7, 8, 9}.  The larger piece,
+    # {1, ..., 6}, keeps the handle.
+    edges = [(0, 7), (7, 0), (0, 8), (8, 0), (0, 9), (9, 0), (0, 1)]
+    edges += [(1, 2), (2, 3), (3, 1), (3, 0), (1, 4), (4, 5), (5, 6), (6, 1)]
+    idx = ReachabilityIndex.build(edges, 10, LabelerConfig(k=1, seed=0))
+    g = idx.graph
+    s = idx.find(0)
+    assert g._trees[s][0] == 0 and g._tin[3] == 0
+    races = []
+    race = idx._race
+
+    def recording(*args):
+        races.append(race(*args))
+        return races[-1]
+
+    idx._race = recording
+    idx.delete_edge(3, 0)
+    mirror = Mirror(edges, 10)
+    mirror.delete_edge(3, 0)
+    # 3 no longer reaches 0, so the searches cannot have met.
+    assert races == [None] and not idx.reachable(3, 0)
+    assert s not in g._trees and g.scc_size(s) == 6
+    assert {idx.find(x) for x in range(1, 7)} == {s} and idx.find(0) != s
+    assert_agrees(idx, mirror)
+
+
+def test_an_item_that_meets_the_root_without_a_parent_falls_back_to_tarjan():
     # The root 0 finds 1, 3 and 4, then 2 through 1, so 2's out-tree
     # parent is 1.  Deleting (0, 1) leaves 1 only the in-edge from 2, whose
     # chain passes 1 itself: 1 finds no parent, yet its race meets the
@@ -618,10 +679,60 @@ def test_an_item_that_meets_the_root_without_a_parent_drops_the_trees():
     idx.delete_edge(0, 1)
     mirror.delete_edge(0, 1)
     assert s not in g._trees and g.scc_size(s) == 5
+    assert all(idx.find(x) == s for x in range(5))
     assert_agrees(idx, mirror)
     idx.delete_edge(0, 4)  # 4 breaks off
     mirror.delete_edge(0, 4)
     assert g._trees[s][0] == 0 and g.scc_size(s) == 4
+    assert_agrees(idx, mirror)
+
+
+def test_a_deleted_root_never_keeps_the_handle():
+    # Deleting the root 0 of the two-cycle {0, 1} leaves two lone nodes.
+    # The tie goes to 1, the first head, so the old handle links to a live
+    # member and not to the removed slot 0.
+    edges = [(0, 1), (1, 0), (2, 0), (1, 3)]
+    idx = ReachabilityIndex.build(edges, 4, LabelerConfig(k=1, seed=0))
+    g = idx.graph
+    s = idx.find(0)
+    assert g._trees[s][0] == 0
+    idx.delete_node(0)
+    mirror = Mirror(edges, 4)
+    mirror.delete_node(0)
+    assert g._parent[s] == 1 and g.is_current(1)
+    assert idx.find(1) == 1
+    assert_agrees(idx, mirror)
+
+
+def test_deleting_the_hub_decomposes_what_is_left_once():
+    # A star: hub 0 with an edge to and from each of 2,000 leaves, and a
+    # few leaf two-cycles, one SCC whose trees are rooted at the hub.
+    # Deleting the hub deletes the root, so no item races it: one Tarjan
+    # restricted to the leaves finds the two-cycles and the lone leaves.
+    leaves = 2000
+    edges = [(0, x) for x in range(1, leaves + 1)] + [(x, 0) for x in range(1, leaves + 1)]
+    edges += [(1, 2), (2, 1), (10, 11), (11, 10), (500, 1999), (1999, 500)]
+    idx = ReachabilityIndex.build(edges, leaves + 1, LabelerConfig(k=1, seed=0))
+    g = idx.graph
+    assert g._trees[idx.find(0)][0] == 0
+    races = []
+    tarjans = []
+    race, tarjan = idx._race, g._tarjan
+
+    def counting_race(*args):
+        races.append(args)
+        return race(*args)
+
+    def counting_tarjan(*args, **kwargs):
+        tarjans.append(kwargs.get("restricted", False))
+        return tarjan(*args, **kwargs)
+
+    idx._race = counting_race
+    g._tarjan = counting_tarjan
+    idx.delete_node(0)
+    mirror = Mirror(edges, leaves + 1)
+    mirror.delete_node(0)
+    assert races == [] and tarjans == [True]
     assert_agrees(idx, mirror)
 
 
@@ -1130,7 +1241,7 @@ def test_batch_insert_of_present_edge_does_not_cancel_its_delete():
 
 def test_batch_insert_between_equal_labels_keeps_containment():
     idx = ReachabilityIndex.build([], 2, LabelerConfig(k=2, seed=0))
-    idx.labeler.set_label(1, idx.label_of(0))
+    set_labels(idx.labeler, {1: idx.label_of(0)})
     idx.apply_batch([InsertEdge(0, 1)])
     check_label_invariants(idx)
 
