@@ -580,6 +580,10 @@ class SccGraph:
         containment along exactly those edges, in one
         ``IntervalLabeler.propagate``.
 
+        One pass over ``members`` checks that each is current, sums the
+        sizes and picks the representative; a member that is not current
+        raises ``LogicError`` before the check for duplicates.
+
         A representative with trees keeps them when every absorbed member
         is a lone input, which waits as pending until the next internal
         deletion hangs it in them.  Absorbing a multi-node SCC drops them,
@@ -588,16 +592,22 @@ class SccGraph:
         """
         if len(members) < 2:
             raise LogicError("merge needs at least two components")
-        size = self._size
+        parent, size = self._parent, self._size
+        n = len(parent)
+        rep = best = total = 0
         for m in members:
-            self._check_current(m)
+            z = size[m] if 0 <= m < n and parent[m] == _NONE else 0
+            if not z:
+                raise LogicError(f"node {m} is not a current component")
+            total += z
+            if z > best or (z == best and m < rep):
+                rep, best = m, z
         merge_set = set(members)
         if len(merge_set) != len(members):
             raise LogicError("duplicate components in merge list")
-        rep = min(members, key=lambda m: (-size[m], m))
-        if size[rep] == 1:  # every member is a lone input
+        if best == 1:  # every member is a lone input
             rep = self._new_slot(0)
-        size[rep] = sum(size[m] for m in members)
+        size[rep] = total
         kids: dict[int, None] = {}
         parents: dict[int, None] = {}
         trees = self._trees
@@ -605,7 +615,7 @@ class SccGraph:
         for m in members:
             if m != rep:
                 self._move_dag_edges(m, rep, merge_set, kids, parents)
-                self._parent[m] = rep
+                parent[m] = rep
                 if size[m] > 1:
                     trees.pop(m, None)
                     held = None

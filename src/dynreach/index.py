@@ -30,18 +30,25 @@ other.  The answer is true when one side reaches a node the other has
 found, which certifies a path, and false when either side runs out of
 nodes; a failed label test never hides a path.
 
-An edge (s, t) closes a cycle when ``t`` reaches ``s``; the same two-way
-search (``collect_merge_list``), forward from ``t`` and backward from
-``s``, both detects that and finds the components on a t-to-s path: it
-runs on until one side runs out of nodes and keeps the links that side
-followed.  A component that both sides have found lies on such a
-path.  The first one that a side is about to expand before the other side
-has becomes the search's one hub, which neither side expands; both sides
-then run dry, and the merge set is read off the links of both.  The giant
-component in the middle of a small merge set is so passed without a scan
-of its adjacency.  The components found merge into the graph's
-representative (the largest member, or a fresh node when every member is
-a singleton), which also carries the merged label.  Labels only need
+An edge (s, t) closes a cycle when ``t`` reaches ``s``.  The most common
+such cycle has two components: a DAG edge (t, s) is already stored, and
+typically ``t`` is a lone node joining the giant.  Every t-to-s path
+ends at a DAG parent of ``s`` and starts at a DAG child of ``t``, so
+when every other member of the smaller of those two sides fails the
+label test (``t``'s label does not hold the parent's, or the child's
+does not hold ``s``'s), the merge set is ``{s, t}`` and no search runs.
+Otherwise the same two-way search as a query's (``collect_merge_list``),
+forward from ``t`` and backward from ``s``, both detects the cycle and
+finds the components on a t-to-s path: it runs on until one side runs
+out of nodes and keeps the links that side followed.  A component that
+both sides have found lies on such a path.  The first one that a side is
+about to expand before the other side has becomes the search's one hub,
+which neither side expands; both sides then run dry, and the merge set
+is read off the links of both.  The giant component in the middle of a
+small merge set is so passed without a scan of its adjacency.  The
+components found merge into the graph's representative (the largest
+member, the smallest id on ties, or a fresh node when every member is a
+singleton), which also carries the merged label.  Labels only need
 containment along DAG edges (GRAIL's condition), and the only DAG edges
 that can lack it are the ones the merge created: from the representative
 to the external children moved onto it, and from the external parents
@@ -59,9 +66,9 @@ costs neither its in-degree nor its ancestry.  A node insertion whose
 node has an in- and an out-neighbour in one component joins it before
 any edge, with no search; a multi-node component keeps its label.
 
-An edge deletion and a node deletion unlink each removed edge by one
-step (``_unlink``), which only adjusts a DAG edge's multiplicity unless
-the edge ran inside a component.  Deleting edges inside an SCC (one
+An edge deletion and a node deletion look up the components at each
+removed edge's ends once; an edge between two components only adjusts
+its DAG edge's multiplicity.  Deleting edges inside an SCC (one
 edge, or every edge of a deleted node at once) splits it from the
 smaller side (``extract_components``).  The SCC holds an out-tree and
 an in-tree of breadth-first parent links from one root (``SccGraph``
@@ -228,7 +235,14 @@ class ReachabilityIndex:
 
     def insert_edge(self, u: int, v: int) -> None:
         """Insert input edge (u, v), merging components when it closes a
-        cycle at the DAG level.  Re-inserting an existing edge is a no-op."""
+        cycle at the DAG level.  Re-inserting an existing edge is a no-op.
+
+        Between components ``s`` and ``t``, a cycle through the new edge
+        needs a DAG parent of ``s`` to return through, and ``t``'s label to
+        hold ``s``'s; only then does the merge search run.  When ``t`` is
+        itself a DAG parent of ``s`` and the labels show that nothing else
+        lies on a t-to-s path (``_closes_two_cycle``), the merge list is
+        ``[s, t]``, what the search would return, and no search runs."""
         g = self.graph
         su = g.input_slot(u)
         sv = g.input_slot(v)
@@ -241,14 +255,44 @@ class ReachabilityIndex:
         if t in g._out_d[s]:
             g._add_dag_edge(s, t, 1)
             return
-        # A cycle through (s, t) needs a DAG parent of s to return through,
-        # and t's label to hold s's.
-        mlist = self.collect_merge_list(t, s) if g._in_d[s] and self.labeler.covers(t, s) else None
+        ind = g._in_d[s]
+        if t in ind and self._closes_two_cycle(s, t):
+            mlist = [s, t]
+        elif ind and self.labeler.covers(t, s):
+            mlist = self.collect_merge_list(t, s)
+        else:
+            mlist = None
         if mlist:
             self._merge(mlist)
         else:
             g._add_dag_edge(s, t, 1)
             self.labeler.propagate(g, ((t, (s,)),))
+
+    def _closes_two_cycle(self, s: int, t: int) -> bool:
+        """Given the DAG edge (t, s), is ``{s, t}`` the whole merge set of
+        the new edge (s, t)?  True when every other member of the smaller
+        of ``s``'s DAG parents and ``t``'s DAG children fails the label
+        test: a parent ``p`` whose label ``t``'s does not hold, or a child
+        ``c`` whose label does not hold ``s``'s.
+
+        Every t-to-s path ends at a parent of ``s`` and starts at a child
+        of ``t``, and a failed test proves that ``t`` does not reach ``p``
+        or that ``c`` does not reach ``s``; so only the edge (t, s) is
+        left.  At ``k`` 0 every test passes, and this holds only when that
+        side has no other member.  False leaves the answer to the search."""
+        g = self.graph
+        covers = self.labeler.covers
+        parents = g._in_d[s]
+        kids = g._out_d[t]
+        if len(parents) <= len(kids):
+            for p in parents:
+                if p != t and covers(t, p):
+                    return False
+        else:
+            for c in kids:
+                if c != s and covers(c, s):
+                    return False
+        return True
 
     def _merge(self, mlist: list[int]) -> None:
         """Collapse the components of ``mlist`` into the graph's
@@ -273,7 +317,9 @@ class ReachabilityIndex:
 
         One two-way search (``_two_way``, forward from ``t`` and backward
         from ``s``) both detects the cycle and finds the merge set; the
-        caller has seen ``t``'s label hold ``s``'s.
+        caller has seen ``t``'s label hold ``s``'s.  ``insert_edge`` does
+        not call it for a cycle that ``_closes_two_cycle`` settles, where
+        it would return ``[s, t]``.
         Without a hub it runs until one side runs out of nodes: that side
         has found everything on a t-to-s path, and it has met the far
         endpoint iff there is one; the merge set is read off the links
@@ -470,31 +516,23 @@ class ReachabilityIndex:
         the last internal connection.  Inter-component removals only
         adjust multiplicities; labels are never shrunk.  An edge inside a
         component without trees first gives it trees rooted at ``u``,
-        while the component is still strongly connected."""
+        while the component is still strongly connected.  Each endpoint's
+        component is looked up once, before the edge goes: a self-loop
+        then leaves the condensation as it is, and an edge between two
+        components drops one witness of their DAG edge."""
         g = self.graph
         su = g.input_slot(u)
         sv = g.input_slot(v)
         s = g._find(su)
-        if s not in g._trees and su != sv and s == g._find(sv):
+        t = g._find(sv)
+        inside = s == t and su != sv
+        if inside and s not in g._trees:
             g._plant_trees(s, su)
         g.remove_input_edge(su, sv)
-        if self._unlink(su, sv):
+        if inside:
             self._split(s, (su,), (sv,))
-
-    def _unlink(self, x: int, y: int) -> bool:
-        """Update the condensation for input edge (x, y), just removed from
-        the graph: a self-loop leaves it as it is, and an edge between two
-        components drops one witness of their DAG edge.  True iff the edge
-        ran inside one component, which may now have to split."""
-        g = self.graph
-        if x == y:
-            return False
-        s = g._find(x)
-        t = g._find(y)
-        if s != t:
+        elif s != t:
             g._dec_dag_edge(s, t)
-            return False
-        return True
 
     def _split(self, s: int, tails: Sequence[int], heads: Sequence[int]) -> None:
         """Split SCC ``s`` after the removal of internal edges with these
@@ -778,7 +816,8 @@ class ReachabilityIndex:
 
         Every incident edge leaves the input layer at once
         (``SccGraph.remove_input_edges_at``); then each, out-edges first,
-        is unlinked as ``delete_edge`` unlinks one (``_unlink``), but the
+        is unlinked as ``delete_edge`` unlinks one, with only its far end
+        looked up, since the node's own component ``s`` is known.  The
         component is not split per edge: when the node sat in a multi-node
         component, that component is split once, over every internal edge
         removed.  The node is then a lone, edge-free piece and is dropped.
@@ -786,13 +825,26 @@ class ReachabilityIndex:
         the node's first out-neighbour inside it, as ``delete_edge`` does.
         """
         g = self.graph
+        find, dec = g._find, g._dec_dag_edge
         x = g.input_slot(u)
-        s = g._find(x)
+        s = find(x)
         if s != x and s not in g._trees:
-            g._plant_trees(s, next(y for y in g._out_i[x] if y != x and g._find(y) == s))
+            g._plant_trees(s, next(y for y in g._out_i[x] if y != x and find(y) == s))
         outs, ins = g.remove_input_edges_at(x)
-        inner = [(x, y) for y in outs if self._unlink(x, y)]
-        inner += [(w, x) for w in ins if self._unlink(w, x)]
+        inner = []
+        for y in outs:
+            if y != x:
+                t = find(y)
+                if t == s:
+                    inner.append((x, y))
+                else:
+                    dec(s, t)
+        for w in ins:  # holds no self-loop
+            t = find(w)
+            if t == s:
+                inner.append((w, x))
+            else:
+                dec(t, s)
         if inner:
             tails, heads = zip(*inner)
             self._split(s, tails, heads)

@@ -12,7 +12,9 @@ containment must agree with the mirror.
 and after every step also checks queries from a few random sources: to
 their own component, to a component they reach, to a node they do not
 reach, to a DAG child of their component and to a child's child, and from
-a DAG sink or into a DAG source.
+a DAG sink or into a DAG source.  Whenever an inserted edge merges a
+two-component cycle without a search, the merge search on the same state
+must find just those two components (``check_two_cycle_rule``).
 It starts from one SCC in which most members have in- or out-degree 1
 (a cycle plus a few chords), so deletions break pieces off both ends of
 a removed edge, and in about one extraction in five the trees cannot
@@ -86,9 +88,30 @@ def assert_queries(idx, mirror, rng, sources: int = 3) -> None:
                 assert dag_reach(g, s, comp[v]) == want, (u, v)
 
 
-def replay_random_history(seed: int, n: int, k: int, steps: int, fringe: int = 0) -> None:
+def check_two_cycle_rule(idx) -> list[int]:
+    """Make ``idx`` check, whenever ``_closes_two_cycle`` settles the merge
+    set of a new edge (s, t) as ``{s, t}`` without a search, that the merge
+    search on the same state (``collect_merge_list(t, s)``) returns exactly
+    ``s`` and ``t``.  Returns a list that gains one entry per such check."""
+    rule = idx._closes_two_cycle
+    fired: list[int] = []
+
+    def checked(s, t):
+        if not rule(s, t):
+            return False
+        assert set(idx.collect_merge_list(t, s)) == {s, t}, (s, t)
+        fired.append(s)
+        return True
+
+    idx._closes_two_cycle = checked
+    return fired
+
+
+def replay_random_history(seed: int, n: int, k: int, steps: int, fringe: int = 0) -> int:
     """Replay ``steps`` random ops from the full mix on a cycle of ``n``
-    nodes with ``n // 4`` chords, checking against ``Mirror`` after each.
+    nodes with ``n // 4`` chords, checking against ``Mirror`` after each
+    and checking every merge settled without a search
+    (``check_two_cycle_rule``); returns how many were.
 
     With ``fringe`` > 0 the history is insert-heavy: ``fringe`` more nodes
     form a DAG around the cycle (the first half its parents, the rest its
@@ -105,6 +128,7 @@ def replay_random_history(seed: int, n: int, k: int, steps: int, fringe: int = 0
     n += fringe
     deletes = 0.05 if fringe else 0.35
     idx = ReachabilityIndex.build(edges, n, LabelerConfig(k=k, seed=seed))
+    fired = check_two_cycle_rule(idx)
     mirror = Mirror(edges, n)
     for _ in range(steps):
         nodes = sorted(mirror.nodes)
@@ -143,27 +167,30 @@ def replay_random_history(seed: int, n: int, k: int, steps: int, fringe: int = 0
             idx.apply_batch(ops)
         assert_agrees(idx, mirror)
         assert_queries(idx, mirror, rng)
+    return len(fired)
 
 
-def replay_drawn_history(seed: int, insert_heavy: bool = False) -> None:
+def replay_drawn_history(seed: int, insert_heavy: bool = False) -> int:
     """The script's history for ``seed``: 300 ops on a cycle whose ``n``
     (5-60), ``k`` (0-3) and, if ``insert_heavy``, fringe are drawn from a
-    generator seeded with ``seed``."""
+    generator seeded with ``seed``; returns ``replay_random_history``'s."""
     rng = random.Random(seed)
     n = rng.randrange(5, 61)
     k = rng.randrange(4)
     fringe = rng.randrange(2, n + 2) if insert_heavy else 0
-    replay_random_history(seed, n=n, k=k, steps=300, fringe=fringe)
+    return replay_random_history(seed, n=n, k=k, steps=300, fringe=fringe)
 
 
 def test_random_histories_from_one_scc():
-    for seed in range(12):
-        replay_random_history(seed, n=20 + 3 * seed, k=seed % 4, steps=40)
+    fired = sum(replay_random_history(seed, n=20 + 3 * seed, k=seed % 4, steps=40) for seed in range(12))
+    assert fired, "no merge was settled without a search"
 
 
 def test_insert_heavy_histories_around_one_scc():
-    for seed in range(12):
-        replay_random_history(seed, n=20 + 3 * seed, k=seed % 4, steps=60, fringe=12 + seed)
+    fired = sum(
+        replay_random_history(seed, n=20 + 3 * seed, k=seed % 4, steps=60, fringe=12 + seed) for seed in range(12)
+    )
+    assert fired, "no merge was settled without a search"
 
 
 # Plain histories that catch a split labelled by ``propagate`` alone, with
@@ -193,6 +220,7 @@ class IndexAgainstMirror(RuleBasedStateMachine):
         else:
             edges = data.draw(st.lists(pairs, max_size=3 * n), label="edges")
         self.idx = ReachabilityIndex.build(edges, n, LabelerConfig(k=k, seed=seed))
+        check_two_cycle_rule(self.idx)
         self.mirror = Mirror(edges, n)
 
     def _node(self, data, label):
@@ -301,9 +329,7 @@ if __name__ == "__main__":
     # Outside the test suite: COUNT plain and COUNT insert-heavy histories
     # of 300 ops, n 5-60, k 0-3.
     count = int(sys.argv[1]) if len(sys.argv) > 1 else 300
-    for seed in range(count):
-        replay_drawn_history(seed)
-    print(f"{count} plain histories matched Mirror")
-    for seed in range(count):
-        replay_drawn_history(seed, insert_heavy=True)
-    print(f"{count} insert-heavy histories matched Mirror")
+    fired = sum(replay_drawn_history(seed) for seed in range(count))
+    print(f"{count} plain histories matched Mirror; {fired} merges settled without a search")
+    fired = sum(replay_drawn_history(seed, insert_heavy=True) for seed in range(count))
+    print(f"{count} insert-heavy histories matched Mirror; {fired} merges settled without a search")

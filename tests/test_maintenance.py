@@ -865,7 +865,8 @@ def test_out_edges_of_a_new_node_run_no_merge_search(k, monkeypatch):
     # {2}, in a fresh component X, with no search.  Its out-edges then
     # leave X, which has the DAG parent 1: (9, 0) closes 0 -> 1 -> X and
     # searches from 0, which merges 0 and 1 into X, and (9, 3) closes
-    # 3 -> X and searches from 3.  The rest run inside X.  A new node that
+    # 3 -> X, a two-component cycle, since 3 is X's one DAG parent: it
+    # merges with no search.  The rest run inside X.  A new node that
     # joins nothing has no DAG parent, so its out-edges search nothing.
     edges = [(0, 1), (1, 2), (3, 1)]
     idx = ReachabilityIndex.build(edges, 4, LabelerConfig(k=k, seed=k))
@@ -882,14 +883,63 @@ def test_out_edges_of_a_new_node_run_no_merge_search(k, monkeypatch):
     g = idx.graph
     x = idx.find(9)
     assert g.scc_size(x) == 5
-    assert calls == [(g.input_slot(0), x), (g.input_slot(3), x)]
+    assert calls == [(g.input_slot(0), x)]
     idx.insert_node(8, out_edges=[0, 9])
-    assert len(calls) == 2
+    assert len(calls) == 1
     mirror = Mirror(edges, 4)
     mirror.insert_node(9, outs, ins)
     mirror.insert_node(8, [0, 9], [])
     assert idx.scc_partition() == mirror.partition()
     check_label_invariants(idx)
+
+
+TWO_CYCLE = [(0, 1), (1, 2), (2, 0), (3, 0)]
+"""The SCC s = {0, 1, 2} and the lone node t = 3 with the DAG edge t -> s,
+which the new edge (1, 3) turns into a two-component cycle."""
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+@pytest.mark.parametrize(
+    "extra, size, searches",
+    [
+        # s's one DAG parent is t; t has the other children 4 and 5.
+        ([(3, 4), (3, 5), (2, 6)], 4, (0, 0)),
+        # t's one DAG child is s; s has the other parents 7 and 8.
+        ([(7, 0), (8, 1), (9, 7)], 4, (0, 0)),
+        # s's other parents 7 and 8 are t's parents too, so t's label
+        # does not hold theirs; t has more children, so s's side is tested.
+        # At k 0 every label test passes, and the search runs.
+        ([(7, 0), (8, 1), (7, 3), (8, 3), (3, 4), (3, 5), (3, 6)], 4, (1, 0)),
+        # t -> 7 -> s is another t-to-s path, and 7 passes the label test
+        # on both sides: the search runs and 7 merges too.
+        ([(3, 7), (7, 1), (3, 4)], 5, (1, 1)),
+    ],
+    ids=["s-has-one-parent", "t-has-one-child", "other-parents-fail", "third-on-a-path"],
+)
+def test_an_edge_that_closes_a_two_component_cycle_runs_no_merge_search(k, extra, size, searches, monkeypatch):
+    # The DAG edge t -> s is stored; a t-to-s path other than that edge
+    # ends at another parent of s and starts at another child of t.  When
+    # every other member of the smaller side fails the label test, {s, t}
+    # is the whole merge set, and no merge search runs.
+    edges = TWO_CYCLE + extra
+    idx = ReachabilityIndex.build(edges, 10, LabelerConfig(k=k, seed=k))
+    calls = []
+    collect = idx.collect_merge_list
+
+    def spy(t, s):
+        calls.append((t, s))
+        return collect(t, s)
+
+    monkeypatch.setattr(idx, "collect_merge_list", spy)
+    idx.insert_edge(1, 3)
+    assert len(calls) == searches[k > 0]
+    assert idx.find(3) == idx.find(0) and idx.graph.scc_size(idx.find(0)) == size
+    mirror = Mirror(edges, 10)
+    mirror.insert_edge(1, 3)
+    assert_agrees(idx, mirror)
+    for u in range(10):
+        for v in range(10):
+            assert idx.reachable(u, v) == mirror.reach(u, v), (u, v)
 
 
 FRINGED_SCC = [(i, (i + 1) % 6) for i in range(6)] + [(0, 3), (6, 0), (7, 2), (1, 8), (4, 9), (10, 6), (9, 11)]
