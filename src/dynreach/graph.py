@@ -72,7 +72,7 @@ from types import MappingProxyType
 from .errors import InputError, InternalError, LogicError
 
 _NONE = -1
-# Tarjan index of a node whose SCC is complete: above every live index.
+# Tarjan's mark of a node whose SCC is complete: above every index and low-link.
 _DONE = sys.maxsize
 _NO_EDGES = MappingProxyType({})  # a DAG side that never had an edge; writes raise TypeError
 
@@ -157,7 +157,7 @@ class SccGraph:
         g = cls._input_layer(edges, num_nodes)
         n = g.capacity
         out_i = g._out_i
-        index = [0] * n
+        low = [0] * n
         if n:
             deg = [a + b for a, b in zip(map(len, out_i), map(len, g._in_i))]
             members = g._grow_trees(deg.index(max(deg)), _NONE)
@@ -166,8 +166,8 @@ class SccGraph:
                 g._trees[s] = (members[0], g._gen, [])
                 for m in members:
                     g._parent[m] = s
-                    index[m] = _DONE
-        for comp in g._tarjan(range(n), index, [0] * n):
+                    low[m] = _DONE
+        for comp in g._tarjan(range(n), low):
             if len(comp) > 1:
                 s = g._new_slot(len(comp))
                 for m in comp:
@@ -262,64 +262,61 @@ class SccGraph:
         self._trees[s] = (r, self._gen, [])
 
     def _tarjan(
-        self,
-        roots: Iterable[int],
-        index: list[int] | dict[int, int],
-        low: list[int] | dict[int, int],
-        restricted: bool = False,
+        self, roots: Iterable[int], low: list[int] | dict[int, int], restricted: bool = False
     ) -> list[list[int]]:
         """Iterative Tarjan over the input layer; SCCs in completion order.
 
-        ``index`` and ``low`` map every node the run may enter to 0 (lists
-        over all slots, or dicts over a node set); with ``restricted``,
-        nodes missing from ``index`` are not entered, so the run sees the
-        subgraph that set induces.  A node's index becomes ``_DONE`` once
-        its SCC is complete, which both marks it visited and keeps it out
-        of every later ``low``.
+        ``low`` maps every node the run may enter to 0 (a list over all
+        slots, or a dict over a node set); with ``restricted``, nodes
+        missing from ``low`` are not entered, so the run sees the subgraph
+        that set induces.  One array serves for index, low-link and stack
+        mark (Pearce, "A space-efficient algorithm for finding strongly
+        connected components", IPL 2016): a node's entry holds its index
+        when entered, then its low-link, and ``_DONE`` once its SCC is
+        complete, which both marks it visited and keeps it out of every
+        later low-link; each frame carries its node's own index.
         """
         out_i = self._out_i
         stack: list[int] = []
         comps: list[list[int]] = []
         counter = 1
         for root in roots:
-            if index[root]:
+            if low[root]:
                 continue
-            work: list[tuple[int, Iterator[int]]] = [(root, iter(out_i[root]))]
-            index[root] = low[root] = counter
+            work: list[tuple[int, int, Iterator[int]]] = [(root, counter, iter(out_i[root]))]
+            low[root] = counter
             counter += 1
             stack.append(root)
             while work:
-                w, it = work[-1]
-                advanced = False
+                w, index, it = work[-1]
                 for c in it:
-                    if restricted and c not in index:
+                    if restricted and c not in low:
                         continue
-                    ci = index[c]
-                    if not ci:
-                        index[c] = low[c] = counter
+                    lc = low[c]
+                    if not lc:
+                        low[c] = counter
+                        work.append((c, counter, iter(out_i[c])))
                         counter += 1
                         stack.append(c)
-                        work.append((c, iter(out_i[c])))
-                        advanced = True
                         break
-                    if ci < low[w]:
-                        low[w] = ci
-                if advanced:
-                    continue
-                work.pop()
-                if work:
-                    p = work[-1][0]
-                    if low[w] < low[p]:
-                        low[p] = low[w]
-                if low[w] == index[w]:
-                    comp = []
-                    while True:
-                        x = stack.pop()
-                        index[x] = _DONE
-                        comp.append(x)
-                        if x == w:
-                            break
-                    comps.append(comp)
+                    if lc < low[w]:
+                        low[w] = lc
+                else:
+                    work.pop()
+                    lw = low[w]
+                    if work:
+                        p = work[-1][0]
+                        if lw < low[p]:
+                            low[p] = lw
+                    if lw == index:
+                        comp = []
+                        while True:
+                            x = stack.pop()
+                            low[x] = _DONE
+                            comp.append(x)
+                            if x == w:
+                                break
+                        comps.append(comp)
         return comps
 
     # ------------------------------------------------------------------

@@ -611,9 +611,9 @@ class ReachabilityIndex:
         when nothing breaks off.
         """
         g = self.graph
-        find = g._find
+        parent, find = g._parent, g._find
         for x in (*tails, *heads):
-            if find(x) != s:
+            if parent[x] != s and find(x) != s:
                 raise LogicError(f"slot {x} is not a member of component {s}")
         try:
             root, gen, pending = g._trees.pop(s)  # put back at the end if kept
@@ -658,8 +658,7 @@ class ReachabilityIndex:
             if len(closed) == 1:
                 comps.append(closed)
             else:
-                zero = dict.fromkeys(closed, 0)
-                comps.extend(g._tarjan(closed, zero, dict(zero), restricted=True))
+                comps.extend(g._tarjan(closed, dict.fromkeys(closed, 0), restricted=True))
             # A closed set reached forward only has edges in from R, which
             # may be in-tree links; one reached backward only has edges out
             # to R, which may be out-tree links.  A slot outside R may keep
@@ -673,8 +672,7 @@ class ReachabilityIndex:
                         queue.append((w, forward))
         # The trees give up: decompose what is left of s.
         left = [y for y, t in enumerate(tgen) if t == gen]
-        zero = dict.fromkeys(left, 0)
-        pieces = g._tarjan(left, zero, dict(zero), restricted=True)
+        pieces = g._tarjan(left, dict.fromkeys(left, 0), restricted=True)
         a = root if held else heads[0]  # live: a deleted node has lost every edge
         kept = max(pieces, key=lambda c: (len(c), c[0] == a))
         pieces.remove(kept)

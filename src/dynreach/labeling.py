@@ -11,10 +11,9 @@ resolves.
 
 Two steps maintain the labels.  ``_post_order`` labels one randomized
 post-order, of the whole condensation on a build and of the pieces of a
-split component (``relabel_split``), whose remnant keeps the split
-component's label, read from its own columns.  A split that detaches one
-piece runs only the exit step of that post-order, on the piece, and
-draws what the post-order would draw, so the labels are the same.
+split component alone (``relabel_split``).  The remnant keeps the split
+component's label, and each piece's exit step reads it like any other
+DAG child.
 ``propagate`` takes DAG edges that may lack
 containment, as ``(child, parents)`` pairs: an insertion passes its new
 edge, a merge the edges it gave its representative, and a split the
@@ -151,20 +150,19 @@ class IntervalLabeler:
 
     def _post_order(
         self, graph: SccGraph, d: int, roots: Iterable[int], kids: Sequence | Mapping, ctr: int,
-        state: bytearray | dict[int, int], skip: int = -1,
+        state: bytearray | dict[int, int],
     ) -> int:
         """Label dimension ``d`` by one post-order traversal from ``roots``
         (in shuffled order, sharing a counter that starts at ``ctr``),
         following ``kids[node]`` (in shuffled order).  ``state`` marks a
         node 0 (new), 1 (active) or 2 (done), and holds 0 for every node
         the traversal can reach: a ``bytearray`` over all slots on a
-        build, and on a split a ``dict`` over the sub-DAG's members, so
-        that its cost does not grow with the graph.
+        build, and on a split a ``dict`` over the pieces, so that its cost
+        does not grow with the graph.
 
-        Exiting a node other than ``skip`` advances the counter by the
-        component size and gives the node the begin ``min(entry counter,
-        DAG children's begins)`` and the end ``max(counter, largest DAG
-        child end + 1)``; ``skip`` is traversed but keeps its label.
+        Exiting a node advances the counter by the component size and
+        gives the node the begin ``min(entry counter, DAG children's
+        begins)`` and the end ``max(counter, largest DAG child end + 1)``.
         Raises ``_max_end[d]`` to the ends given and returns how many
         nodes were labelled.
         """
@@ -191,8 +189,6 @@ class IntervalLabeler:
                     continue
                 frames.pop()
                 state[node] = 2
-                if node == skip:
-                    continue
                 ctr += size[node]
                 begin, end = entry, ctr
                 for c in out_d[node]:
@@ -215,32 +211,18 @@ class IntervalLabeler:
         remnant keeps ``s``'s label: its edges to and from outside were
         the component's, so they stay covered.  When it is ``s`` itself
         its columns are left as they are; when ``s`` dissolved to one
-        node, that node takes ``s``'s label.  The pieces and the remnant
-        form a sub-DAG; per dimension, a post-order over it from its
-        sources (for one deleted edge, the sole source is the head's
-        piece, and the remnant may sit anywhere below it) labels the
-        pieces (``_post_order``), the counter starting at ``s``'s begin
-        and passing over the remnant.  Pieces above the remnant so cover
-        it, and pieces below it normally fall inside its label;
-        propagating over the edges into the pieces restores containment
+        node, that node takes ``s``'s label.  Per dimension, one
+        post-order over the pieces alone (``_post_order``), from every
+        piece as a root and following the edges between pieces, labels
+        them, the counter starting at ``s``'s begin.  Each piece so exits
+        after its piece children, and its exit step reads every DAG child,
+        the remnant and outside nodes included, so it covers them all.
+        The remnant is read, never traversed.  Propagating over the edges
+        into the pieces, the remnant's among them, restores containment
         where it lacks, by lowering a piece or raising a parent, the
-        remnant among them.
-
-        One piece is labelled by the post-order's exit step alone: the
-        remnant adds nothing to the counter, so the piece exits with it
-        at ``s``'s begin ``b_s`` plus its size.  Per dimension it gets the
-        begin ``min(b_s, its DAG children's begins)`` and the end
-        ``max(b_s + size, its DAG children's ends + 1)``, the label the
-        post-order gives, and the same propagation follows.  With a DAG
-        edge to or from the remnant, the sub-DAG is that edge, and every
-        list the post-order would shuffle has fewer than two entries, so
-        it draws nothing; apart from the remnant, as a deleted node is,
-        the piece and the remnant are two sources, whose shuffle the
-        post-order draws, and the same draw is made, though either order
-        gives the piece the same label.  So later draws, and the labels,
-        are those of the post-order.
-        The remnant's own edges are never scanned, so the cost follows the
-        pieces' degrees.
+        remnant among them.  A lone piece is one root with no piece
+        children, so no random number is drawn for it.  The remnant's own
+        edges are never scanned, so the cost follows the pieces' degrees.
         """
         if self.k == 0:
             return
@@ -248,48 +230,16 @@ class IntervalLabeler:
         cset = set(clist)
         if len(cset) != len(clist) or not pieces:
             raise LogicError("split list must hold at least two distinct components")
-        cols = self._cols
         if remnant != s:
-            for b_col, e_col in cols:
+            for b_col, e_col in self._cols:
                 b_col[remnant] = b_col[s]
                 e_col[remnant] = e_col[s]
-        out_d, in_d = graph._out_d, graph._in_d
-        if len(pieces) == 1:
-            p = pieces[0]
-            children = out_d[p]
-            apart = remnant not in children and remnant not in in_d[p]
-            size = graph._size[p]
-            hi = self._max_end
-            for d, (b_col, e_col) in enumerate(cols):
-                if apart:  # the post-order's shuffle of its two sources
-                    self._ordered(d, [p, remnant])
-                begin = b_col[s]
-                end = begin + size
-                for c in children:
-                    if b_col[c] < begin:
-                        begin = b_col[c]
-                    if e_col[c] >= end:
-                        end = e_col[c] + 1
-                b_col[p] = begin
-                e_col[p] = end
-                if end > hi[d]:
-                    hi[d] = end
-            self.propagate(graph, ((p, in_d[p]),))
-            return
-        kids: dict[int, list[int]] = {w: [] for w in clist}
-        fed: set[int] = set()  # members with a parent inside the sub-DAG
-        for p in pieces:
-            for c in out_d[p]:
-                if c in cset:
-                    kids[p].append(c)
-                    fed.add(c)
-            if remnant in in_d[p]:
-                kids[remnant].append(p)
-                fed.add(p)
-        sources = [w for w in clist if w not in fed]
-        for d in range(self.k):
-            self._post_order(graph, d, sources, kids, self._b[d][s], dict.fromkeys(clist, 0), skip=remnant)
-        self.propagate(graph, [(w, in_d[w]) for w in pieces])
+        cset.discard(remnant)
+        out_d = graph._out_d
+        kids = {p: [c for c in out_d[p] if c in cset] for p in pieces}
+        for d, b_col in enumerate(self._b):
+            self._post_order(graph, d, pieces, kids, b_col[s], dict.fromkeys(pieces, 0))
+        self.propagate(graph, [(w, graph._in_d[w]) for w in pieces])
 
     # ------------------------------------------------------------------
     # propagation

@@ -244,23 +244,33 @@ def test_split_two_cycle_keeps_containment():
         assert idx.reachable(v, u)
 
 
-def test_split_with_remnant_between_pieces():
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("across", [[], [(11, 10)]], ids=["apart", "edge"])
+def test_split_with_remnant_between_pieces(across, k):
     # Deleting (10, 11), 10's only out-edge and 11's only in-edge, leaves
-    # the piece {11} above the core and {10} below it: the remnant is
-    # neither root nor leaf of the split sub-DAG, and keeps its label.
+    # the piece {11} above the core and {10} below it: the remnant lies
+    # between the pieces, and keeps its label.  With the edge (11, 10)
+    # the post-order over the pieces exits 10 first, and 11's exit step
+    # reads 10 and the core, which it never traverses.
     core = [(i, (i + 1) % 10) for i in range(10)] + [(0, 5), (6, 2)]
-    edges = core + [(3, 10), (8, 10), (10, 11), (11, 1), (11, 4)]
-    idx = ReachabilityIndex.build(edges, 12, LabelerConfig(k=2, seed=4))
+    edges = core + [(3, 10), (8, 10), (10, 11), (11, 1), (11, 4)] + across
+    idx = ReachabilityIndex.build(edges, 12, LabelerConfig(k=k, seed=4))
     s = idx.find(0)
     assert idx.find(10) == idx.find(11) == s
     label = idx.label_of(s)
     idx.delete_edge(10, 11)
+    mirror = Mirror(edges, 12)
+    mirror.delete_edge(10, 11)
     g = idx.graph
     assert idx.find(10) == 10 and idx.find(11) == 11
     assert idx.find(5) == s and idx.label_of(s) == label
-    assert g.dag_children(11) == [s] and g.dag_parents(10) == [s]
-    check_label_invariants(idx)
+    assert set(g.dag_children(11)) == {s, *(v for _, v in across)}
+    assert set(g.dag_parents(10)) == {s, *(u for u, _ in across)}
+    assert_agrees(idx, mirror)
     assert subsumes(idx.label_of(11), label) and subsumes(label, idx.label_of(10))
+    assert subsumes(idx.label_of(11), idx.label_of(10))
+    for u, v in itertools.product(range(12), repeat=2):
+        assert idx.reachable(u, v) == mirror.reach(u, v), (u, v)
 
 
 def test_k0_disables_labeling():
@@ -296,11 +306,11 @@ def test_update_sequence_labels_are_pinned():
     # then {N, O, P, S, T} (20) and {A, B, C} (21).
     assert idx.find(19) == 22 and idx.find(NODE["A"]) == 21
     assert {s: idx.label_of(s) for s in g.current_dag_nodes()} == {
-        7: ((0, 11), (0, 17)), 8: ((0, 9), (0, 15)), 9: ((0, 19), (0, 20)),
+        7: ((0, 11), (0, 4)), 8: ((0, 9), (0, 2)), 9: ((0, 19), (0, 20)),
         10: ((0, 18), (0, 19)), 11: ((0, 20), (0, 21)), 12: ((0, 19), (0, 20)),
-        13: ((0, 1), (0, 1)), 14: ((1, 2), (1, 2)), 15: ((2, 3), (2, 3)),
-        16: ((0, 21), (0, 22)), 17: ((0, 5), (0, 5)), 19: ((0, 20), (0, 21)),
-        21: ((0, 17), (0, 18)), 22: ((0, 10), (0, 16)),
+        13: ((0, 1), (0, 1)), 14: ((1, 2), (1, 1)), 15: ((2, 3), (2, 3)),
+        16: ((0, 21), (0, 22)), 17: ((0, 5), (0, 4)), 19: ((0, 20), (0, 21)),
+        21: ((0, 17), (0, 18)), 22: ((0, 10), (0, 3)),
     }
 
 
@@ -327,9 +337,10 @@ ONE_PIECE_SPLITS = {
 SEED = 5
 
 #: The labels of every component and the largest end given in each
-#: dimension after each split, at k 3, as the sub-DAG post-order gave
-#: them: each dimension is drawn from its own generator, so at k 1 and 2
-#: they are the first dimensions of these.
+#: dimension after each split, at k 3, as the build's post-order and the
+#: post-order over the lone piece gave them: each dimension is drawn from
+#: its own generator, so at k 1 and 2 they are the first dimensions of
+#: these.
 ONE_PIECE_LABELS = {
     "above": {
         4: ((2, 11), (0, 9), (2, 12)),
@@ -396,9 +407,9 @@ def one_piece_split(case: str, k: int) -> tuple[ReachabilityIndex, Mirror, int, 
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("case", sorted(ONE_PIECE_SPLITS))
 def test_one_piece_split_labels_are_pinned(case, k):
-    # Exactly one piece breaks off, next to the remnant: its label is the
-    # exit step of the post-order over the one edge between them, which
-    # draws no random number.
+    # Exactly one piece breaks off, next to the remnant: the post-order
+    # over the pieces has one root with no piece children, so it draws no
+    # random number.
     edges, (u, v), x = ONE_PIECE_SPLITS[case]
     idx, mirror, before, states = one_piece_split(case, k)
     g = idx.graph
@@ -414,22 +425,18 @@ def test_one_piece_split_labels_are_pinned(case, k):
     assert_agrees(idx, mirror)
 
 
-#: The next 32 random bits of each dimension's generator once the node
-#: 4 of ``_RING + [(4, 0), (2, 4)]`` is deleted, at seed 5, as the sub-DAG
-#: post-order left them.
-APART_NEXT_BITS = [557789312, 3069987371]
-
-
-@pytest.mark.parametrize("k", [1, 2])
-def test_a_piece_apart_from_the_remnant_draws_what_the_post_order_draws(k):
-    # Deleting 4 leaves it a lone piece with no edge: the post-order
-    # would start from it and the ring in shuffled order, so the same
-    # shuffle of two is drawn in each dimension, and every later draw is
-    # the post-order's.
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_a_piece_apart_from_the_remnant_draws_no_random_number(k):
+    # Deleting 4 leaves it a lone piece with no edge to the remnant: the
+    # post-order over the pieces has one root with no piece children, so
+    # no generator moves.
     edges = _RING + [(4, 0), (2, 4)]
     idx = ReachabilityIndex.build(edges, 11, LabelerConfig(k=k, seed=SEED))
+    states = [rng.getstate() for rng in idx.labeler._rngs]
     idx.delete_node(4)
     mirror = Mirror(edges, 11)
     mirror.delete_node(4)
+    assert [rng.getstate() for rng in idx.labeler._rngs] == states
     assert_agrees(idx, mirror)
-    assert [rng.getrandbits(32) for rng in idx.labeler._rngs] == APART_NEXT_BITS[:k]
+    for u, v in itertools.product(mirror.nodes, repeat=2):
+        assert idx.reachable(u, v) == mirror.reach(u, v), (u, v)
