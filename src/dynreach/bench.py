@@ -37,6 +37,7 @@ from .graph import SccGraph
 from .index import ReachabilityIndex
 from .labeling import LabelerConfig
 from .ops import DeleteEdge, DeleteNode, InsertEdge, InsertNode, Query, UpdateOp
+from .workload import _IndexedSet
 
 _VARIANT_RE = re.compile(r"^(dfs|dg(\d+))$")
 _KINDS = ("q", "ei", "ed", "ni", "nd")
@@ -118,30 +119,6 @@ def build_engine(k: int | None, edges: Sequence[tuple[int, int]], num_nodes: int
     return ReachabilityIndex.build(edges, num_nodes, LabelerConfig(k=k, seed=seed))
 
 
-class _AliveNodes:
-    """The current input node ids, in the built graph's slot order and
-    then in order of insertion, so query endpoints are drawn identically
-    across variants."""
-
-    def __init__(self, ids: list[int]) -> None:
-        self.items = ids
-        self.pos = {u: i for i, u in enumerate(ids)}
-
-    def add(self, u: int) -> None:
-        self.pos[u] = len(self.items)
-        self.items.append(u)
-
-    def remove(self, u: int) -> None:
-        pos = self.pos.pop(u)
-        last = self.items.pop()
-        if last != u:
-            self.items[pos] = last
-            self.pos[last] = pos
-
-    def sample(self, rng: random.Random) -> int:
-        return self.items[rng.randrange(len(self.items))]
-
-
 def run_bench(
     edges: Sequence[tuple[int, int]],
     num_nodes: int,
@@ -186,7 +163,9 @@ def run_bench(
         t0 = perf()
         engine = build_engine(k, edges, num_nodes, seed)
         build_s = perf() - t0
-        alive = _AliveNodes(engine.graph.input_node_ids())
+        # Query endpoints: the live input ids in slot order, then in order of
+        # insertion, so every variant draws the same ones.
+        alive = _IndexedSet(engine.graph.input_node_ids())
         t_start = perf()
         for i, op in enumerate(workload):
             try:
@@ -208,7 +187,7 @@ def run_bench(
                 if not alive.items:
                     continue
                 for _ in range(qpu):
-                    answers.append(timed("q", engine.reachable, alive.sample(rng), alive.sample(rng)))
+                    answers.append(timed("q", engine.reachable, alive.draw(rng), alive.draw(rng)))
             except InputError as exc:
                 raise InputError(f"op {i} ({op!r}) failed: {exc}") from exc
         total_s = perf() - t_start

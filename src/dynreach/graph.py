@@ -173,7 +173,11 @@ class SccGraph:
                 for m in comp:
                     g._parent[m] = s
         # DAG edges with their multiplicities, counted in one pass in the
-        # order ``_add_dag_edge`` would have stored them.
+        # order ``_add_dag_edge`` would have stored them.  The loop is inline
+        # because a call per edge costs: through ``_add_dag_edge`` the build
+        # of a 100k-node acyclic BA graph took 289-310 ms instead of
+        # 278-299 ms (five alternating runs, 2-core Xeon); with one large
+        # SCC, and so fewer DAG edges, it did not move.
         parent, out_d, in_d = g._parent, g._out_d, g._in_d
         for u in range(n):
             s = parent[u]

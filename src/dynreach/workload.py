@@ -76,17 +76,39 @@ def gen_ba_directed(n: int, d: int, reverse_prob: float, seed: int) -> list[tupl
     return edges
 
 
+class _IndexedSet:
+    """Distinct items in a list, with each item's position in ``pos``: a
+    removal moves the last item into the gap, and a uniform draw is one
+    ``randrange``."""
+
+    def __init__(self, items=()) -> None:
+        self.items = list(items)
+        self.pos = {x: i for i, x in enumerate(self.items)}
+
+    def add(self, x) -> None:
+        self.pos[x] = len(self.items)
+        self.items.append(x)
+
+    def remove(self, x) -> None:
+        pos = self.pos.pop(x)
+        last = self.items.pop()
+        if last != x:
+            self.items[pos] = last
+            self.pos[last] = pos
+
+    def draw(self, rng: random.Random):
+        return self.items[rng.randrange(len(self.items))]
+
+
 class _Shadow:
     """Minimal evolving-graph mirror used while generating update ops."""
 
     def __init__(self, edges: list[tuple[int, int]], num_nodes: int, rng: random.Random):
         self.rng = rng
-        self.nodes: list[int] = list(range(num_nodes))
-        self.node_pos: dict[int, int] = {u: u for u in range(num_nodes)}
+        self.nodes = _IndexedSet(range(num_nodes))
         self.out: dict[int, set[int]] = {u: set() for u in range(num_nodes)}
         self.inc: dict[int, set[int]] = {u: set() for u in range(num_nodes)}
-        self.edges: list[tuple[int, int]] = []
-        self.edge_pos: dict[tuple[int, int], int] = {}
+        self.edges = _IndexedSet()
         self.pool: list[int] = []  # degree-proportional endpoint pool
         self.next_id = num_nodes
         for u, v in edges:
@@ -97,8 +119,7 @@ class _Shadow:
             return False
         self.out[u].add(v)
         self.inc[v].add(u)
-        self.edge_pos[(u, v)] = len(self.edges)
-        self.edges.append((u, v))
+        self.edges.add((u, v))
         self.pool.append(u)
         self.pool.append(v)
         return True
@@ -106,15 +127,10 @@ class _Shadow:
     def remove_edge(self, u: int, v: int) -> None:
         self.out[u].discard(v)
         self.inc[v].discard(u)
-        pos = self.edge_pos.pop((u, v))
-        last = self.edges.pop()
-        if last != (u, v):
-            self.edges[pos] = last
-            self.edge_pos[last] = pos
+        self.edges.remove((u, v))
 
     def add_node(self, u: int) -> None:
-        self.node_pos[u] = len(self.nodes)
-        self.nodes.append(u)
+        self.nodes.add(u)
         self.out[u] = set()
         self.inc[u] = set()
 
@@ -123,28 +139,21 @@ class _Shadow:
             self.remove_edge(u, v)
         for w in list(self.inc[u]):
             self.remove_edge(w, u)
-        pos = self.node_pos.pop(u)
-        last = self.nodes.pop()
-        if last != u:
-            self.nodes[pos] = last
-            self.node_pos[last] = pos
+        self.nodes.remove(u)
         del self.out[u]
         del self.inc[u]
-
-    def uniform_node(self) -> int:
-        return self.nodes[self.rng.randrange(len(self.nodes))]
 
     def preferential_node(self) -> int:
         # Stale pool entries (from deletions) are skipped lazily.
         pool = self.pool
-        alive = self.node_pos
+        alive = self.nodes.pos
         for _ in range(32):
             if not pool:
                 break
             x = pool[self.rng.randrange(len(pool))]
             if x in alive:
                 return x
-        return self.uniform_node()
+        return self.nodes.draw(self.rng)
 
 
 def gen_updates(
@@ -175,50 +184,40 @@ def gen_updates(
     kinds = ("IE", "DE", "IN", "DN")
     ops: list[UpdateOp] = []
     for _ in range(count):
-        op = None
         tried: set[str] = set()
-        while op is None:
+        while True:
             remaining = [(k, w) for k, w in zip(kinds, weights) if k not in tried and w > 0]
             if not remaining:
                 raise InputError("no update kind is applicable to the current graph")
             names = [k for k, _ in remaining]
             kind = rng.choices(names, weights=[w for _, w in remaining])[0]
-            if kind == "IE":
-                if not shadow.nodes:
-                    tried.add(kind)
-                    continue
-                u = shadow.uniform_node()
-                v = shadow.preferential_node()
-                shadow.add_edge(u, v)
-                op = InsertEdge(u, v)
-            elif kind == "DE":
-                if not shadow.edges:
-                    tried.add(kind)
-                    continue
-                u, v = shadow.edges[rng.randrange(len(shadow.edges))]
-                shadow.remove_edge(u, v)
-                op = DeleteEdge(u, v)
-            elif kind == "IN":
-                if not shadow.nodes:
-                    tried.add(kind)
-                    continue
-                u = shadow.next_id
-                shadow.next_id += 1
-                outs = _distinct(shadow, rng.randint(0, 2 * d))
-                ins = _distinct(shadow, rng.randint(0, 2 * d))
-                shadow.add_node(u)
-                for w in outs:
-                    shadow.add_edge(u, w)
-                for w in ins:
-                    shadow.add_edge(w, u)
-                op = InsertNode(u, tuple(outs), tuple(ins))
-            else:
-                if not shadow.nodes:
-                    tried.add(kind)
-                    continue
-                u = shadow.uniform_node()
-                shadow.remove_node(u)
-                op = DeleteNode(u)
+            if (shadow.edges if kind == "DE" else shadow.nodes).items:
+                break
+            tried.add(kind)
+        if kind == "IE":
+            u = shadow.nodes.draw(rng)
+            v = shadow.preferential_node()
+            shadow.add_edge(u, v)
+            op = InsertEdge(u, v)
+        elif kind == "DE":
+            u, v = shadow.edges.draw(rng)
+            shadow.remove_edge(u, v)
+            op = DeleteEdge(u, v)
+        elif kind == "IN":
+            u = shadow.next_id
+            shadow.next_id += 1
+            outs = _distinct(shadow, rng.randint(0, 2 * d))
+            ins = _distinct(shadow, rng.randint(0, 2 * d))
+            shadow.add_node(u)
+            for w in outs:
+                shadow.add_edge(u, w)
+            for w in ins:
+                shadow.add_edge(w, u)
+            op = InsertNode(u, tuple(outs), tuple(ins))
+        else:
+            u = shadow.nodes.draw(rng)
+            shadow.remove_node(u)
+            op = DeleteNode(u)
         ops.append(op)
     return ops
 

@@ -300,3 +300,11 @@ def test_cli_replay_at_2000_nodes_times_every_update_kind(tmp_path, capsys):
     assert dg1["q_count"] == 2 * 40 and dg1["q_mean_ms"] > 0
     assert 0 < dg1["final_largest_scc"] < dg1["final_nodes"]
     assert _cli_bench(capsys, g, w, "dfs", qpu=2)["answers_hash"] == dg1["answers_hash"]
+
+
+@pytest.mark.parametrize("variant", ["dg1", "dfs"])
+def test_query_endpoint_draws_are_pinned(variant):
+    edges = gen_ba_directed(2000, 2, 0.5, 1)
+    report = run_bench(edges, 2000, gen_updates(edges, 2000, 2000, OpRatios(), seed=2), variant, qpu=2, seed=3)
+    assert report["q_count"] == 4000 and report["query_hits"] == 2792
+    assert report["answers_hash"].startswith("3404e07ed1ed356b")

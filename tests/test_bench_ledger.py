@@ -6,6 +6,8 @@ import json
 import os
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("bench_ledger", ROOT / "tools" / "bench_ledger.py")
 bench_ledger = importlib.util.module_from_spec(_spec)
@@ -72,3 +74,18 @@ def test_ledger_counts_the_pairs_whose_parent_ran_first(tmp_path):
     assert bench_ledger.ledger(tmp_path, SPEC)["workloads"]["churn"]["parent_first"] == 2
     os.utime(tmp_path / "parent_churn_s1.out", (10, 10))
     assert bench_ledger.ledger(tmp_path, SPEC)["workloads"]["churn"]["parent_first"] == 3
+
+
+def test_ledger_stops_on_a_workload_run_on_one_side_only(tmp_path):
+    for seed in range(3):
+        write_run(tmp_path, f"parent_churn_s{seed}", 1.0, "0.6..0.7")
+    with pytest.raises(SystemExit, match=r"workload churn: 0 pair\(s\)"):
+        bench_ledger.ledger(tmp_path, SPEC)
+
+
+def test_ledger_stops_on_a_workload_with_one_pair(tmp_path):
+    for seed in range(3):
+        write_run(tmp_path, f"parent_churn_s{seed}", 1.0, "0.6..0.7")
+    write_run(tmp_path, "change_churn_s1", 1.0, "0.6..0.7")
+    with pytest.raises(SystemExit, match=r"workload churn: 1 pair\(s\)"):
+        bench_ledger.ledger(tmp_path, SPEC)

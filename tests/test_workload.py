@@ -1,6 +1,7 @@
 """Graph generators and update-sequence generation."""
 from __future__ import annotations
 
+import hashlib
 import math
 from collections import Counter
 
@@ -15,6 +16,7 @@ from dynreach import (
     gen_er,
     gen_updates,
 )
+from dynreach.io import serialize_workload
 from dynreach.ops import DeleteEdge, DeleteNode, InsertEdge, InsertNode
 
 from oracles import Mirror, kosaraju_partition
@@ -144,6 +146,24 @@ def test_gen_updates_deterministic():
     a = gen_updates(edges, 200, 300, OpRatios(), seed=4)
     b = gen_updates(edges, 200, 300, OpRatios(), seed=4)
     assert a == b
+
+
+
+def _digest(ops) -> str:
+    return hashlib.sha256(serialize_workload(ops).encode()).hexdigest()[:16]
+
+
+# The generator's draws fix every workload file and every recorded
+# ``answers_hash``: these pins catch any change to the draw sequence.
+@pytest.mark.parametrize("seed, digest", [(1, "b9b756f0bb152ad3"), (2, "bcf168cb375d974f"), (3, "8baba96da1ede1e8")])
+def test_gen_updates_draws_are_pinned_where_the_edges_run_dry(seed, digest):
+    ops = gen_updates([(0, 1), (1, 2), (2, 0), (3, 4)], 6, 200, OpRatios(1, 8, 3, 1), seed)
+    assert _digest(ops) == digest
+
+
+def test_gen_updates_draws_are_pinned_on_a_ba_graph():
+    ops = gen_updates(gen_ba_directed(2000, 2, 0.5, 1), 2000, 2000, OpRatios(), seed=2)
+    assert _digest(ops) == "6699265c52856cd1"
 
 
 def test_op_ratios_validation():

@@ -28,7 +28,8 @@ reports, for reading only:
   median is better than the parent's by more than the parent's
   interquartile range.
 
-It adds no gate: ``BENCHMARK.json`` stays the gate.
+A workload with fewer than two pairs stops it with a message that names
+the workload.  It adds no gate: ``BENCHMARK.json`` stays the gate.
 """
 from __future__ import annotations
 
@@ -80,6 +81,8 @@ def ledger(runs: Path, spec: dict) -> dict:
     result: dict = {"command": spec["command"] + ["--seconds", str(spec["run_seconds"])], "workloads": {}}
     for workload, sides in sorted(timed.items()):
         seeds = sorted(set(sides["parent"]) & set(sides["change"]))
+        if len(seeds) < 2:
+            sys.exit(f"{runs}: workload {workload}: {len(seeds)} pair(s) of runs, a ledger needs at least 2")
         row: dict = {
             "seeds": seeds,
             "pairs": len(seeds),
