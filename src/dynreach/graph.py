@@ -44,7 +44,11 @@ generation of the trees the slot belongs to.  ``_trees`` maps a component
 with trees to ``(root, generation, pending)``; a slot is in them only
 while its generation matches, so trees are dropped by dropping their
 entry.  ``pending`` lists the lone inputs that joined the component since
-its last internal deletion, and are in no tree yet.  ``build`` gives
+its last internal deletion, and are in no tree yet.  So the slots of a
+generation are the members that are not pending, and no slot holds it
+again once its trees drop.  An extraction first gives the pending
+inputs the generation, and gives a slot that breaks off generation 0:
+within it, the generation is membership.  ``build`` gives
 trees to the SCC of the node of highest degree; the index gives them to
 any other component at its first internal deletion and keeps them
 through its deletions (``ReachabilityIndex.extract_components``).  A
@@ -121,7 +125,6 @@ class SccGraph:
         # Explicit DAG adjacency with input-edge multiplicities.
         self._out_d: list[Mapping[int, int]] = [_NO_EDGES] * num_nodes
         self._in_d: list[Mapping[int, int]] = [_NO_EDGES] * num_nodes
-        self._num_edges = 0
         # Spanning trees (see the module docstring): per slot the out- and
         # in-tree parent (-1: unset) and the trees' generation (0: none);
         # per component with trees (root, generation, pending inputs).
@@ -217,7 +220,6 @@ class SccGraph:
         for u, v in edges:
             out_i[u].append(v)
             in_i[v].append(u)
-        g._num_edges = len(edges)
         return g
 
     def _grow_trees(self, r: int, s: int) -> list[int]:
@@ -386,7 +388,8 @@ class SccGraph:
 
     @property
     def num_input_edges(self) -> int:
-        return self._num_edges
+        """Counted over the out-lists, one pass over the slots."""
+        return sum(map(len, filter(None, self._out_i)))
 
     @property
     def capacity(self) -> int:
@@ -483,7 +486,6 @@ class SccGraph:
             return False
         self._out_i[x].append(y)
         self._in_i[y].append(x)
-        self._num_edges += 1
         return True
 
     def remove_input_edge(self, x: int, y: int) -> None:
@@ -495,7 +497,6 @@ class SccGraph:
         except ValueError:
             raise InputError(f"edge ({self._ext[x]}, {self._ext[y]}) does not exist") from None
         self._in_i[y].remove(x)
-        self._num_edges -= 1
 
     def remove_input_edges_at(self, x: int) -> tuple[list[int], list[int]]:
         """Drop every input edge at slot ``x``; returns its former out- and
@@ -516,7 +517,6 @@ class SccGraph:
             out_i[w].remove(x)
         out_i[x] = []
         in_i[x] = []
-        self._num_edges -= len(outs) + len(ins)
         return outs, ins
 
     # ------------------------------------------------------------------

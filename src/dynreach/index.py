@@ -90,6 +90,10 @@ Tarjan restricted to it, whose largest piece keeps the handle.  Otherwise
 a deletion costs in proportion to the edges of the pieces that break
 off, plus the re-hangs and the races, never the size of what is left;
 the remnant keeps its handle, containment chain, label and trees.
+Within a deletion the trees' generation is membership: a slot is in
+what is left of the SCC iff it holds that generation, and a piece that
+breaks off leaves by taking generation 0, so the re-hangs, the races
+and the fallback each read one list entry per slot.
 
 Public methods take external node ids and translate them to graph slots
 once, on entry; everything below that boundary (extraction, splits,
@@ -569,9 +573,9 @@ class ReachabilityIndex:
         neighbour (an in-neighbour in the out-tree, an out-neighbour in
         the in-tree) whose parent chain reaches the root without meeting
         a slot whose parent is unset, the item among them, or a slot not
-        in the trees, which detached slots leave.  An item that finds no
-        such neighbour waits, and is tried again once another item has
-        re-hung, since its parent may be one of them.  Only the items that
+        in ``R``.  An item that finds no such neighbour waits, and is
+        tried again once another item has re-hung, since its parent may
+        be one of them.  Only the items that
         still find none race the root: a search from ``x`` and one from
         the root, in opposite directions and inside ``R``, take turns by
         edges scanned (``_race``).  When ``x``'s search runs dry first,
@@ -579,6 +583,16 @@ class ReachabilityIndex:
         components.  ``D`` leaves ``R`` and is decomposed on its own: a
         lone node is its own component, a larger set goes through a
         Tarjan restricted to it.
+
+        The trees' generation ``gen`` is the one record of ``R``: a slot
+        is in ``R`` iff ``tgen`` holds ``gen``.  The members that are not
+        pending hold it already (the trees span exactly them), the
+        pending inputs take it before any re-hang or race, and a slot
+        that detaches takes 0, so leaving ``R`` is that one write.  No
+        other slot holds ``gen``: a generation is handed out once and
+        never reused after its trees drop.  So the re-hangs, the races,
+        the skip of a waiting item that has detached, and the fallback
+        below each read one list entry per slot.
 
         That is complete.  A remaining member's tree path can only break
         at a removed edge or a detached slot, and the first break below
@@ -621,9 +635,6 @@ class ReachabilityIndex:
             raise LogicError(f"component {s} has no trees") from None
         out_i, in_i = g._out_i, g._in_i
         tout, tin, tgen = g._tout, g._tin, g._tgen
-        vis = self._vis
-        self._stamp += 1
-        gone = self._stamp  # the mark of detached slots
         queue = []
         for t, h in zip(tails, heads):
             if tout[h] == t:
@@ -641,19 +652,18 @@ class ReachabilityIndex:
         held = bool(out_i[root] and in_i[root])  # the root has not broken off
         while held:
             if queue:
-                waiting = self._rehang(queue, waiting, s, root, gen, gone)
+                waiting = self._rehang(queue, waiting, s, root, gen)
                 queue = []
             if not waiting:
                 g._trees[s] = (root, gen, [])
                 return (root, comps) if comps else None
             x, forward = waiting.pop()
-            if vis[x] == gone:
+            if tgen[x] != gen:
                 continue
-            closed = self._race(x, root, s, gone, out_i if forward else in_i, in_i if forward else out_i)
+            closed = self._race(x, root, gen, out_i if forward else in_i, in_i if forward else out_i)
             if closed is None:  # met without a parent, or the root's side ran dry
                 break
             for y in closed:
-                vis[y] = gone
                 tgen[y] = 0
             if len(closed) == 1:
                 comps.append(closed)
@@ -666,8 +676,7 @@ class ReachabilityIndex:
             links, adj = (tin, in_i) if forward else (tout, out_i)
             for y in closed:
                 for w in adj[y]:
-                    p = links[w]
-                    if p != -1 and vis[p] == gone and tgen[w] == gen:
+                    if links[w] == y and tgen[w] == gen:
                         links[w] = -1
                         queue.append((w, forward))
         # The trees give up: decompose what is left of s.
@@ -679,9 +688,7 @@ class ReachabilityIndex:
         comps += pieces
         return (kept[0], comps) if comps else None
 
-    def _rehang(
-        self, queue: list, waiting: list, s: int, root: int, gen: int, gone: int
-    ) -> list[tuple[int, bool]]:
+    def _rehang(self, queue: list, waiting: list, s: int, root: int, gen: int) -> list[tuple[int, bool]]:
         """Give each item of ``queue`` whose parent is unset a new parent
         (``extract_components``), trying ``waiting`` again after any
         re-hangs; returns the items still waiting.
@@ -689,22 +696,22 @@ class ReachabilityIndex:
         An item ``(x, forward)`` of the in-tree (``forward``) takes the
         first out-neighbour, one of the out-tree the first in-neighbour,
         whose chain of parents in that tree reaches ``root`` through slots
-        of generation ``gen`` with their parent set.  ``x``'s own parent
-        is unset, so a chain through ``x``, from one of its descendants,
-        fails: no link closes a cycle.  A chain of the trees visits each
+        of generation ``gen`` with their parent set.  An item that has
+        left the remnant (its generation is no longer ``gen``) is skipped.
+        ``x``'s own parent is unset, so a chain through ``x``, from one of
+        its descendants, fails: no link closes a cycle.  A chain of the trees visits each
         member of ``s`` at most once, so a walk of more links than ``s``
         has members has met a cycle the trees should never hold, and
         raises ``InternalError`` instead of walking it forever."""
         g = self.graph
         out_i, in_i, tout, tin, tgen = g._out_i, g._in_i, g._tout, g._tin, g._tgen
-        vis = self._vis
         limit = g._size[s]
         while queue:
             hung = False
             for item in queue:
                 x, forward = item
                 links = tin if forward else tout
-                if vis[x] == gone or links[x] != -1:
+                if tgen[x] != gen or links[x] != -1:
                     continue
                 for q in (out_i if forward else in_i)[x]:
                     z = q
@@ -728,21 +735,16 @@ class ReachabilityIndex:
             queue, waiting = waiting, []
         return waiting
 
-    def _race(
-        self, x: int, root: int, s: int, gone: int, x_adj: list, root_adj: list
-    ) -> list[int] | None:
+    def _race(self, x: int, root: int, gen: int, x_adj: list, root_adj: list) -> list[int] | None:
         """Search from the item ``x`` along ``x_adj`` and from the trees'
-        ``root`` along ``root_adj`` over the members of ``s`` not marked
-        ``gone``, expanding one node at a time on the side that has
-        scanned fewer edges.  Returns the nodes ``x``'s side found when it
-        runs out of nodes first, a set then closed under ``x_adj``; None
-        when the searches meet or the root's side runs out first, which
-        the trees cannot settle.  An item is never the root, whose tree
-        parents are unset.  A slot with no containment link is a
-        component of its own, never ``s``, so only a linked one is looked
-        up."""
-        g = self.graph
-        parent, find = g._parent, g._find
+        ``root`` along ``root_adj`` over the slots of generation ``gen``,
+        which are the remnant (``extract_components``), expanding one node
+        at a time on the side that has scanned fewer edges.  Returns the
+        nodes ``x``'s side found when it runs out of nodes first, a set
+        then closed under ``x_adj``; None when the searches meet or the
+        root's side runs out first, which the trees cannot settle.  An
+        item is never the root, whose tree parents are unset."""
+        tgen = self.graph._tgen
         vis = self._vis
         mine = self._stamp + 1
         theirs = mine + 1
@@ -769,11 +771,9 @@ class ReachabilityIndex:
                     continue
                 if m == other:
                     return None
-                if m != gone:
-                    p = parent[c]
-                    if p == s or (p != -1 and find(c) == s):
-                        vis[c] = own
-                        found.append(c)
+                if tgen[c] == gen:
+                    vis[c] = own
+                    found.append(c)
 
     # ------------------------------------------------------------------
     # node insertion / deletion

@@ -169,10 +169,13 @@ def gen_updates(
 
     Insert-edge sources are uniform, targets preferential; delete-edge is
     uniform over current edges; inserted nodes draw in/out degrees
-    uniform in [0, 2d] with preferential endpoints; delete-node is
-    uniform.  Impossible draws (e.g. deleting from an empty edge set)
-    fall back to a different op kind; if every kind is impossible the
-    generation fails.  A negative ``count`` or ``d`` fails before any draw.
+    uniform in [0, 2d] with preferential endpoints (none while the
+    shadow holds no node); delete-node is uniform.  A node insert is
+    always applicable; the other kinds need an edge (delete-edge) or a
+    node (insert-edge, delete-node), and an inapplicable draw falls back
+    to a different op kind.  So the generation fails only when the node
+    insert weighs 0 and no other kind applies.  A negative ``count`` or
+    ``d`` fails before any draw.
     """
     if num_nodes < 1:
         raise InputError("update generation needs a nonempty graph")
@@ -191,7 +194,7 @@ def gen_updates(
                 raise InputError("no update kind is applicable to the current graph")
             names = [k for k, _ in remaining]
             kind = rng.choices(names, weights=[w for _, w in remaining])[0]
-            if (shadow.edges if kind == "DE" else shadow.nodes).items:
+            if kind == "IN" or (shadow.edges if kind == "DE" else shadow.nodes).items:
                 break
             tried.add(kind)
         if kind == "IE":
@@ -223,9 +226,11 @@ def gen_updates(
 
 
 def _distinct(shadow: _Shadow, count: int) -> list[int]:
+    """Up to ``count`` distinct preferential endpoints; none, and no draw,
+    while the shadow holds no node."""
     picked: list[int] = []
     seen: set[int] = set()
-    for _ in range(count):
+    for _ in range(count if shadow.nodes.items else 0):
         x = shadow.preferential_node()
         if x not in seen:
             seen.add(x)

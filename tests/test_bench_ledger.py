@@ -12,6 +12,9 @@ ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("bench_ledger", ROOT / "tools" / "bench_ledger.py")
 bench_ledger = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_ledger)
+_spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 
@@ -89,3 +92,51 @@ def test_ledger_stops_on_a_workload_with_one_pair(tmp_path):
     write_run(tmp_path, "change_churn_s1", 1.0, "0.6..0.7")
     with pytest.raises(SystemExit, match=r"workload churn: 1 pair\(s\)"):
         bench_ledger.ledger(tmp_path, SPEC)
+
+
+# A stand-in for ``replaybench/run.py``: prints its arguments in a result
+# whose every end-to-end metric is ``VALUE``, and a host speed scale.
+STUB_RUN = """import json, sys
+metrics = {name: {"value": VALUE, "unit": "-"} for name in NAMES}
+print("noise")
+print(json.dumps({"correct": True, "attempted": 1, "failed": 0, "args": sys.argv[1:], "metrics": metrics}))
+print("churn: 1 passes, host speed scale 0.6..0.7, 0 failed", file=sys.stderr)
+"""
+
+
+def stub_checkout(root: Path, value: float) -> Path:
+    run = root / "replaybench" / "run.py"
+    run.parent.mkdir(parents=True)
+    names = [m["name"] for m in SPEC["end_to_end"]]
+    run.write_text(STUB_RUN.replace("VALUE", repr(value)).replace("NAMES", repr(names)))
+    return root
+
+
+def test_pairs_alternate_sides_into_the_files_the_ledger_reads(tmp_path):
+    parent = stub_checkout(tmp_path / "parent", 1.0)
+    change = stub_checkout(tmp_path / "change", 2.0)
+    runs = tmp_path / "runs"
+    assert bench_pairs.main([str(parent), str(change), str(runs), "churn", "7", "8", "9"]) == 0
+    assert sorted(p.name for p in runs.iterdir()) == sorted(
+        f"{side}_churn_s{seed}{suffix}" for side in ("parent", "change") for seed in (7, 8, 9) for suffix in (".out", ".err")
+    )
+    result = json.loads((runs / "change_churn_s8.out").read_text().splitlines()[-1])
+    assert result["args"] == ["--workload", "churn", "--seed", "8", "--seconds", "50", "--trace", "0"]
+    row = bench_ledger.ledger(runs, SPEC)["workloads"]["churn"]
+    assert row["pairs"] == 3 and row["parent_first"] == 2
+    assert row["metrics"]["ops_per_s"]["change_wins"] == 3
+
+
+def test_pairs_refuse_a_checkout_without_the_replay_or_an_existing_file(tmp_path):
+    parent = stub_checkout(tmp_path / "parent", 1.0)
+    runs = tmp_path / "runs"
+    with pytest.raises(SystemExit, match="change checkout .* has no replaybench/run.py"):
+        bench_pairs.run_pairs(parent, tmp_path, runs, "churn", [1])
+    assert not runs.exists()
+    change = stub_checkout(tmp_path / "change", 2.0)
+    runs.mkdir()
+    (runs / "change_churn_s2.err").write_text("kept\n")
+    with pytest.raises(SystemExit, match="change_churn_s2.err exists already"):
+        bench_pairs.run_pairs(parent, change, runs, "churn", [1, 2])
+    assert [p.name for p in runs.iterdir()] == ["change_churn_s2.err"]
+    assert (runs / "change_churn_s2.err").read_text() == "kept\n"

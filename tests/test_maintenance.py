@@ -664,6 +664,39 @@ def test_a_race_whose_root_side_runs_dry_falls_back_to_tarjan():
     assert_agrees(idx, mirror)
 
 
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_a_race_stops_at_the_component_boundary(k):
+    # s = {0, ..., 4} around the hub 0, its root; s' = {5, 6, 7} has an
+    # edge into s at 1 and, after (5, 7) goes, trees of its own, so its
+    # slots hold a generation other than s's.  Deleting (0, 1) leaves 1
+    # only the in-neighbour 5: 1 races backward, must not enter s', and
+    # breaks off alone; then 2, whose out-tree parent was 1, does too.
+    edges = [(0, 3), (3, 0), (0, 4), (4, 0), (0, 1), (1, 2), (2, 0)]
+    edges += [(5, 6), (6, 5), (5, 7), (7, 5), (6, 7), (7, 6), (5, 1)]
+    idx = ReachabilityIndex.build(edges, 8, LabelerConfig(k=k, seed=0))
+    mirror = Mirror(edges, 8)
+    g = idx.graph
+    s = idx.find(0)
+    assert g._trees[s][0] == 0 and g._tout[1] == 0 and g._tout[2] == 1
+    idx.delete_edge(5, 7)
+    mirror.delete_edge(5, 7)
+    t = idx.find(5)
+    assert g.scc_size(t) == 3 and t in g._trees and g._tgen[5] not in (0, g._trees[s][1])
+    races = []
+    race = idx._race
+
+    def recording(*args):
+        races.append(race(*args))
+        return races[-1]
+
+    idx._race = recording
+    idx.delete_edge(0, 1)
+    mirror.delete_edge(0, 1)
+    assert races == [[1], [2]]
+    assert g._trees[s][0] == 0 and g.scc_size(s) == 3
+    assert_agrees(idx, mirror)
+
+
 def test_an_item_that_meets_the_root_without_a_parent_falls_back_to_tarjan():
     # The root 0 finds 1, 3 and 4, then 2 through 1, so 2's out-tree
     # parent is 1.  Deleting (0, 1) leaves 1 only the in-edge from 2, whose

@@ -15,6 +15,7 @@ from dynreach import (
     gen_ba_directed,
     gen_er,
     gen_updates,
+    run_bench,
 )
 from dynreach.io import serialize_workload
 from dynreach.ops import DeleteEdge, DeleteNode, InsertEdge, InsertNode
@@ -164,6 +165,18 @@ def test_gen_updates_draws_are_pinned_where_the_edges_run_dry(seed, digest):
 def test_gen_updates_draws_are_pinned_on_a_ba_graph():
     ops = gen_updates(gen_ba_directed(2000, 2, 0.5, 1), 2000, 2000, OpRatios(), seed=2)
     assert _digest(ops) == "6699265c52856cd1"
+
+
+def test_gen_updates_inserts_a_node_into_an_empty_graph():
+    # Node deletes outweigh inserts ten to one, so the shadow empties: 81
+    # of the 200 ops leave no node.  A node insert stays applicable there
+    # and draws no endpoint, and the replay answers as the baseline does.
+    edges = [(0, 1), (1, 2), (2, 0), (3, 4)]
+    ops = gen_updates(edges, 6, 200, OpRatios(0, 0, 1, 10), 1)
+    assert _digest(ops) == "fc5deaaa71f9affd"
+    assert Counter(type(op) for op in ops) == {DeleteNode: 103, InsertNode: 97}
+    hashes = {v: run_bench(edges, 6, ops, v, qpu=2, seed=3)["answers_hash"] for v in ("dg1", "dfs")}
+    assert hashes["dg1"] == hashes["dfs"]
 
 
 def test_op_ratios_validation():
