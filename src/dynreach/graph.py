@@ -467,16 +467,6 @@ class SccGraph:
             x = nxt
         return root
 
-    def containment_depth(self, x: int) -> int:
-        """Links traversed from ``x`` to its component (no compression)."""
-        self._check_known(x)
-        parent = self._parent
-        depth = 0
-        while parent[x] != _NONE:
-            x = parent[x]
-            depth += 1
-        return depth
-
     # ------------------------------------------------------------------
     # input-layer edits (set semantics)
 
@@ -667,7 +657,7 @@ class SccGraph:
         degrees, not the remnant's size; taking the detached members out
         of the trees is the caller's
         (``ReachabilityIndex.extract_components``).  Returns the new
-        component ids followed by the remnant id.
+        component ids in ``comps``' order, followed by the remnant id.
         """
         if not self.is_current(s) or self._size[s] < 2:
             raise LogicError(f"node {s} is not a current multi-node component")

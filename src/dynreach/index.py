@@ -89,7 +89,11 @@ they are dropped, and what is left of the SCC is decomposed by one
 Tarjan restricted to it, whose largest piece keeps the handle.  Otherwise
 a deletion costs in proportion to the edges of the pieces that break
 off, plus the re-hangs and the races, never the size of what is left;
-the remnant keeps its handle, containment chain, label and trees.
+the remnant keeps its handle, containment chain, label and trees.  The
+pieces come out children first, as a set that breaks off forward lies
+below every later piece and one that breaks off backward above them, so
+each is labelled by one exit step in that order, with no traversal
+(``IntervalLabeler.relabel_split``).
 Within a deletion the trees' generation is membership: a slot is in
 what is left of the SCC iff it holds that generation, and a piece that
 breaks off leaves by taking generation 0, so the re-hangs, the races
@@ -621,8 +625,17 @@ class ReachabilityIndex:
         up is the remnant enumerated, by a scan of every slot's
         generation and the Tarjan.
 
-        Returns a slot of the remnant and the detached components; None
-        when nothing breaks off.
+        Returns a slot of the remnant and the detached components, each
+        after every one that is its DAG child; None when nothing breaks
+        off.  That order needs no search.  A set closed forward has no
+        edge to what is left, so it goes before every piece found later;
+        a set closed backward has no edge from it, so it goes after them.
+        So the sets closed forward come in the order they detach, then the
+        fallback's pieces, then the sets closed backward in reverse detach
+        order, each set's pieces in Tarjan's completion order, which is
+        reverse topological (Tarjan, SIAM J. Comput. 1972): every block
+        goes in at ``mid``, which only a set closed forward moves past
+        itself.
         """
         g = self.graph
         parent, find = g._parent, g._find
@@ -649,6 +662,7 @@ class ReachabilityIndex:
             queue += ((x, False), (x, True))
         waiting: list[tuple[int, bool]] = []  # items that found no parent
         comps: list[list[int]] = []
+        mid = 0  # where the next block goes: after the sets closed forward
         held = bool(out_i[root] and in_i[root])  # the root has not broken off
         while held:
             if queue:
@@ -665,10 +679,10 @@ class ReachabilityIndex:
                 break
             for y in closed:
                 tgen[y] = 0
-            if len(closed) == 1:
-                comps.append(closed)
-            else:
-                comps.extend(g._tarjan(closed, dict.fromkeys(closed, 0), restricted=True))
+            block = [closed] if len(closed) == 1 else g._tarjan(closed, dict.fromkeys(closed, 0), restricted=True)
+            comps[mid:mid] = block
+            if forward:
+                mid += len(block)
             # A closed set reached forward only has edges in from R, which
             # may be in-tree links; one reached backward only has edges out
             # to R, which may be out-tree links.  A slot outside R may keep
@@ -685,7 +699,7 @@ class ReachabilityIndex:
         a = root if held else heads[0]  # live: a deleted node has lost every edge
         kept = max(pieces, key=lambda c: (len(c), c[0] == a))
         pieces.remove(kept)
-        comps += pieces
+        comps[mid:mid] = pieces
         return (kept[0], comps) if comps else None
 
     def _rehang(self, queue: list, waiting: list, s: int, root: int, gen: int) -> list[tuple[int, bool]]:

@@ -1,7 +1,7 @@
 """Randomized interval labels over the condensation DAG.
 
 Each current DAG node carries ``k`` intervals ``[b, e]``, one per
-dimension, produced by independent randomized post-order traversals.  The
+dimension, first given by independent randomized post-order traversals.  The
 one invariant maintained after every update is containment along DAG
 edges: ``b_s <= b_t`` and ``e_s >= e_t + 1`` for every edge ``(s, t)``.
 By induction, if ``s`` reaches ``t`` then the label of ``s`` subsumes the
@@ -9,12 +9,13 @@ label of ``t`` — so a failed subsumption test proves non-reachability,
 while a passing test may still be a false positive that the search
 resolves.
 
-Two steps maintain the labels.  ``_post_order`` labels one randomized
-post-order, of the whole condensation on a build and of the pieces of a
-split component alone (``relabel_split``).  The remnant keeps the split
-component's label, and each piece's exit step reads it like any other
-DAG child.
-``propagate`` takes DAG edges that may lack
+Two steps maintain the labels.  ``_exit`` labels nodes in an order
+that puts every node after its DAG children among them: on a build, the
+whole condensation in one randomized post-order (``_post_order``); on a
+split, the pieces alone, in the order the extraction detached them
+(``relabel_split``), with no traversal and no random draw.  The remnant
+keeps the split component's label, and each piece's exit step reads it
+like any other DAG child.  ``propagate`` takes DAG edges that may lack
 containment, as ``(child, parents)`` pairs: an insertion passes its new
 edge, a merge the edges it gave its representative, and a split the
 edges into its pieces.  It repairs each end from the cheaper side.  When
@@ -39,7 +40,7 @@ DAG traversal.
 from __future__ import annotations
 
 import random
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
@@ -84,7 +85,7 @@ class IntervalLabeler:
         self._e: list[list[int]] = [[] for _ in range(cfg.k)]
         # (begin, end) columns per dimension; the columns only grow in place.
         self._cols = tuple(zip(self._b, self._e))
-        # One generator per dimension, consumed across the index lifetime.
+        # One generator per dimension, consumed by the build alone.
         self._rngs = [random.Random(cfg.seed * 1_000_003 + d) for d in range(cfg.k)]
         self._max_end = [0] * cfg.k
 
@@ -128,14 +129,15 @@ class IntervalLabeler:
         return nodes
 
     # ------------------------------------------------------------------
-    # post-order labels: build and split
+    # exit steps: build and split
 
     def initial_labels(self, graph: SccGraph) -> None:
         """Label every current DAG node with k randomized traversals.
 
         Each dimension runs one post-order traversal (``_post_order``)
-        from all roots, the counter starting at 0, so the end of a node is
-        the counter when it exits.
+        from all roots and labels its nodes in that order (``_exit``), the
+        counter starting at 0, so the end of a node is the counter when it
+        exits.
         """
         if self.k == 0:
             return
@@ -144,101 +146,96 @@ class IntervalLabeler:
         roots = [s for s in nodes if not in_d[s]]
         self.ensure_capacity(graph.capacity - 1)
         for d in range(self.k):
-            state = bytearray(graph.capacity)
-            if self._post_order(graph, d, roots, graph._out_d, 0, state) != len(nodes):
+            order = self._post_order(graph, d, roots)
+            if len(order) != len(nodes):
                 raise InternalError("condensation contains nodes unreachable from any root")
+            self._exit(graph, d, order, 0)
 
-    def _post_order(
-        self, graph: SccGraph, d: int, roots: Iterable[int], kids: Sequence | Mapping, ctr: int,
-        state: bytearray | dict[int, int],
-    ) -> int:
-        """Label dimension ``d`` by one post-order traversal from ``roots``
-        (in shuffled order, sharing a counter that starts at ``ctr``),
-        following ``kids[node]`` (in shuffled order).  ``state`` marks a
-        node 0 (new), 1 (active) or 2 (done), and holds 0 for every node
-        the traversal can reach: a ``bytearray`` over all slots on a
-        build, and on a split a ``dict`` over the pieces, so that its cost
-        does not grow with the graph.
+    def _post_order(self, graph: SccGraph, d: int, roots: Iterable[int]) -> list[int]:
+        """The DAG nodes one traversal from ``roots`` (in shuffled order)
+        reaches, following DAG edges (in shuffled order), in the order it
+        exits them: each after its DAG children."""
+        out_d, ordered = graph._out_d, self._ordered
+        state = bytearray(graph.capacity)  # 0 new, 1 active, 2 done
+        order: list[int] = []
+        for root in ordered(d, list(roots)):
+            if state[root]:
+                continue
+            state[root] = 1
+            frames = [(root, iter(ordered(d, list(out_d[root]))))]
+            while frames:
+                node, it = frames[-1]
+                for c in it:
+                    if state[c] == 0:
+                        state[c] = 1
+                        frames.append((c, iter(ordered(d, list(out_d[c])))))
+                        break
+                    if state[c] == 1:
+                        raise InternalError(f"cycle through node {c} in the condensation")
+                else:
+                    frames.pop()
+                    state[node] = 2
+                    order.append(node)
+        return order
+
+    def _exit(self, graph: SccGraph, d: int, order: Iterable[int], ctr: int) -> None:
+        """Label dimension ``d`` of the nodes of ``order``, each after its
+        DAG children among them, with a counter that starts at ``ctr``.
 
         Exiting a node advances the counter by the component size and
-        gives the node the begin ``min(entry counter, DAG children's
-        begins)`` and the end ``max(counter, largest DAG child end + 1)``.
-        Raises ``_max_end[d]`` to the ends given and returns how many
-        nodes were labelled.
+        gives the node the begin ``min(counter before, DAG children's
+        begins)`` and the end ``max(counter after, largest DAG child end +
+        1)``; ``_max_end[d]`` rises to the ends given.
         """
         b_col, e_col = self._b[d], self._e[d]
         out_d, size = graph._out_d, graph._size
         hi = self._max_end[d]
-        labeled = 0
-        for root in self._ordered(d, list(roots)):
-            if state[root]:
-                continue
-            state[root] = 1
-            frames: list[list] = [[root, self._ordered(d, list(kids[root])), 0, ctr]]
-            while frames:
-                frame = frames[-1]
-                node, nxt, i, entry = frame
-                if i < len(nxt):
-                    frame[2] = i + 1
-                    c = nxt[i]
-                    if state[c] == 0:
-                        state[c] = 1
-                        frames.append([c, self._ordered(d, list(kids[c])), 0, ctr])
-                    elif state[c] == 1:
-                        raise InternalError(f"cycle through node {c} in the condensation")
-                    continue
-                frames.pop()
-                state[node] = 2
-                ctr += size[node]
-                begin, end = entry, ctr
-                for c in out_d[node]:
-                    if b_col[c] < begin:
-                        begin = b_col[c]
-                    if e_col[c] >= end:
-                        end = e_col[c] + 1
-                b_col[node] = begin
-                e_col[node] = end
-                if end > hi:
-                    hi = end
-                labeled += 1
+        for node in order:
+            begin = ctr
+            ctr += size[node]
+            end = ctr
+            for c in out_d[node]:
+                if b_col[c] < begin:
+                    begin = b_col[c]
+                if e_col[c] >= end:
+                    end = e_col[c] + 1
+            b_col[node] = begin
+            e_col[node] = end
+            if end > hi:
+                hi = end
         self._max_end[d] = hi
-        return labeled
 
     def relabel_split(self, graph: SccGraph, clist: Sequence[int], s: int) -> None:
         """Label the pieces of the split component ``s``.
 
-        ``clist`` holds the detached pieces with the remnant last.  The
-        remnant keeps ``s``'s label: its edges to and from outside were
-        the component's, so they stay covered.  When it is ``s`` itself
-        its columns are left as they are; when ``s`` dissolved to one
-        node, that node takes ``s``'s label.  Per dimension, one
-        post-order over the pieces alone (``_post_order``), from every
-        piece as a root and following the edges between pieces, labels
-        them, the counter starting at ``s``'s begin.  Each piece so exits
-        after its piece children, and its exit step reads every DAG child,
-        the remnant and outside nodes included, so it covers them all.
-        The remnant is read, never traversed.  Propagating over the edges
-        into the pieces, the remnant's among them, restores containment
-        where it lacks, by lowering a piece or raising a parent, the
-        remnant among them.  A lone piece is one root with no piece
-        children, so no random number is drawn for it.  The remnant's own
-        edges are never scanned, so the cost follows the pieces' degrees.
+        ``clist`` holds the detached pieces, each after every piece that
+        is its DAG child, with the remnant last
+        (``ReachabilityIndex.extract_components`` detaches them in that
+        order).  The remnant keeps ``s``'s label: its edges to and from
+        outside were the component's, so they stay covered.  When it is
+        ``s`` itself its columns are left as they are; when ``s``
+        dissolved to one node, that node takes ``s``'s label.  Per
+        dimension, one exit step per piece in ``clist``'s order
+        (``_exit``), the counter starting at ``s``'s begin, labels the
+        pieces: each reads every DAG child, its piece children already
+        labelled and the remnant and outside nodes as they are, so it
+        covers them all.  Propagating over the edges into the pieces, the
+        remnant's among them, restores containment where it lacks, by
+        lowering a piece or raising a parent, the remnant among them.  No
+        random number is drawn, and the remnant's own edges are never
+        scanned, so the cost follows the pieces' degrees.
         """
         if self.k == 0:
             return
         *pieces, remnant = clist
-        cset = set(clist)
-        if len(cset) != len(clist) or not pieces:
-            raise LogicError("split list must hold at least two distinct components")
+        if not pieces:
+            raise LogicError("split list must hold a piece and the remnant")
         if remnant != s:
             for b_col, e_col in self._cols:
                 b_col[remnant] = b_col[s]
                 e_col[remnant] = e_col[s]
-        cset.discard(remnant)
-        out_d = graph._out_d
-        kids = {p: [c for c in out_d[p] if c in cset] for p in pieces}
         for d, b_col in enumerate(self._b):
-            self._post_order(graph, d, pieces, kids, b_col[s], dict.fromkeys(pieces, 0))
+            self._exit(graph, d, pieces, b_col[s])
         self.propagate(graph, [(w, graph._in_d[w]) for w in pieces])
 
     # ------------------------------------------------------------------

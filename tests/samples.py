@@ -101,6 +101,16 @@ def sample_index(k: int = 1, seed: int = 0, order: str | None = "reversed") -> R
     return ReachabilityIndex(g, lab)
 
 
+def containment_depth(g: SccGraph, x: int) -> int:
+    """Links from slot ``x`` up to its component, read without the path
+    compression a lookup does."""
+    depth = 0
+    while g._parent[x] != -1:
+        x = g._parent[x]
+        depth += 1
+    return depth
+
+
 def random_digraph(n: int, m: int, seed: int) -> list[tuple[int, int]]:
     rng = random.Random(seed)
     return [(rng.randrange(n), rng.randrange(n)) for _ in range(m)]

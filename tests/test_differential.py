@@ -14,7 +14,9 @@ their own component, to a component they reach, to a node they do not
 reach, to a DAG child of their component and to a child's child, and from
 a DAG sink or into a DAG source.  Whenever an inserted edge merges a
 two-component cycle without a search, the merge search on the same state
-must find just those two components (``check_two_cycle_rule``).
+must find just those two components (``check_two_cycle_rule``), and
+every split must hand its pieces over children first
+(``check_split_order``).
 It starts from one SCC in which most members have in- or out-degree 1
 (a cycle plus a few chords), so deletions break pieces off both ends of
 a removed edge, and in about one extraction in five the trees cannot
@@ -107,11 +109,37 @@ def check_two_cycle_rule(idx) -> list[int]:
     return fired
 
 
-def replay_random_history(seed: int, n: int, k: int, steps: int, fringe: int = 0) -> int:
+def check_split_order(idx) -> list[int]:
+    """Make ``idx`` check, after every split, that each detached piece in
+    ``apply_split``'s returned list comes after every piece that is its
+    DAG child, the order ``relabel_split`` labels the pieces in.  Returns
+    a list that gains the piece count of each split into two or more
+    pieces."""
+    g = idx.graph
+    split = g.apply_split
+    checks: list[int] = []
+
+    def checked(s, keep, comps):
+        *pieces, _ = clist = split(s, keep, comps)
+        at = {p: i for i, p in enumerate(pieces)}
+        for i, p in enumerate(pieces):
+            for c in g.dag_children(p):
+                assert at.get(c, -1) < i, (s, pieces, p, c)
+        if len(pieces) > 1:
+            checks.append(len(pieces))
+        return clist
+
+    g.apply_split = checked
+    return checks
+
+
+def replay_random_history(seed: int, n: int, k: int, steps: int, fringe: int = 0) -> tuple[int, int]:
     """Replay ``steps`` random ops from the full mix on a cycle of ``n``
-    nodes with ``n // 4`` chords, checking against ``Mirror`` after each
-    and checking every merge settled without a search
-    (``check_two_cycle_rule``); returns how many were.
+    nodes with ``n // 4`` chords, checking against ``Mirror`` after each,
+    checking every merge settled without a search
+    (``check_two_cycle_rule``) and the order of every split's pieces
+    (``check_split_order``); returns how many merges were so settled and
+    how many splits gave two or more pieces.
 
     With ``fringe`` > 0 the history is insert-heavy: ``fringe`` more nodes
     form a DAG around the cycle (the first half its parents, the rest its
@@ -129,6 +157,7 @@ def replay_random_history(seed: int, n: int, k: int, steps: int, fringe: int = 0
     deletes = 0.05 if fringe else 0.35
     idx = ReachabilityIndex.build(edges, n, LabelerConfig(k=k, seed=seed))
     fired = check_two_cycle_rule(idx)
+    splits = check_split_order(idx)
     mirror = Mirror(edges, n)
     for _ in range(steps):
         nodes = sorted(mirror.nodes)
@@ -167,10 +196,10 @@ def replay_random_history(seed: int, n: int, k: int, steps: int, fringe: int = 0
             idx.apply_batch(ops)
         assert_agrees(idx, mirror)
         assert_queries(idx, mirror, rng)
-    return len(fired)
+    return len(fired), len(splits)
 
 
-def replay_drawn_history(seed: int, insert_heavy: bool = False) -> int:
+def replay_drawn_history(seed: int, insert_heavy: bool = False) -> tuple[int, int]:
     """The script's history for ``seed``: 300 ops on a cycle whose ``n``
     (5-60), ``k`` (0-3) and, if ``insert_heavy``, fringe are drawn from a
     generator seeded with ``seed``; returns ``replay_random_history``'s."""
@@ -182,21 +211,24 @@ def replay_drawn_history(seed: int, insert_heavy: bool = False) -> int:
 
 
 def test_random_histories_from_one_scc():
-    fired = sum(replay_random_history(seed, n=20 + 3 * seed, k=seed % 4, steps=40) for seed in range(12))
+    counts = [replay_random_history(seed, n=20 + 3 * seed, k=seed % 4, steps=40) for seed in range(12)]
+    fired, splits = map(sum, zip(*counts))
     assert fired, "no merge was settled without a search"
+    assert splits, "no split gave two pieces"
 
 
 def test_insert_heavy_histories_around_one_scc():
     fired = sum(
-        replay_random_history(seed, n=20 + 3 * seed, k=seed % 4, steps=60, fringe=12 + seed) for seed in range(12)
+        replay_random_history(seed, n=20 + 3 * seed, k=seed % 4, steps=60, fringe=12 + seed)[0]
+        for seed in range(12)
     )
     assert fired, "no merge was settled without a search"
 
 
 # Plain histories that catch a split labelled by ``propagate`` alone, with
 # every piece and the remnant starting from the old label: pieces that
-# share the old end lose the post-order's distinct ends, and the repair
-# raises a node more than once ("its end keeps rising").
+# share the old end lose the distinct ends the exit steps give, and the
+# repair raises a node more than once ("its end keeps rising").
 @pytest.mark.parametrize("seed", [12, 14, 26, 110, 119, 125, 137, 175, 177, 192, 217, 218, 223, 278])
 def test_histories_that_catch_split_labels_sharing_an_end(seed):
     replay_drawn_history(seed)
@@ -221,6 +253,7 @@ class IndexAgainstMirror(RuleBasedStateMachine):
             edges = data.draw(st.lists(pairs, max_size=3 * n), label="edges")
         self.idx = ReachabilityIndex.build(edges, n, LabelerConfig(k=k, seed=seed))
         check_two_cycle_rule(self.idx)
+        check_split_order(self.idx)
         self.mirror = Mirror(edges, n)
 
     def _node(self, data, label):
@@ -329,7 +362,9 @@ if __name__ == "__main__":
     # Outside the test suite: COUNT plain and COUNT insert-heavy histories
     # of 300 ops, n 5-60, k 0-3.
     count = int(sys.argv[1]) if len(sys.argv) > 1 else 300
-    fired = sum(replay_drawn_history(seed) for seed in range(count))
-    print(f"{count} plain histories matched Mirror; {fired} merges settled without a search")
-    fired = sum(replay_drawn_history(seed, insert_heavy=True) for seed in range(count))
-    print(f"{count} insert-heavy histories matched Mirror; {fired} merges settled without a search")
+    for kind, insert_heavy in (("plain", False), ("insert-heavy", True)):
+        fired, splits = map(sum, zip(*(replay_drawn_history(seed, insert_heavy) for seed in range(count))))
+        print(
+            f"{count} {kind} histories matched Mirror; {fired} merges settled without a search;"
+            f" {splits} splits into two or more pieces kept children first"
+        )

@@ -39,7 +39,7 @@ def test_cli_prints_a_line_per_update_and_a_total(capsys, monkeypatch):
 #: code that first pinned it: a change meant to leave components, labels
 #: and DAG order bit-identical must print it too.
 SMOKE_TOTALS = {
-    1: "98cf135a2cdf0d5308a25b8af4a9f5b5789fb689dfe03d7d8f543ac5a49f56c5",
+    1: "6d81ea3edb69b4294270b4c65b219c379410e6b5ad46a9098cca70a537bf03bf",
     2: "ca1d106f34867282ab35c1e6bc5eb27d31320efcabca5a136fe991269183216b",
     3: "2db41e90bac22770e7490083cbaa3cb77abf84253a25f04c4c8ffde6903880aa",
 }
@@ -57,9 +57,9 @@ def test_smoke_part_total_is_pinned(capsys, monkeypatch, seed):
 #: split an SCC 12, 12 and 9 times, 9, 9 and 6 times into one piece next
 #: to the remnant; a churn smoke part splits 2 or 3 times.
 SPLIT_TOTALS = {
-    1: "7ef457c905e4375704b273597ccf4c3f20337ce3089a3cc702b2321e5f0e1dd6",
-    2: "fde714315e110e9097239f6d251bf412a65cdafc9cf471fe49dfe45836f766f5",
-    3: "ea4b97d6ef32455399e22bbc0d60548d4542d61c433db39d7faa802145a4b245",
+    1: "e202683713cf486b600f21fe39a07ba0c012e573d7caaeb58a1a2c8c4601cadd",
+    2: "b3b9bf32be363ef4689f7d036c66d514524457efe93a15b31bb813b0f2680e0c",
+    3: "c8a0b9c8318c874a93d1dbcdf619242871a0f89de838f6da6c6bffbe7e717db9",
 }
 
 

@@ -245,27 +245,47 @@ def test_split_two_cycle_keeps_containment():
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
-@pytest.mark.parametrize("across", [[], [(11, 10)]], ids=["apart", "edge"])
-def test_split_with_remnant_between_pieces(across, k):
+@pytest.mark.parametrize(
+    "across, late, raced",
+    [([], [], [10, 11]), ([(11, 10)], [], []), ([(11, 10)], [(10, 11), (11, 10)], [11, 10])],
+    ids=["apart", "edge", "joined"],
+)
+def test_split_with_remnant_between_pieces(across, late, raced, k):
     # Deleting (10, 11), 10's only out-edge and 11's only in-edge, leaves
     # the piece {11} above the core and {10} below it: the remnant lies
-    # between the pieces, and keeps its label.  With the edge (11, 10)
-    # the post-order over the pieces exits 10 first, and 11's exit step
-    # reads 10 and the core, which it never traverses.
+    # between the pieces, and keeps its label.  Apart, the set closed
+    # forward, {10}, detaches first.  With the edge (11, 10), 10 is the
+    # trees' root, which breaks off, and one Tarjan decomposes what is
+    # left.  When 10 and 11 joined the core after the build (by the
+    # edges in ``late``) they wait as pending inputs, and the set closed
+    # backward, {11}, detaches first, though it has an edge to {10}.
+    # Every way, the pieces are labelled lower first, and with the edge
+    # (11, 10) 11's exit step reads 10 and the core, which it never
+    # traverses.
     core = [(i, (i + 1) % 10) for i in range(10)] + [(0, 5), (6, 2)]
     edges = core + [(3, 10), (8, 10), (10, 11), (11, 1), (11, 4)] + across
-    idx = ReachabilityIndex.build(edges, 12, LabelerConfig(k=k, seed=4))
+    idx = ReachabilityIndex.build([e for e in edges if e not in late], 12, LabelerConfig(k=k, seed=4))
+    for u, v in late:
+        idx.insert_edge(u, v)
+    g = idx.graph
     s = idx.find(0)
     assert idx.find(10) == idx.find(11) == s
     label = idx.label_of(s)
+    states = [rng.getstate() for rng in idx.labeler._rngs]
+    items, clists = [], []
+    race, split = idx._race, g.apply_split
+    idx._race = lambda x, *rest: items.append(x) or race(x, *rest)
+    g.apply_split = lambda *args: clists.append(split(*args)) or clists[-1]
     idx.delete_edge(10, 11)
     mirror = Mirror(edges, 12)
     mirror.delete_edge(10, 11)
-    g = idx.graph
+    assert items == raced
+    assert clists == [[10, 11, s]]
     assert idx.find(10) == 10 and idx.find(11) == 11
     assert idx.find(5) == s and idx.label_of(s) == label
     assert set(g.dag_children(11)) == {s, *(v for _, v in across)}
     assert set(g.dag_parents(10)) == {s, *(u for u, _ in across)}
+    assert [rng.getstate() for rng in idx.labeler._rngs] == states
     assert_agrees(idx, mirror)
     assert subsumes(idx.label_of(11), label) and subsumes(label, idx.label_of(10))
     assert subsumes(idx.label_of(11), idx.label_of(10))
@@ -306,11 +326,11 @@ def test_update_sequence_labels_are_pinned():
     # then {N, O, P, S, T} (20) and {A, B, C} (21).
     assert idx.find(19) == 22 and idx.find(NODE["A"]) == 21
     assert {s: idx.label_of(s) for s in g.current_dag_nodes()} == {
-        7: ((0, 11), (0, 4)), 8: ((0, 9), (0, 2)), 9: ((0, 19), (0, 20)),
+        7: ((0, 11), (0, 17)), 8: ((0, 9), (0, 15)), 9: ((0, 19), (0, 20)),
         10: ((0, 18), (0, 19)), 11: ((0, 20), (0, 21)), 12: ((0, 19), (0, 20)),
-        13: ((0, 1), (0, 1)), 14: ((1, 2), (1, 1)), 15: ((2, 3), (2, 3)),
-        16: ((0, 21), (0, 22)), 17: ((0, 5), (0, 4)), 19: ((0, 20), (0, 21)),
-        21: ((0, 17), (0, 18)), 22: ((0, 10), (0, 3)),
+        13: ((0, 1), (0, 1)), 14: ((1, 2), (1, 2)), 15: ((2, 3), (2, 3)),
+        16: ((0, 21), (0, 22)), 17: ((0, 5), (0, 5)), 19: ((0, 20), (0, 21)),
+        21: ((0, 17), (0, 18)), 22: ((0, 10), (0, 16)),
     }
 
 
@@ -338,9 +358,8 @@ SEED = 5
 
 #: The labels of every component and the largest end given in each
 #: dimension after each split, at k 3, as the build's post-order and the
-#: post-order over the lone piece gave them: each dimension is drawn from
-#: its own generator, so at k 1 and 2 they are the first dimensions of
-#: these.
+#: lone piece's exit step gave them: each dimension is drawn from its own
+#: generator, so at k 1 and 2 they are the first dimensions of these.
 ONE_PIECE_LABELS = {
     "above": {
         4: ((2, 11), (0, 9), (2, 12)),
@@ -407,9 +426,8 @@ def one_piece_split(case: str, k: int) -> tuple[ReachabilityIndex, Mirror, int, 
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("case", sorted(ONE_PIECE_SPLITS))
 def test_one_piece_split_labels_are_pinned(case, k):
-    # Exactly one piece breaks off, next to the remnant: the post-order
-    # over the pieces has one root with no piece children, so it draws no
-    # random number.
+    # Exactly one piece breaks off, next to the remnant: one exit step
+    # labels it, and no random number is drawn.
     edges, (u, v), x = ONE_PIECE_SPLITS[case]
     idx, mirror, before, states = one_piece_split(case, k)
     g = idx.graph
@@ -427,9 +445,8 @@ def test_one_piece_split_labels_are_pinned(case, k):
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_a_piece_apart_from_the_remnant_draws_no_random_number(k):
-    # Deleting 4 leaves it a lone piece with no edge to the remnant: the
-    # post-order over the pieces has one root with no piece children, so
-    # no generator moves.
+    # Deleting 4 leaves it a lone piece with no edge to the remnant: one
+    # exit step labels it, and no generator moves.
     edges = _RING + [(4, 0), (2, 4)]
     idx = ReachabilityIndex.build(edges, 11, LabelerConfig(k=k, seed=SEED))
     states = [rng.getstate() for rng in idx.labeler._rngs]
