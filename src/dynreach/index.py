@@ -5,8 +5,7 @@ both consistent through the four update operations (edge/node insertion
 and deletion).  A node insertion is the node plus its edges: the node
 takes a fresh slot, whose label starts empty, joins a component that
 holds one of its in- and one of its out-neighbours, and each of its
-edges runs through the edge insertion; a batch of edge updates runs
-through the same edge insertion and deletion.
+edges runs through the edge insertion.
 
 A query from ``s`` to ``t`` tests, in this order and in ``reachable``'s
 own frame: both lie in one component (true), a stored DAG edge leads
@@ -112,10 +111,9 @@ from collections import defaultdict
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
-from .errors import InputError, InternalError, LogicError
+from .errors import InternalError, LogicError
 from .graph import SccGraph
 from .labeling import IntervalLabeler, Label, LabelerConfig
-from .ops import DeleteEdge, InsertEdge, UpdateOp
 
 
 @dataclass(frozen=True, slots=True)
@@ -861,40 +859,6 @@ class ReachabilityIndex:
             tails, heads = zip(*inner)
             self._split(s, tails, heads)
         g.remove_input_node(x)
-
-    # ------------------------------------------------------------------
-    # batch updates
-
-    def apply_batch(self, ops: Sequence[UpdateOp]) -> int:
-        """Apply a batch of edge updates as one net change.
-
-        Every op is first checked in order against the edge set as the
-        ops before it leave it; a batch holding an unknown node, an op
-        other than an edge update, or the deletion of an edge absent at
-        that point raises ``InputError`` and changes nothing.  Then each
-        edge whose presence after the batch differs from its presence
-        before goes once through ``insert_edge`` or ``delete_edge``, in
-        the order of first mention.  Returns the number of edges changed.
-        """
-        g = self.graph
-        before: dict[tuple[int, int], bool] = {}
-        after: dict[tuple[int, int], bool] = {}
-        for op in ops:
-            if not isinstance(op, (InsertEdge, DeleteEdge)):
-                raise InputError(f"batch mode accepts edge updates only, got {op!r}")
-            key = (op.u, op.v)
-            if key not in before:
-                before[key] = after[key] = g.has_input_edge(g.input_slot(op.u), g.input_slot(op.v))
-            if isinstance(op, DeleteEdge) and not after[key]:
-                raise InputError(f"edge ({op.u}, {op.v}) does not exist")
-            after[key] = isinstance(op, InsertEdge)
-        changed = [key for key, present in after.items() if present != before[key]]
-        for u, v in changed:
-            if after[u, v]:
-                self.insert_edge(u, v)
-            else:
-                self.delete_edge(u, v)
-        return len(changed)
 
     # ------------------------------------------------------------------
     # views

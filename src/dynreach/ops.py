@@ -1,4 +1,5 @@
-"""Update and query operations: the unit of workload files and batches."""
+"""Update and query operations: the unit of workload files, of
+``gen_updates`` and of ``run_bench``."""
 from __future__ import annotations
 
 from dataclasses import dataclass

@@ -1,10 +1,10 @@
 """Differential tests: random update histories against ``Mirror``.
 
 Hypothesis drives one index and one mirror through the full op mix (edge
-and node inserts and deletes, queries, edge batches) with ``k`` from 0 to
-3.  Inserted node ids are drawn from ``[0, capacity + 1]``, so they land
-on ids that SCC slots and dead slots occupy, and on live ids, which must
-be rejected without any change.  After every step the partition, the
+and node inserts and deletes, and queries) with ``k`` from 0 to 3.
+Inserted node ids are drawn from ``[0, capacity + 1]``, so they land on
+ids that SCC slots and dead slots occupy, and on live ids, which must be
+rejected without any change.  After every step the partition, the
 input edges, the condensation's edges with their multiplicities and label
 containment must agree with the mirror.
 
@@ -42,7 +42,7 @@ from hypothesis import HealthCheck, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule  # noqa: E402
 
-from dynreach import DeleteEdge, InputError, InsertEdge, LabelerConfig, QueryStats, ReachabilityIndex  # noqa: E402
+from dynreach import InputError, LabelerConfig, QueryStats, ReachabilityIndex  # noqa: E402
 
 from oracles import Mirror, assert_agrees, dag_reach, reachable_pairs  # noqa: E402
 from samples import random_strongly_connected  # noqa: E402
@@ -139,7 +139,8 @@ def replay_random_history(seed: int, n: int, k: int, steps: int, fringe: int = 0
     checking every merge settled without a search
     (``check_two_cycle_rule``) and the order of every split's pieces
     (``check_split_order``); returns how many merges were so settled and
-    how many splits gave two or more pieces.
+    how many splits gave two or more pieces.  A step in five toggles one
+    to five drawn edges, one at a time, and is checked after the last.
 
     With ``fringe`` > 0 the history is insert-heavy: ``fringe`` more nodes
     form a DAG around the cycle (the first half its parents, the rest its
@@ -184,16 +185,14 @@ def replay_random_history(seed: int, n: int, k: int, steps: int, fringe: int = 0
             idx.delete_node(u)
             mirror.delete_node(u)
         elif nodes:
-            ops = []
             for _ in range(rng.randrange(1, 6)):
                 u, v = rng.choice(nodes), rng.choice(nodes)
                 if v in mirror.out[u]:
-                    ops.append(DeleteEdge(u, v))
+                    idx.delete_edge(u, v)
                     mirror.delete_edge(u, v)
                 else:
-                    ops.append(InsertEdge(u, v))
+                    idx.insert_edge(u, v)
                     mirror.insert_edge(u, v)
-            idx.apply_batch(ops)
         assert_agrees(idx, mirror)
         assert_queries(idx, mirror, rng)
     return len(fired), len(splits)
@@ -307,40 +306,6 @@ class IndexAgainstMirror(RuleBasedStateMachine):
             want = self.mirror.reach(u, v)
             assert self.idx.reachable(u, v) == want, (u, v)
             assert self.idx.reachable_with_stats(u, v)[0] == want, (u, v)
-
-    @precondition(lambda self: self.mirror.nodes)
-    @rule(data=st.data(), size=st.integers(1, 8), spoil=st.booleans())
-    def batch(self, data, size, spoil):
-        """A batch valid in order; with ``spoil`` it ends in the deletion
-        of a missing edge and must change nothing."""
-        present = set(self.mirror.edge_list())
-        ops = []
-        for _ in range(size):
-            if present and data.draw(st.booleans(), label="delete"):
-                u, v = data.draw(st.sampled_from(sorted(present)), label="edge")
-                present.discard((u, v))
-                ops.append(DeleteEdge(u, v))
-            else:
-                u, v = self._node(data, "u"), self._node(data, "v")
-                present.add((u, v))
-                ops.append(InsertEdge(u, v))
-        if spoil:
-            missing = [(u, v) for u in self.mirror.nodes for v in self.mirror.nodes if (u, v) not in present]
-            if missing:
-                before = self._snapshot()
-                u, v = data.draw(st.sampled_from(sorted(missing)), label="missing")
-                try:
-                    self.idx.apply_batch([*ops, DeleteEdge(u, v)])
-                except InputError:
-                    assert self._snapshot() == before
-                    return
-                raise AssertionError(f"batch deleting missing edge ({u}, {v}) accepted")
-        was = set(self.mirror.edge_list())
-        assert self.idx.apply_batch(ops) == len(was ^ present)
-        for u, v in was - present:
-            self.mirror.delete_edge(u, v)
-        for u, v in present - was:
-            self.mirror.insert_edge(u, v)
 
     @invariant()
     def agrees_with_mirror(self):

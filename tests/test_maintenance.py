@@ -1,4 +1,4 @@
-"""The four update operations, merge/split machinery, and batch application."""
+"""The four update operations and the merge/split machinery."""
 from __future__ import annotations
 
 import random
@@ -7,21 +7,17 @@ import signal
 import pytest
 
 from dynreach import (
-    DeleteEdge,
     InputError,
-    InsertEdge,
-    InsertNode,
     InternalError,
     IntervalLabeler,
     LabelerConfig,
     LogicError,
-    Query,
     ReachabilityIndex,
     SccGraph,
     subsumes,
 )
 
-from oracles import Mirror, assert_agrees, check_label_invariants, kosaraju_partition, reachable_pairs
+from oracles import Mirror, assert_agrees, check_label_invariants, reachable_pairs
 from samples import (
     NODE,
     PinnedLabeler,
@@ -1227,79 +1223,6 @@ def test_delete_isolated_node():
 
 
 # ----------------------------------------------------------------------
-# batches
-
-
-def test_batch_pruning_cancels_complements():
-    idx = sample_index(k=1)
-    before = snapshot(idx)
-    applied = idx.apply_batch([InsertEdge(NODE["M"], NODE["R"]), DeleteEdge(NODE["M"], NODE["R"])])
-    assert applied == 0
-    assert snapshot(idx) == before
-
-
-def test_batch_prune_keeps_trailing_op():
-    idx = sample_index(k=1)
-    ops = [
-        InsertEdge(NODE["M"], NODE["K"]),
-        DeleteEdge(NODE["M"], NODE["K"]),
-        InsertEdge(NODE["M"], NODE["K"]),
-    ]
-    assert idx.apply_batch(ops) == 1
-    assert idx.graph.has_input_edge(NODE["M"], NODE["K"])
-
-
-def test_batch_rejects_non_edge_ops():
-    idx = sample_index(k=1)
-    with pytest.raises(InputError):
-        idx.apply_batch([InsertNode(99)])
-    with pytest.raises(InputError):
-        idx.apply_batch([Query(0, 1)])
-
-
-def test_batch_intra_insert_classification_is_structural_noop():
-    idx = sample_index(k=1)
-    before = snapshot(idx)
-    assert idx.apply_batch([InsertEdge(NODE["A"], NODE["B"])]) == 0  # already present
-    after = snapshot(idx)
-    assert after[0] == before[0] and after[1] == before[1]
-    assert idx.graph.has_input_edge(NODE["A"], NODE["B"])
-
-
-def test_batch_final_answers_match_sequential():
-    for seed in range(10):
-        n = 24
-        edges = random_digraph(n, 40, seed)
-        rng = random.Random(seed + 7)
-        ops = []
-        mirror = Mirror(edges, n)
-        for _ in range(rng.randrange(5, 25)):
-            if rng.random() < 0.6 or not mirror.edge_list():
-                u, v = rng.randrange(n), rng.randrange(n)
-                mirror.insert_edge(u, v)
-                ops.append(InsertEdge(u, v))
-            else:
-                elist = mirror.edge_list()
-                u, v = elist[rng.randrange(len(elist))]
-                mirror.delete_edge(u, v)
-                ops.append(DeleteEdge(u, v))
-        batch_idx = ReachabilityIndex.build(edges, n, LabelerConfig(k=1, seed=seed))
-        batch_idx.apply_batch(ops)
-        seq_idx = ReachabilityIndex.build(edges, n, LabelerConfig(k=1, seed=seed))
-        for op in ops:
-            if isinstance(op, InsertEdge):
-                seq_idx.insert_edge(op.u, op.v)
-            else:
-                seq_idx.delete_edge(op.u, op.v)
-        assert set(batch_idx.graph.input_edges()) == set(mirror.edge_list()), seed
-        assert batch_idx.scc_partition() == seq_idx.scc_partition(), seed
-        for u in range(n):
-            for v in range(n):
-                assert batch_idx.reachable(u, v) == seq_idx.reachable(u, v), (seed, u, v)
-        check_label_invariants(batch_idx)
-
-
-# ----------------------------------------------------------------------
 # regressions
 
 
@@ -1315,17 +1238,42 @@ def test_split_after_inserted_ids_collide_with_scc_slots():
     check_label_invariants(idx)
 
 
-def test_batch_insert_of_present_edge_does_not_cancel_its_delete():
+def test_insert_then_delete_restores_components_and_answers():
+    idx = sample_index(k=1)
+    before = snapshot(idx)
+    answers = {(u, v): idx.reachable(u, v) for u in range(19) for v in range(19)}
+    idx.insert_edge(NODE["M"], NODE["R"])
+    idx.delete_edge(NODE["M"], NODE["R"])
+    after = snapshot(idx)
+    assert after[0] == before[0] and after[2] == before[2]
+    assert {(u, v): idx.reachable(u, v) for u in range(19) for v in range(19)} == answers
+    check_label_invariants(idx)
+
+
+def test_insert_delete_insert_leaves_the_edge():
+    idx = sample_index(k=1)
+    idx.insert_edge(NODE["M"], NODE["K"])
+    idx.delete_edge(NODE["M"], NODE["K"])
+    idx.insert_edge(NODE["M"], NODE["K"])
+    assert idx.graph.has_input_edge(NODE["M"], NODE["K"])
+    assert idx.reachable(NODE["M"], NODE["K"])
+    check_label_invariants(idx)
+
+
+def test_insert_of_present_edge_does_not_shield_it_from_delete():
     idx = ReachabilityIndex.build([(4, 30), (30, 4)], 31, LabelerConfig(k=1, seed=0))
-    assert idx.apply_batch([InsertEdge(4, 30), DeleteEdge(30, 4), DeleteEdge(4, 30)]) == 2
+    idx.insert_edge(4, 30)  # already present: a no-op
+    idx.delete_edge(30, 4)
+    idx.delete_edge(4, 30)
     assert set(idx.graph.input_edges()) == set()
     assert not idx.reachable(4, 30)
+    check_label_invariants(idx)
 
 
-def test_batch_insert_between_equal_labels_keeps_containment():
+def test_insert_between_equal_labels_keeps_containment():
     idx = ReachabilityIndex.build([], 2, LabelerConfig(k=2, seed=0))
     set_labels(idx.labeler, {1: idx.label_of(0)})
-    idx.apply_batch([InsertEdge(0, 1)])
+    idx.insert_edge(0, 1)
     check_label_invariants(idx)
 
 
