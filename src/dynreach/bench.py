@@ -58,12 +58,12 @@ class DfsBaseline:
     """Index-free engine: ``graph`` is an ``SccGraph`` built up to its
     input layer only (``SccGraph._input_layer``).  Updates make the index's
     input-layer edits through the same calls, ids and their checks
-    included; a query runs a stamped DFS over the slots' out-lists."""
+    included; a query runs a DFS over the slots' out-lists that marks
+    them with a fresh stamp in the graph's visit-mark column
+    (``SccGraph._vis``), as the index's searches do."""
 
     def __init__(self, edges: Sequence[tuple[int, int]], num_nodes: int) -> None:
         self.graph = SccGraph._input_layer(edges, num_nodes)
-        self._vis: list[int] = []  # per slot, the stamp of the last search that saw it
-        self._stamp = 0
 
     def insert_edge(self, u: int, v: int) -> None:
         g = self.graph
@@ -92,11 +92,8 @@ class DfsBaseline:
         t = g.input_slot(v)
         if s == t:
             return True
-        vis = self._vis
-        if len(vis) < g.capacity:
-            vis.extend([0] * (g.capacity - len(vis)))
-        self._stamp += 1
-        stamp = self._stamp
+        vis = g._vis
+        stamp = g._stamp = g._stamp + 1
         out = g._out_i
         vis[s] = stamp
         stack = [s]

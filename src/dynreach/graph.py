@@ -66,18 +66,25 @@ and ``input_edges`` speak external ids; every other method takes and
 returns slots.  ``ReachabilityIndex.reachable`` also reads ``_slot``
 directly, so that a query stays in one frame, as does
 ``ReachabilityIndex.scc_partition``.
+
+Every search over slots marks them in one column, ``_vis``, under one
+counter, ``_stamp``: Tarjan, the growth of the trees, the labels'
+post-order, the extraction's races, the index's two-way search and the
+``dfs`` baseline's DFS.  No mark exceeds ``_stamp``.  A search takes the
+stamps it needs above it and raises ``_stamp`` past them, so every mark
+an earlier search left lies below each of its own, and a slot holds one
+of them only once the search has written it.  No search clears a mark,
+and a new slot starts at 0.  The trees' generations are stamps of this
+counter too, so no two trees ever share one.
 """
 from __future__ import annotations
 
-import sys
 from collections.abc import Container, Iterable, Iterator, Mapping, Sequence
 from types import MappingProxyType
 
 from .errors import InputError, InternalError, LogicError
 
 _NONE = -1
-# Tarjan's mark of a node whose SCC is complete: above every index and low-link.
-_DONE = sys.maxsize
 _NO_EDGES = MappingProxyType({})  # a DAG side that never had an edge; writes raise TypeError
 
 
@@ -132,7 +139,10 @@ class SccGraph:
         self._tin: list[int] = [_NONE] * num_nodes
         self._tgen: list[int] = [0] * num_nodes
         self._trees: dict[int, tuple[int, int, list[int]]] = {}
-        self._gen = 0  # the last generation handed out
+        # Visit marks of every search, none above ``_stamp`` (see the
+        # module docstring).
+        self._vis: list[int] = [0] * num_nodes
+        self._stamp = 0
 
     # ------------------------------------------------------------------
     # construction
@@ -153,24 +163,23 @@ class SccGraph:
         it, are its out- and in-tree, since a tree path to a member only
         passes members.  Restricting the backward search keeps it among
         the descendants of ``r``, which are few when ``r`` lies on no
-        cycle.  That SCC takes the first SCC slot, and its members enter
-        Tarjan already marked complete, so Tarjan finds the other SCCs
-        only, numbered after it in completion order.
+        cycle.  That SCC takes the first SCC slot, and Tarjan runs over
+        the slots outside it, so it finds the other SCCs only, numbered
+        after it in completion order: an SCC is closed, so leaving one
+        out changes none of the others.
         """
         g = cls._input_layer(edges, num_nodes)
         n = g.capacity
-        out_i = g._out_i
-        low = [0] * n
+        out_i, parent = g._out_i, g._parent
         if n:
             deg = [a + b for a, b in zip(map(len, out_i), map(len, g._in_i))]
             members = g._grow_trees(deg.index(max(deg)), _NONE)
             if len(members) > 1:
                 s = g._new_slot(len(members))
-                g._trees[s] = (members[0], g._gen, [])
+                g._trees[s] = (members[0], g._tgen[members[0]], [])
                 for m in members:
-                    g._parent[m] = s
-                    low[m] = _DONE
-        for comp in g._tarjan(range(n), low):
+                    parent[m] = s
+        for comp in g._tarjan([u for u in range(n) if parent[u] == _NONE]):
             if len(comp) > 1:
                 s = g._new_slot(len(comp))
                 for m in comp:
@@ -181,7 +190,7 @@ class SccGraph:
         # of a 100k-node acyclic BA graph took 289-310 ms instead of
         # 278-299 ms (five alternating runs, 2-core Xeon); with one large
         # SCC, and so fewer DAG edges, it did not move.
-        parent, out_d, in_d = g._parent, g._out_d, g._in_d
+        out_d, in_d = g._out_d, g._in_d
         for u in range(n):
             s = parent[u]
             if s == _NONE:
@@ -228,35 +237,35 @@ class SccGraph:
         out-tree and an in-tree rooted at ``r`` in a fresh generation.
 
         A forward breadth-first search from ``r`` marks the nodes it finds
-        with one new generation and links each to the node it was found
-        from (``_tout``); a backward one over the marked nodes only moves
-        each node it finds on to the next generation, the trees' own, and
-        links it to the node it was found from (``_tin``).  Returns the
-        nodes the backward search found, ``r`` first: ``r``'s SCC.  The
-        nodes only the forward search found keep a generation no trees
-        use.
+        with a fresh stamp and links each to the node it was found from
+        (``_tout``); a backward one over the marked nodes only marks each
+        node it finds with the next stamp, which is also the trees'
+        generation (``_tgen``), and links it to the node it was found
+        from (``_tin``).  Returns the nodes the backward search found,
+        ``r`` first: ``r``'s SCC.  The nodes only the forward search found
+        keep the generation they had.
         """
-        out_i, in_i = self._out_i, self._in_i
+        out_i, in_i, vis = self._out_i, self._in_i, self._vis
         tout, tin, tgen = self._tout, self._tin, self._tgen
         parent, find = self._parent, self._find
-        fwd = self._gen + 1
-        gen = self._gen = fwd + 1
-        tgen[r] = fwd
+        fwd = self._stamp + 1
+        gen = self._stamp = fwd + 1
+        vis[r] = fwd
         tout[r] = tin[r] = _NONE
         found = [r]
         for w in found:
             for c in out_i[w]:
                 # Before ``build`` makes components every link is -1 == s.
-                if tgen[c] != fwd and (parent[c] == s or find(c) == s):
-                    tgen[c] = fwd
+                if vis[c] != fwd and (parent[c] == s or find(c) == s):
+                    vis[c] = fwd
                     tout[c] = w
                     found.append(c)
-        tgen[r] = gen
+        vis[r] = tgen[r] = gen
         members = [r]
         for w in members:
             for c in in_i[w]:
-                if tgen[c] == fwd:
-                    tgen[c] = gen
+                if vis[c] == fwd:
+                    vis[c] = tgen[c] = gen
                     tin[c] = w
                     members.append(c)
         return members
@@ -265,60 +274,62 @@ class SccGraph:
         """Give the multi-node SCC ``s`` trees rooted at its member ``r``;
         they span it, as it is strongly connected."""
         self._grow_trees(r, s)
-        self._trees[s] = (r, self._gen, [])
+        self._trees[s] = (r, self._tgen[r], [])
 
-    def _tarjan(
-        self, roots: Iterable[int], low: list[int] | dict[int, int], restricted: bool = False
-    ) -> list[list[int]]:
-        """Iterative Tarjan over the input layer; SCCs in completion order.
+    def _tarjan(self, nodes: Sequence[int]) -> list[list[int]]:
+        """Iterative Tarjan over the subgraph of the input layer that the
+        input slots ``nodes`` induce; its SCCs in completion order.
 
-        ``low`` maps every node the run may enter to 0 (a list over all
-        slots, or a dict over a node set); with ``restricted``, nodes
-        missing from ``low`` are not entered, so the run sees the subgraph
-        that set induces.  One array serves for index, low-link and stack
-        mark (Pearce, "A space-efficient algorithm for finding strongly
-        connected components", IPL 2016): a node's entry holds its index
-        when entered, then its low-link, and ``_DONE`` once its SCC is
-        complete, which both marks it visited and keeps it out of every
-        later low-link; each frame carries its node's own index.
+        One stamp column serves for index, low-link and stack mark
+        (Pearce, "A space-efficient algorithm for finding strongly
+        connected components", IPL 2016), and it is ``_vis``.  The run
+        marks ``nodes`` with ``base``, a fresh stamp, and enters only
+        slots that hold it: every other slot holds an older mark, below
+        ``base``.  A node's entry holds its index when entered, numbered
+        from ``base + 1``, then its low-link, and ``done``, above every
+        index, once its SCC is complete, which both marks it visited and
+        keeps it out of every later low-link: a low-link falls only to a
+        mark above ``base``.  Each frame carries its node's own index.
         """
-        out_i = self._out_i
+        out_i, vis = self._out_i, self._vis
+        base = self._stamp + 1
+        done = self._stamp = base + len(nodes) + 1
+        for x in nodes:
+            vis[x] = base
         stack: list[int] = []
         comps: list[list[int]] = []
-        counter = 1
-        for root in roots:
-            if low[root]:
+        counter = base + 1
+        for root in nodes:
+            if vis[root] != base:
                 continue
             work: list[tuple[int, int, Iterator[int]]] = [(root, counter, iter(out_i[root]))]
-            low[root] = counter
+            vis[root] = counter
             counter += 1
             stack.append(root)
             while work:
                 w, index, it = work[-1]
                 for c in it:
-                    if restricted and c not in low:
-                        continue
-                    lc = low[c]
-                    if not lc:
-                        low[c] = counter
+                    lc = vis[c]
+                    if lc == base:
+                        vis[c] = counter
                         work.append((c, counter, iter(out_i[c])))
                         counter += 1
                         stack.append(c)
                         break
-                    if lc < low[w]:
-                        low[w] = lc
+                    if base < lc < vis[w]:
+                        vis[w] = lc
                 else:
                     work.pop()
-                    lw = low[w]
+                    lw = vis[w]
                     if work:
                         p = work[-1][0]
-                        if lw < low[p]:
-                            low[p] = lw
+                        if lw < vis[p]:
+                            vis[p] = lw
                     if lw == index:
                         comp = []
                         while True:
                             x = stack.pop()
-                            low[x] = _DONE
+                            vis[x] = done
                             comp.append(x)
                             if x == w:
                                 break
@@ -342,6 +353,7 @@ class SccGraph:
         self._tout.append(_NONE)
         self._tin.append(_NONE)
         self._tgen.append(0)
+        self._vis.append(0)
         return s
 
     def add_input_node(self, u: int, endpoints: Iterable[int] = ()) -> int:

@@ -102,6 +102,13 @@ Public methods take external node ids and translate them to graph slots
 once, on entry; everything below that boundary (extraction, splits,
 merges, labels) works on slots and component handles only.
 
+Every search here, the two-way search and the races, marks slots in
+the graph's one visit-mark column (``SccGraph._vis``, see its module
+docstring), as the Tarjan of a split and the growth of the trees do.
+The label columns grow with the slot space
+(``IntervalLabeler.ensure_capacity``) after each update that takes new
+slots: a node insertion, a merge and a split.
+
 All operations, queries included, mutate internal state (path compression
 and visit stamps); an instance therefore needs exclusive access.
 """
@@ -137,12 +144,7 @@ class ReachabilityIndex:
     def __init__(self, graph: SccGraph, labeler: IntervalLabeler) -> None:
         self.graph = graph
         self.labeler = labeler
-        # Visit marks of searches and extractions: a slot is marked by
-        # the current search iff it holds that search's stamp.  The label
-        # columns always have as many slots (``_ensure_capacity``).
-        self._vis: list[int] = [0] * graph.capacity
         labeler.ensure_capacity(graph.capacity - 1)
-        self._stamp = 0
         # (visited, pruned) of the last query's search.
         self._searched = 1, 0
 
@@ -162,20 +164,6 @@ class ReachabilityIndex:
         labeler = IntervalLabeler(cfg or LabelerConfig())
         labeler.initial_labels(graph)
         return cls(graph, labeler)
-
-    # ------------------------------------------------------------------
-    # capacity plumbing
-
-    def _ensure_capacity(self) -> None:
-        """Grow the visit marks and the label columns to the graph's
-        capacity, which grows only on node insertion, merge and split.
-        Both start at the capacity and only grow here, together, so when
-        the marks cover it the columns do too and nothing is done."""
-        cap = self.graph.capacity
-        if len(self._vis) >= cap:
-            return
-        self._vis.extend([0] * (cap - len(self._vis)))
-        self.labeler.ensure_capacity(cap - 1)
 
     # ------------------------------------------------------------------
     # queries
@@ -313,7 +301,7 @@ class ReachabilityIndex:
         has no edge to repair and calls no ``propagate``."""
         g = self.graph
         rep, kids, parents = g.merge_components(mlist)
-        self._ensure_capacity()
+        self.labeler.ensure_capacity(g.capacity - 1)
         if kids or parents:
             self.labeler.propagate(g, [*((c, (rep,)) for c in kids), (rep, parents)])
 
@@ -412,10 +400,9 @@ class ReachabilityIndex:
         # (none at k 0).
         dims = [(bcol, ecol, bcol[a], bcol[b], ecol[b], ecol[a]) for bcol, ecol in self.labeler._cols]
         g = self.graph
-        vis = self._vis
-        base = self._stamp  # marks above base belong to this search
-        both = base + 3
-        self._stamp = both
+        vis = g._vis
+        base = g._stamp  # marks above base belong to this search
+        both = g._stamp = base + 3
         vis[a] = base + 1
         vis[b] = base + 2
         # Per side: found nodes in order, adjacency followed, own mark,
@@ -550,7 +537,7 @@ class ReachabilityIndex:
             return
         keep, comps = split
         clist = self.graph.apply_split(s, keep, comps)
-        self._ensure_capacity()
+        self.labeler.ensure_capacity(self.graph.capacity - 1)
         self.labeler.relabel_split(self.graph, clist, s)
 
     def extract_components(
@@ -677,7 +664,7 @@ class ReachabilityIndex:
                 break
             for y in closed:
                 tgen[y] = 0
-            block = [closed] if len(closed) == 1 else g._tarjan(closed, dict.fromkeys(closed, 0), restricted=True)
+            block = [closed] if len(closed) == 1 else g._tarjan(closed)
             comps[mid:mid] = block
             if forward:
                 mid += len(block)
@@ -693,7 +680,7 @@ class ReachabilityIndex:
                         queue.append((w, forward))
         # The trees give up: decompose what is left of s.
         left = [y for y, t in enumerate(tgen) if t == gen]
-        pieces = g._tarjan(left, dict.fromkeys(left, 0), restricted=True)
+        pieces = g._tarjan(left)
         a = root if held else heads[0]  # live: a deleted node has lost every edge
         kept = max(pieces, key=lambda c: (len(c), c[0] == a))
         pieces.remove(kept)
@@ -756,11 +743,10 @@ class ReachabilityIndex:
         then closed under ``x_adj``; None when the searches meet or the
         root's side runs out first, which the trees cannot settle.  An
         item is never the root, whose tree parents are unset."""
-        tgen = self.graph._tgen
-        vis = self._vis
-        mine = self._stamp + 1
-        theirs = mine + 1
-        self._stamp = theirs
+        g = self.graph
+        tgen, vis = g._tgen, g._vis
+        mine = g._stamp + 1
+        theirs = g._stamp = mine + 1
         vis[x] = mine
         vis[root] = theirs
         sides = (([x], x_adj, mine, theirs), ([root], root_adj, theirs, mine))
@@ -811,7 +797,7 @@ class ReachabilityIndex:
         """
         g = self.graph
         x = g.add_input_node(u, (*out_edges, *in_edges))
-        self._ensure_capacity()
+        self.labeler.ensure_capacity(g.capacity - 1)
         heads = {g._find(g._slot[w]) for w in out_edges if w != u}
         joint = [c for c in (g._find(g._slot[w]) for w in in_edges if w != u) if c in heads]
         if joint:

@@ -154,27 +154,34 @@ class IntervalLabeler:
     def _post_order(self, graph: SccGraph, d: int, roots: Iterable[int]) -> list[int]:
         """The DAG nodes one traversal from ``roots`` (in shuffled order)
         reaches, following DAG edges (in shuffled order), in the order it
-        exits them: each after its DAG children."""
-        out_d, ordered = graph._out_d, self._ordered
-        state = bytearray(graph.capacity)  # 0 new, 1 active, 2 done
+        exits them: each after its DAG children.
+
+        It marks slots in the graph's visit-mark column (``SccGraph._vis``)
+        with two fresh stamps: ``active`` while a node is on the path,
+        ``done`` once it has exited.  Every older mark lies below
+        ``active``, so a node is new iff its mark lies below it."""
+        out_d, ordered, vis = graph._out_d, self._ordered, graph._vis
+        active = graph._stamp + 1
+        done = graph._stamp = active + 1
         order: list[int] = []
         for root in ordered(d, list(roots)):
-            if state[root]:
+            if vis[root] == done:
                 continue
-            state[root] = 1
+            vis[root] = active
             frames = [(root, iter(ordered(d, list(out_d[root]))))]
             while frames:
                 node, it = frames[-1]
                 for c in it:
-                    if state[c] == 0:
-                        state[c] = 1
+                    m = vis[c]
+                    if m < active:
+                        vis[c] = active
                         frames.append((c, iter(ordered(d, list(out_d[c])))))
                         break
-                    if state[c] == 1:
+                    if m == active:
                         raise InternalError(f"cycle through node {c} in the condensation")
                 else:
                     frames.pop()
-                    state[node] = 2
+                    vis[node] = done
                     order.append(node)
         return order
 

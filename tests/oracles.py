@@ -281,10 +281,12 @@ def check_trees(idx) -> None:
 
 def assert_agrees(idx, mirror):
     """Input edges, partition, every DAG edge with its multiplicity, label
-    containment and the spanning trees against the mirror."""
+    containment and the spanning trees against the mirror, and that the
+    visit-mark column covers every slot with no mark above the counter."""
     assert set(idx.graph.input_edges()) == set(mirror.edge_list())
     assert idx.scc_partition() == mirror.partition()
     g = idx.graph
+    assert len(g._vis) == g.capacity and max(g._vis, default=0) <= g._stamp
     counts: Counter[tuple[int, int]] = Counter()
     for u, v in mirror.edge_list():
         s, t = idx.find(u), idx.find(v)

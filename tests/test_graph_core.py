@@ -76,6 +76,29 @@ def test_build_gives_the_scc_of_the_node_of_highest_degree_the_first_slot_and_tr
     assert g._trees == {} and g.find_scc(6) == g.find_scc(7) == 8
 
 
+@pytest.mark.parametrize("seed", range(30))
+def test_tarjan_on_a_subset_over_stale_marks_finds_its_sccs_children_first(seed):
+    # Every slot holds a random mark at or below the counter, as earlier
+    # searches leave them, a third of them the counter itself; Tarjan
+    # must see exactly the subgraph the subset induces.
+    rng = random.Random(seed)
+    n = 30
+    g = SccGraph.build(random_digraph(n, rng.randrange(30, 90), seed=seed), num_nodes=n)
+    g._stamp += rng.randrange(1, 50)
+    g._vis[:] = [rng.choice((0, rng.randint(0, g._stamp), g._stamp)) for _ in g._vis]
+    nodes = [u for u in range(n) if rng.random() < 0.7]
+    rng.shuffle(nodes)
+    comps = g._tarjan(nodes)
+    edges = [(u, v) for u in range(n) for v in g._out_i[u]]
+    assert {frozenset(c) for c in comps} == kosaraju_partition(nodes, edges)
+    assert sorted(x for c in comps for x in c) == sorted(nodes)
+    at = {x: i for i, c in enumerate(comps) for x in c}
+    for u, v in edges:
+        if u in at and v in at:
+            assert at[v] <= at[u], f"SCC of {v} listed after that of {u}, which has an edge into it"
+    assert max(g._vis) <= g._stamp
+
+
 def test_build_rejects_negative_ids():
     with pytest.raises(InputError):
         SccGraph.build([(0, -1)])

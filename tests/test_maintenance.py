@@ -737,7 +737,8 @@ def test_deleting_the_hub_decomposes_what_is_left_once():
     # A star: hub 0 with an edge to and from each of 2,000 leaves, and a
     # few leaf two-cycles, one SCC whose trees are rooted at the hub.
     # Deleting the hub deletes the root, so no item races it: one Tarjan
-    # restricted to the leaves finds the two-cycles and the lone leaves.
+    # over the 2,000 leaves and the deleted hub, a lone piece, finds the
+    # two-cycles and the lone leaves.
     leaves = 2000
     edges = [(0, x) for x in range(1, leaves + 1)] + [(x, 0) for x in range(1, leaves + 1)]
     edges += [(1, 2), (2, 1), (10, 11), (11, 10), (500, 1999), (1999, 500)]
@@ -752,16 +753,16 @@ def test_deleting_the_hub_decomposes_what_is_left_once():
         races.append(args)
         return race(*args)
 
-    def counting_tarjan(*args, **kwargs):
-        tarjans.append(kwargs.get("restricted", False))
-        return tarjan(*args, **kwargs)
+    def counting_tarjan(nodes):
+        tarjans.append(len(nodes))
+        return tarjan(nodes)
 
     idx._race = counting_race
     g._tarjan = counting_tarjan
     idx.delete_node(0)
     mirror = Mirror(edges, leaves + 1)
     mirror.delete_node(0)
-    assert races == [] and tarjans == [True]
+    assert races == [] and tarjans == [leaves + 1]
     assert_agrees(idx, mirror)
 
 
@@ -1156,7 +1157,7 @@ def test_visit_marks_and_label_columns_grow_with_the_capacity(k):
         step(idx)
         step(mirror)
         caps.append(g.capacity)
-        assert len(idx._vis) == g.capacity
+        assert len(g._vis) == g.capacity
         assert [len(col) for col in (*idx.labeler._b, *idx.labeler._e)] == [g.capacity] * 2 * k
     assert caps == [7, 8, 9, 9, 10, 11]  # six inputs and the ring's slot first
     assert g.scc_size(idx.find(6)) == g.scc_size(idx.find(4)) == 2
